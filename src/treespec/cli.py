@@ -12,11 +12,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import covering as cov
-from .config import DEFAULT_CONFIG, FormatError, RunConfig
-from .graphs import markov_weights, laplace_type_operator
+from .config import FormatError, RunConfig
 from .growth import ball_sizes
 from .omega import OmegaWord
 from .presentation import abelianization_class, relators_U
@@ -24,12 +21,11 @@ from .actions import verify_trivial
 from .schreier import (
     UpsilonSpec,
     cayley_ball,
-    check_isomorphic,
     level_projection_covering,
     schreier_graph,
     upsilon_graph,
 )
-from .serialize import export_dot, export_eigenvalue_csv, parse_graph, serialize_graph
+from .serialize import export_dot, export_eigenvalue_csv, serialize_graph
 from .spectra import (
     GRIG_TARGET,
     IntervalUnion,
@@ -69,7 +65,7 @@ def cmd_schreier(args, config) -> int:
     if args.dot:
         _write(args.output, export_dot(g))
     else:
-        _write(args.output, serialize_graph(g, meta, config))
+        _write(args.output, serialize_graph(g, meta))
     return OK
 
 
@@ -80,7 +76,7 @@ def cmd_upsilon(args, config) -> int:
     if args.dot:
         _write(args.output, export_dot(g))
     else:
-        _write(args.output, serialize_graph(g, meta, config))
+        _write(args.output, serialize_graph(g, meta))
     return OK
 
 

@@ -30,17 +30,12 @@ class RunConfig:
     max_depth: int = 24
     max_ball_elements: int = 200_000
     membership_tol: float = 1e-8
-    eig_tol: float = 1e-10
-    reproducible: bool = True
-    loop_degree_one: bool = True  # loop contributes 1 to the degree
-    upsilon_middle_exception: bool = False
 
     def __post_init__(self):
         if self.max_vertices <= 0 or self.max_depth <= 0:
             raise ValueError("caps must be positive")
-        for tol in (self.membership_tol, self.eig_tol):
-            if not 0 < tol < 1:
-                raise ValueError("tolerances must lie in (0, 1)")
+        if not 0 < self.membership_tol < 1:
+            raise ValueError("tolerances must lie in (0, 1)")
 
     def as_dict(self) -> dict:
         return asdict(self)

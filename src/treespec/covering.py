@@ -10,13 +10,21 @@ interior vertices whose stars are complete.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Edge, Multigraph, WeightedGraph, laplace_type_operator, markov_weights
+from .graphs import (
+    Edge,
+    Multigraph,
+    WeightedGraph,
+    _bfs_distances,
+    laplace_type_operator,
+    markov_operator,
+    markov_weights,
+)
 
 
 class WindowTooSmallError(RuntimeError):
@@ -74,7 +82,7 @@ def verify_covering(c: CoveringMap) -> CoveringReport:
     # endpoint compatibility (as multisets, so a non-loop may cover a loop)
     for ei, ti in c.edge_map.items():
         e, t = src.edges[ei], tgt.edges[ti]
-        if sorted(map(str, (c.phi(e.u), c.phi(e.v)))) != sorted(map(str, (t.u, t.v))):
+        if Counter((c.phi(e.u), c.phi(e.v))) != Counter((t.u, t.v)):
             return CoveringReport(False, f"edge {ei} endpoints do not cover edge {ti}")
     interior = set(c.interior_vertices())
     for v in interior:
@@ -189,7 +197,7 @@ class LazyGraphOracle:
             for label, u, mult in self.neighbors(v):
                 if u not in dist:
                     continue
-                key = (min(str(v), str(u)), max(str(v), str(u)), label)
+                key = (frozenset((v, u)), label)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -239,18 +247,6 @@ class FolnerReport:
     boundary_ratios: tuple[float, ...]  # |B_1(F_k) \ F_k| / |F_k|
     subexp_evidence: bool
     growth_rates: tuple[float, ...]  # |B_k|^(1/k)
-
-
-def _bfs_distances(g: Multigraph, v) -> dict:
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        for x in g.neighbors(u):
-            if x not in dist:
-                dist[x] = dist[u] + 1
-                queue.append(x)
-    return dist
 
 
 def folner_balls(src, v, k_max: int) -> FolnerReport:
@@ -343,7 +339,7 @@ def hulanicki_residual(
         raise ValueError("f must be nonzero")
     f = f / norm_f
 
-    h2 = laplace_type_operator(markov_weights(tgt)).as_matrix().real
+    h2 = markov_operator(tgt).as_matrix().real
     eps = float(np.linalg.norm(h2 @ f - lam * f))
     if mode == "finite-target" and eps > eigen_tol:
         raise NotAnEigenpairError(f"target residual {eps:.3e} > {eigen_tol}")
@@ -351,7 +347,6 @@ def hulanicki_residual(
     if base is None:
         base = c.source.vertices[0]
     dist = _bfs_distances(c.source, base)
-    tindex = {v: i for i, v in enumerate(tgt.vertices)}
 
     support = [tgt.vertices[i] for i in np.nonzero(np.abs(f) > 0)[0]]
     tdist = _bfs_distances(tgt, c.phi(base))
@@ -374,12 +369,11 @@ def hulanicki_residual(
 
     lifted = lift_weights(c, markov_weights(tgt))
     h1 = laplace_type_operator(lifted).as_matrix().real
-    sindex = {v: i for i, v in enumerate(c.source.vertices)}
 
     fk = np.zeros(c.source.n)
     for v, d in dist.items():
         if d <= trunc:
-            fk[sindex[v]] = f[tindex[c.phi(v)]]
+            fk[c.source.index(v)] = f[tgt.index(c.phi(v))]
     norm_fk = float(np.linalg.norm(fk))
     if norm_fk == 0:
         raise ValueError("truncated pullback vanishes; enlarge k")
@@ -423,8 +417,7 @@ def window_pullback_residual(c: CoveringMap, lam: float, f: np.ndarray) -> Hulan
     f = f / norm_f
     lifted = lift_weights(c, markov_weights(tgt))
     h1 = laplace_type_operator(lifted).as_matrix().real
-    tindex = {v: i for i, v in enumerate(tgt.vertices)}
-    fk = np.array([f[tindex[c.phi(v)]] for v in c.source.vertices])
+    fk = np.array([f[tgt.index(c.phi(v))] for v in c.source.vertices])
     residual = float(np.linalg.norm(h1 @ fk - lam * fk)) / float(np.linalg.norm(fk))
     rim = c.source.n - len(c.interior_vertices())
     return HulanickiRecord(
@@ -451,7 +444,7 @@ def spectral_inclusion_report(
     The target must be finite; its Markov operator is fully diagonalized and
     each eigenpair is pushed through :func:`hulanicki_residual`.
     """
-    h2 = laplace_type_operator(markov_weights(c.target)).as_matrix().real
+    h2 = markov_operator(c.target).as_matrix().real
     vals, vecs = np.linalg.eigh(h2)
     records = []
     best = []

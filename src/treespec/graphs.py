@@ -1,13 +1,15 @@
 """Finite multigraphs, per-endpoint edge weights, and neighbor-sum operators.
 
 Loops count once toward the degree throughout; the convention is recorded in
-:class:`treespec.config.RunConfig` and embedded in serialized artifacts.
+:data:`treespec.serialize.CONVENTIONS` and embedded in serialized artifacts.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Sequence
+from functools import cached_property
+from typing import Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -68,21 +70,32 @@ class Multigraph:
     def index(self, v: VertexId) -> int:
         return self._index[v]
 
+    # built on the first adjacency query: graphs that are only built,
+    # serialized or canonicalised never pay for it
+    @cached_property
+    def _incidence(self) -> dict[VertexId, list[int]]:
+        """Edge ids at each vertex in edge order (a loop appears once)."""
+        inc: dict[VertexId, list[int]] = {v: [] for v in self.vertices}
+        for i, e in enumerate(self.edges):
+            inc[e.u].append(i)
+            if not e.is_loop:
+                inc[e.v].append(i)
+        return inc
+
     def degree(self, v: VertexId) -> int:
         """Loops contribute 1."""
-        return sum(1 for e in self.edges if v in (e.u, e.v))
+        return len(self._incidence.get(v, ()))
 
     def incident(self, v: VertexId) -> list[int]:
         """Indices of edges adjacent to v (a loop appears once)."""
-        return [i for i, e in enumerate(self.edges) if v in (e.u, e.v)]
+        return list(self._incidence.get(v, ()))
 
     def neighbors(self, v: VertexId) -> list[VertexId]:
+        edges = self.edges
         out = []
-        for e in self.edges:
-            if e.u == v:
-                out.append(e.v)
-            elif e.v == v:
-                out.append(e.u)
+        for i in self._incidence.get(v, ()):
+            e = edges[i]
+            out.append(e.v if e.u == v else e.u)
         return out
 
     @property
@@ -92,15 +105,20 @@ class Multigraph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for u in self.neighbors(v):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.n
+        return len(_bfs_distances(self, self.vertices[0])) == self.n
+
+
+def _bfs_distances(g: Multigraph, v: VertexId) -> dict:
+    """Edge distance from v to every vertex reachable from it."""
+    dist = {v: 0}
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for x in g.neighbors(u):
+            if x not in dist:
+                dist[x] = dist[u] + 1
+                queue.append(x)
+    return dist
 
 
 class WeightedGraph(Multigraph):
@@ -108,12 +126,6 @@ class WeightedGraph(Multigraph):
 
     def __init__(self, vertices: Sequence[VertexId], edges: Sequence[Edge]):
         super().__init__(vertices, list(edges))
-
-    @property
-    def max_abs_weight(self) -> float:
-        if not self.edges:
-            return 0.0
-        return max(max(abs(e.wu), abs(e.wv)) for e in self.edges)
 
     @property
     def is_self_adjoint(self) -> bool:
@@ -141,21 +153,14 @@ def markov_weights(g: Multigraph) -> WeightedGraph:
 
 @dataclass
 class LinearOperator:
-    """Finite-dimensional operator with an apply contract.
-
-    ``matrix`` is the dense materialization when the dimension is within the
-    dense cap; otherwise only ``apply`` is available.
-    """
+    """Finite-dimensional operator; operators are dense only, held in ``matrix``."""
 
     dimension: int
-    apply: Callable[[np.ndarray], np.ndarray]
-    matrix: Optional[np.ndarray] = None
+    matrix: np.ndarray
     self_adjoint: bool = False
     norm_bound: float = field(default=0.0)
 
     def as_matrix(self) -> np.ndarray:
-        if self.matrix is None:
-            raise ValueError("operator has no dense materialization")
         return self.matrix
 
 
@@ -165,7 +170,6 @@ def _operator_from_matrix(m: np.ndarray, self_adjoint: bool) -> LinearOperator:
     )
     return LinearOperator(
         dimension=m.shape[0],
-        apply=lambda x, _m=m: _m @ x,
         matrix=m,
         self_adjoint=self_adjoint,
         norm_bound=norm,

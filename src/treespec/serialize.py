@@ -11,10 +11,14 @@ import io
 import json
 from typing import Optional
 
-from .config import DEFAULT_CONFIG, FormatError, RunConfig
+from .config import FormatError
 from .graphs import Edge, Multigraph, WeightedGraph
 
 FORMAT_VERSION = 1
+
+# Loops count once toward the degree; the Upsilon model omits the middle-vertex
+# exception.  Every document carries this block and parsing rejects others.
+CONVENTIONS = {"loop_degree_one": True, "upsilon_middle_exception": False}
 
 
 def _weight_to_str(w) -> str:
@@ -33,9 +37,7 @@ def _weight_from_str(s: str):
         raise FormatError(f"bad weight string {s!r}") from exc
 
 
-def serialize_graph(
-    g: Multigraph, metadata: Optional[dict] = None, config: RunConfig = DEFAULT_CONFIG
-) -> bytes:
+def serialize_graph(g: Multigraph, metadata: Optional[dict] = None) -> bytes:
     """Serialize a (weighted) multigraph to canonical JSON bytes."""
     weighted = isinstance(g, WeightedGraph)
     edges = []
@@ -56,10 +58,7 @@ def serialize_graph(
         "vertices": list(g.vertices),
         "edges": edges,
         "metadata": dict(metadata or {}),
-        "conventions": {
-            "loop_degree_one": config.loop_degree_one,
-            "upsilon_middle_exception": config.upsilon_middle_exception,
-        },
+        "conventions": CONVENTIONS,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
 
@@ -75,6 +74,10 @@ def parse_graph(data: bytes) -> Multigraph:
             raise FormatError(f"missing field {key!r}")
     if doc["format_version"] != FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {doc['format_version']!r}")
+    if "conventions" in doc and doc["conventions"] != CONVENTIONS:
+        raise FormatError(
+            f"conventions {doc['conventions']!r} differ from {CONVENTIONS!r}"
+        )
     vertices = doc["vertices"]
     vertices = [tuple(v) if isinstance(v, list) else v for v in vertices]
     if len(set(vertices)) != len(vertices):

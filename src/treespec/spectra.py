@@ -4,7 +4,7 @@ dihedral reduction, Kesten bounds, and spectral-measure moments."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -12,13 +12,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .actions import generator_action
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
-from .graphs import (
-    LinearOperator,
-    Multigraph,
-    NotSelfAdjointError,
-    laplace_type_operator,
-    markov_weights,
-)
+from .graphs import LinearOperator, Multigraph, NotSelfAdjointError, markov_operator
 from .omega import OmegaWord
 from .schreier import path_canonical_form, schreier_graph
 
@@ -114,7 +108,6 @@ GRIG_TARGET = IntervalUnion(((-0.5, 0.0), (0.5, 1.0)))
 @dataclass(frozen=True)
 class SpectrumReport:
     eigenvalues: tuple[float, ...]
-    residuals: tuple[float, ...]
     target: Optional[IntervalUnion]
     in_target: tuple[bool, ...]
     hausdorff: Optional[float]
@@ -127,17 +120,14 @@ class SpectrumReport:
 def eigenvalues_selfadjoint(
     h: LinearOperator, config: RunConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """All eigenvalues (dense mode) or the extremal pair (apply-only mode)."""
+    """All eigenvalues; dimensions above ``max_vertices`` are refused."""
     if not h.self_adjoint:
         raise NotSelfAdjointError("operator is not flagged self-adjoint")
-    if h.matrix is not None and h.dimension <= config.max_vertices:
-        return np.linalg.eigvalsh(h.as_matrix())
-    from scipy.sparse.linalg import LinearOperator as SpOp, eigsh
-
-    op = SpOp((h.dimension, h.dimension), matvec=h.apply, dtype=float)
-    low = eigsh(op, k=1, which="SA", return_eigenvectors=False)
-    high = eigsh(op, k=1, which="LA", return_eigenvectors=False)
-    return np.sort(np.concatenate([low, high]))
+    if h.dimension > config.max_vertices:
+        raise ResourceLimitError(
+            f"dimension {h.dimension} exceeds max_vertices {config.max_vertices}"
+        )
+    return np.linalg.eigvalsh(h.as_matrix())
 
 
 def _report(
@@ -148,10 +138,10 @@ def _report(
 ) -> SpectrumReport:
     vals = tuple(float(x) for x in np.sort(eigenvalues))
     if target is None:
-        return SpectrumReport(vals, (0.0,) * len(vals), None, (True,) * len(vals), None)
+        return SpectrumReport(vals, None, (True,) * len(vals), None)
     flags = tuple(target.contains(v, tol) for v in vals)
     hd = target.hausdorff_to_points(cumulative if cumulative is not None else vals)
-    return SpectrumReport(vals, (0.0,) * len(vals), target, flags, hd)
+    return SpectrumReport(vals, target, flags, hd)
 
 
 def markov_eigenvalues_banded(
@@ -159,24 +149,19 @@ def markov_eigenvalues_banded(
 ) -> np.ndarray:
     """Markov spectrum of a path-with-loops graph via its tridiagonal form.
 
-    After canonical path ordering the Markov matrix has bandwidth 1: the
-    diagonal holds loopcount/degree and the off-diagonal multiplicity/degree.
-    Degrees must be constant (they are, for the level graphs).
+    After canonical path ordering the Markov matrix D^-1 A has bandwidth 1.
+    It is similar to the symmetric D^-1/2 A D^-1/2, whose diagonal holds
+    loopcount/degree and whose off-diagonal holds mult_i / sqrt(d_i d_{i+1}),
+    so the spectrum is exact for any path with loops.
     """
     form = path_canonical_form(g)
-    deg = [
-        form.loops[i]
-        + (form.multiplicities[i - 1] if i > 0 else 0)
-        + (form.multiplicities[i] if i < g.n - 1 else 0)
-        for i in range(g.n)
-    ]
-    diag = np.array([form.loops[i] / deg[i] for i in range(g.n)], dtype=float)
+    loops = np.array(form.loops, dtype=float)
+    mult = np.array(form.multiplicities, dtype=float)
+    deg = loops + np.pad(mult, (1, 0)) + np.pad(mult, (0, 1))
+    diag = loops / deg
     if g.n == 1:
         return diag
-    off = np.array(
-        [form.multiplicities[i] / deg[i] for i in range(g.n - 1)], dtype=float
-    )
-    # symmetric only when consecutive degrees agree; true for 4-regular paths
+    off = mult / np.sqrt(deg[:-1] * deg[1:])
     return eigh_tridiagonal(diag, off, eigvals_only=True)
 
 
@@ -364,7 +349,7 @@ def spectral_moments(
         raise ValueError("count must be >= 0")
     if g.n > config.max_vertices:
         raise ResourceLimitError("graph exceeds dense cap")
-    m = laplace_type_operator(markov_weights(g)).as_matrix().real
+    m = markov_operator(g).as_matrix().real
     i = g.index(v)
     delta = np.zeros(g.n)
     delta[i] = 1.0
@@ -378,7 +363,7 @@ def spectral_moments(
 
 def moments_via_eigendecomposition(g: Multigraph, v, count: int) -> MomentSequence:
     """Independent route: sum of w_i lambda_i^p from the eigendecomposition."""
-    m = laplace_type_operator(markov_weights(g)).as_matrix().real
+    m = markov_operator(g).as_matrix().real
     vals, vecs = np.linalg.eigh(m)
     i = g.index(v)
     weights = vecs[i, :] ** 2

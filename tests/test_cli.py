@@ -37,7 +37,10 @@ class TestConfigEcho:
         _, out, _ = run(capsys, "growth", "--omega", ":01", "--radius", "2")
         line = next(l for l in out.splitlines() if l.startswith("config: "))
         cfg = json.loads(line[len("config: "):])
-        assert "max_vertices" in cfg and "max_depth" in cfg
+        # only knobs that change behaviour are echoed
+        assert set(cfg) == {
+            "max_vertices", "max_depth", "max_ball_elements", "membership_tol"
+        }
 
     def test_override_propagates(self, capsys):
         _, out, _ = run(

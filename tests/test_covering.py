@@ -4,6 +4,7 @@ import pytest
 from treespec import (
     BadStartError,
     CoveringMap,
+    LazyGraphOracle,
     Multigraph,
     NotAnEigenpairError,
     OmegaWord,
@@ -54,6 +55,17 @@ class TestVerifyCovering:
         cov = CoveringMap(g, g, {v: v for v in g.vertices},
                           {i: i for i in range(len(g.edges))})
         assert verify_covering(cov)
+
+    def test_endpoints_compared_by_value(self):
+        # 1 and "1" print alike; the rim loop at c must not cover the loop at "1"
+        tgt = Multigraph([1, "1"], [(1, 1), ("1", "1")])
+        src = Multigraph(["a", "b", "c"], [("a", "a"), ("b", "b"), ("c", "c")])
+        cov = CoveringMap(
+            src, tgt, {"a": 1, "b": "1", "c": 1}, {0: 0, 1: 1, 2: 1},
+            interior={"a", "b"},
+        )
+        rep = verify_covering(cov)
+        assert not rep and "edge 2" in rep.witness
 
     def test_window_too_small_raises(self):
         # a radius-1 ball cannot certify surjectivity onto the level-3 graph
@@ -109,6 +121,16 @@ class TestFolner:
         rep = folner_balls(binary_tree_oracle(), "", 12)
         assert not rep.subexp_evidence
         assert min(rep.boundary_ratios) > 0.5
+
+    def test_window_keeps_neighbors_that_print_alike(self):
+        def nbrs(v):
+            if v == "root":
+                return [("x", 1, 1), ("x", "1", 1)]
+            return [("x", "root", 1)]
+
+        g, interior = LazyGraphOracle("root", nbrs, 2).window(2)
+        assert g.neighbors("root") == [1, "1"]
+        assert g.degree(1) == g.degree("1") == 1
 
     def test_sizes_linear_on_ray(self):
         rep = folner_balls(upsilon_ray_oracle(), 0, 8)

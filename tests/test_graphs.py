@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from treespec import (
     markov_weights,
     shift_square_transform,
 )
+from treespec.graphs import _bfs_distances
 
 
 def random_multigraph(rng, n, extra_edges):
@@ -44,6 +47,35 @@ GRAPHS = st.builds(
 REGULAR = GRAPHS.map(regularize)
 
 
+# Reference adjacency by scanning every edge; the incidence index must agree.
+def scan_incident(g, v):
+    return [i for i, e in enumerate(g.edges) if v in (e.u, e.v)]
+
+
+def scan_neighbors(g, v):
+    out = []
+    for e in g.edges:
+        if e.u == v:
+            out.append(e.v)
+        elif e.v == v:
+            out.append(e.u)
+    return out
+
+
+def scan_distances(g, v):
+    # Bellman-Ford relaxation over the edge list
+    dist = {v: 0}
+    changed = True
+    while changed:
+        changed = False
+        for e in g.edges:
+            for a, b in ((e.u, e.v), (e.v, e.u)):
+                if a in dist and dist[a] + 1 < dist.get(b, math.inf):
+                    dist[b] = dist[a] + 1
+                    changed = True
+    return dist
+
+
 class TestMultigraph:
     def test_degree_counts_loops_once(self):
         g = Multigraph([0, 1], [(0, 0), (0, 1), (1, 1), (1, 1)])
@@ -61,6 +93,20 @@ class TestMultigraph:
     def test_connectivity(self):
         assert Multigraph([0, 1], [(0, 1)]).is_connected()
         assert not Multigraph([0, 1, 2], [(0, 1)]).is_connected()
+
+    @given(g=GRAPHS)
+    def test_adjacency_matches_edge_scan(self, g):
+        for v in g.vertices:
+            assert g.incident(v) == scan_incident(g, v)
+            assert g.neighbors(v) == scan_neighbors(g, v)
+            assert g.degree(v) == len(scan_incident(g, v))
+
+    @given(g=GRAPHS)
+    def test_bfs_matches_edge_relaxation(self, g):
+        # an extra isolated vertex keeps the search honest about reachability
+        h = Multigraph(g.vertices + ["isolated"], g.edges)
+        for v in h.vertices:
+            assert _bfs_distances(h, v) == scan_distances(h, v)
 
 
 class TestMarkovWeights:

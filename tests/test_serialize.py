@@ -86,6 +86,15 @@ class TestParseErrors:
         with pytest.raises(FormatError, match="edge 0"):
             parse_graph(doc)
 
+    def test_conventions_mismatch(self):
+        doc = (
+            b'{"conventions":{"loop_degree_one":false,'
+            b'"upsilon_middle_exception":false},'
+            b'"edges":[],"format_version":1,"vertices":[0]}'
+        )
+        with pytest.raises(FormatError, match="conventions"):
+            parse_graph(doc)
+
     def test_bad_weight_string(self):
         doc = (
             b'{"format_version":1,"weighted":true,"vertices":[0,1],'

@@ -8,6 +8,9 @@ from treespec import (
     GRIG_TARGET,
     IntervalUnion,
     OmegaWord,
+    ResourceLimitError,
+    RunConfig,
+    UpsilonSpec,
     dihedral_reduction_check,
     dihedral_weighted_spectrum,
     eigenvalues_selfadjoint,
@@ -18,6 +21,7 @@ from treespec import (
     schreier_graph,
     spectral_moments,
     spectrum_sweep,
+    upsilon_graph,
 )
 
 W = OmegaWord.parse(":012")
@@ -82,6 +86,18 @@ class TestLevelSpectra:
         dense = np.sort(np.linalg.eigvalsh(markov_operator(g).as_matrix()))
         assert np.allclose(banded, dense, atol=1e-9)
 
+    @pytest.mark.parametrize("size", [6, 20])
+    def test_banded_exact_on_irregular_path(self, size):
+        # the ray mixes degrees 3 and 4; compare with D^1/2 M D^-1/2, which is
+        # symmetric and similar to the Markov matrix M
+        g = upsilon_graph(UpsilonSpec("ray", size))
+        sqrt_deg = np.sqrt([g.degree(v) for v in g.vertices])
+        m = markov_operator(g).as_matrix()
+        sym = sqrt_deg[:, None] * m / sqrt_deg[None, :]
+        dense = np.linalg.eigvalsh((sym + sym.T) / 2)
+        banded = np.sort(markov_eigenvalues_banded(g))
+        assert np.abs(banded - dense).max() < 1e-12
+
     @pytest.mark.parametrize("omega", [":012", ":01", ":0102"])
     def test_levels_live_in_target(self, omega):
         sweep = spectrum_sweep(OmegaWord.parse(omega), 7)
@@ -96,6 +112,11 @@ class TestLevelSpectra:
         vals = eigenvalues_selfadjoint(op)
         assert len(vals) == 8
         assert np.allclose(vals, np.sort(vals))
+
+    def test_eigenvalues_selfadjoint_refuses_above_cap(self):
+        op = markov_operator(schreier_graph(W, 3))
+        with pytest.raises(ResourceLimitError):
+            eigenvalues_selfadjoint(op, RunConfig(max_vertices=7))
 
 
 class TestDihedral:
