@@ -135,7 +135,7 @@ def cmd_hulanicki(args, config) -> int:
     radii = [int(r) for r in args.radii.split(",")]
     window = max(radii) + (1 << args.target_level) + 1
     ball = cayley_ball(w, window, args.target_level, config)
-    report = cov.spectral_inclusion_report(ball.covering, radii, mode=args.mode)
+    report = cov.spectral_inclusion_report(ball.covering, radii, args.mode, config=config)
     ok = True
     for lam, res in zip(report.eigenvalues, report.best_residuals):
         print(f"lambda = {lam:+.6f}: best residual {res:.6f}")
@@ -192,7 +192,7 @@ def cmd_moments(args, config) -> int:
     w = OmegaWord.parse(args.omega)
     g = schreier_graph(w, args.level, config)
     v = g.vertices[args.vertex]
-    seq = spectral_moments(g, v, args.count, config)
+    seq = spectral_moments(g, v, args.count)
     ref = moments_via_eigendecomposition(g, v, args.count)
     dev = max(abs(a - b) for a, b in zip(seq.moments, ref.moments))
     print(f"moments at {v}: {[round(m, 12) for m in seq.moments]}")

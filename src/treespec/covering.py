@@ -5,6 +5,9 @@ A covering is a pair of surjections (vertices, edges) restricting to a
 bijection on every edge star.  Sources may be finite windows onto infinite
 graphs; every certificate is then stamped with the window and the set of
 interior vertices whose stars are complete.
+
+The residual harness applies the lifted Markov operator without building it;
+:func:`lift_weights` is the public weighted lift and the dense reference route.
 """
 
 from __future__ import annotations
@@ -16,15 +19,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import (
-    Edge,
-    Multigraph,
-    WeightedGraph,
-    _bfs_distances,
-    laplace_type_operator,
-    markov_operator,
-    markov_weights,
-)
+from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
+from .graphs import Edge, Multigraph, WeightedGraph, markov_operator
+from .graphs import _bfs_distances, _degrees, _neighbor_sum
 
 
 class WindowTooSmallError(RuntimeError):
@@ -279,22 +276,39 @@ def folner_balls(src, v, k_max: int) -> FolnerReport:
 # residual harness
 
 
+def _require_exact_ball(c: CoveringMap, dist: dict, k: int) -> None:
+    """Raise unless B_k of the BFS base is exact: every vertex closer than k is interior."""
+    if c.interior is None:
+        return
+    interior_radius = max((d for x, d in dist.items() if x in c.interior), default=-1)
+    if k > interior_radius + 1:
+        raise WindowTooSmallError(f"radius {k} exceeds interior radius + 1")
+
+
+def _fiber_census(c: CoveringMap, dist: dict, v, radii) -> dict[int, int]:
+    """alpha_j, the fiber points of phi(v) within distance j of v, per radius j."""
+    fiber = [d for x, d in dist.items() if c.phi(x) == c.phi(v)]
+    return {j: sum(d <= j for d in fiber) for j in sorted(set(radii))}
+
+
 def fiber_count(c: CoveringMap, v, k: int) -> int:
     """Number of fiber points of phi(v) within the radius-k source ball."""
-    if k < 0:
-        return 0
     dist = _bfs_distances(c.source, v)
-    target = c.phi(v)
-    # the ball must be exact: every vertex at distance <= k must be interior
-    # or at the window boundary with all closer vertices present
-    if c.interior is not None:
-        max_interior = max(
-            (dist[x] for x in c.interior_vertices() if x in dist), default=-1
-        )
-        # the radius-(interior+1) ball is still exact: its vertices all exist
-        if k > max_interior + 1:
-            raise WindowTooSmallError(f"radius {k} exceeds interior radius")
-    return sum(1 for x, d in dist.items() if d <= k and c.phi(x) == target)
+    _require_exact_ball(c, dist, k)
+    return _fiber_census(c, dist, v, [k])[k]
+
+
+def _unit_target_vector(c: CoveringMap, f) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if f.shape != (c.target.n,) or not f.any():
+        raise ValueError("f must be a nonzero vector on the target vertices")
+    return f / float(np.linalg.norm(f))
+
+
+def _lifted_markov(c: CoveringMap, x: np.ndarray) -> np.ndarray:
+    """The lifted Markov operator applied to x, with degrees read at each image."""
+    tdeg = dict(zip(c.target.vertices, _degrees(c.target)))
+    return _neighbor_sum(c.source, x) / [tdeg[c.phi(v)] for v in c.source.vertices]
 
 
 @dataclass(frozen=True)
@@ -331,16 +345,8 @@ def hulanicki_residual(
     if mode not in ("finite-target", "subexp"):
         raise ValueError(f"unknown mode {mode!r}")
     tgt = c.target
-    f = np.asarray(f, dtype=float)
-    if f.shape != (tgt.n,):
-        raise ValueError("f must be a vector on the target vertices")
-    norm_f = float(np.linalg.norm(f))
-    if norm_f == 0:
-        raise ValueError("f must be nonzero")
-    f = f / norm_f
-
-    h2 = markov_operator(tgt).as_matrix().real
-    eps = float(np.linalg.norm(h2 @ f - lam * f))
+    f = _unit_target_vector(c, f)
+    eps = float(np.linalg.norm(_neighbor_sum(tgt, f) / _degrees(tgt) - lam * f))
     if mode == "finite-target" and eps > eigen_tol:
         raise NotAnEigenpairError(f"target residual {eps:.3e} > {eigen_tol}")
 
@@ -356,19 +362,8 @@ def hulanicki_residual(
     else:
         n_ctrl = max(tdist[s] for s in support)
         trunc = k
-
-    # the window must contain B_{trunc+1}(base) exactly
-    if c.interior is not None:
-        interior_radius = max(
-            (dist[x] for x in c.interior_vertices() if x in dist), default=-1
-        )
-        if trunc + 1 > interior_radius + 1:
-            raise WindowTooSmallError(
-                f"truncation radius {trunc} needs interior radius >= {trunc}"
-            )
-
-    lifted = lift_weights(c, markov_weights(tgt))
-    h1 = laplace_type_operator(lifted).as_matrix().real
+    # B_{trunc+1} for the residual rows, B_{k+N} for the fiber counts
+    _require_exact_ball(c, dist, max(trunc + 1, k + n_ctrl))
 
     fk = np.zeros(c.source.n)
     for v, d in dist.items():
@@ -377,11 +372,11 @@ def hulanicki_residual(
     norm_fk = float(np.linalg.norm(fk))
     if norm_fk == 0:
         raise ValueError("truncated pullback vanishes; enlarge k")
-    residual = float(np.linalg.norm(h1 @ fk - lam * fk)) / norm_fk
+    residual = float(np.linalg.norm(_lifted_markov(c, fk) - lam * fk)) / norm_fk
 
     if mode == "subexp":
         needed = [k, k - n_ctrl, k + n_ctrl, k - 2 * n_ctrl]
-        alphas = {j: fiber_count(c, base, j) for j in sorted(set(needed))}
+        alphas = _fiber_census(c, dist, base, needed)
         denom = alphas[k - n_ctrl]
         if denom == 0:
             raise ValueError(f"alpha_(k-N) = 0 at k={k}, N={n_ctrl}; enlarge k")
@@ -408,17 +403,9 @@ def window_pullback_residual(c: CoveringMap, lam: float, f: np.ndarray) -> Hulan
     ``folner_ratio`` is the fraction of non-interior vertices.
     """
     tgt = c.target
-    f = np.asarray(f, dtype=float)
-    if f.shape != (tgt.n,):
-        raise ValueError("f must be a vector on the target vertices")
-    norm_f = float(np.linalg.norm(f))
-    if norm_f == 0:
-        raise ValueError("f must be nonzero")
-    f = f / norm_f
-    lifted = lift_weights(c, markov_weights(tgt))
-    h1 = laplace_type_operator(lifted).as_matrix().real
+    f = _unit_target_vector(c, f)
     fk = np.array([f[tgt.index(c.phi(v))] for v in c.source.vertices])
-    residual = float(np.linalg.norm(h1 @ fk - lam * fk)) / float(np.linalg.norm(fk))
+    residual = float(np.linalg.norm(_lifted_markov(c, fk) - lam * fk)) / float(np.linalg.norm(fk))
     rim = c.source.n - len(c.interior_vertices())
     return HulanickiRecord(
         "window", c.source.n, int(np.count_nonzero(np.abs(f) > 0)),
@@ -438,12 +425,15 @@ def spectral_inclusion_report(
     k_schedule: Sequence[int],
     mode: str = "subexp",
     base=None,
+    config: RunConfig = DEFAULT_CONFIG,
 ) -> InclusionReport:
     """Best residual per target eigenvalue over a schedule of radii.
 
     The target must be finite; its Markov operator is fully diagonalized and
     each eigenpair is pushed through :func:`hulanicki_residual`.
     """
+    if c.target.n > config.max_vertices:
+        raise ResourceLimitError(f"target exceeds max_vertices {config.max_vertices}")
     h2 = markov_operator(c.target).as_matrix().real
     vals, vecs = np.linalg.eigh(h2)
     records = []

@@ -110,6 +110,8 @@ class Multigraph:
 
 def _bfs_distances(g: Multigraph, v: VertexId) -> dict:
     """Edge distance from v to every vertex reachable from it."""
+    if v not in g._index:
+        raise ValueError(f"start vertex {v!r} is not in the graph")
     dist = {v: 0}
     queue = deque([v])
     while queue:
@@ -119,6 +121,23 @@ def _bfs_distances(g: Multigraph, v: VertexId) -> dict:
                 dist[x] = dist[u] + 1
                 queue.append(x)
     return dist
+
+
+def _degrees(g: Multigraph) -> list[int]:
+    """Degrees in vertex order; an isolated vertex has no Markov row."""
+    deg = [len(ids) for ids in g._incidence.values()]
+    if 0 in deg:
+        raise IsolatedVertexError(f"vertex {g.vertices[deg.index(0)]!r} is isolated")
+    return deg
+
+
+def _neighbor_sum(g: Multigraph, x: np.ndarray) -> np.ndarray:
+    """At each vertex, the sum of ``x`` (indexed like ``g.vertices``) over its
+    neighbours, a loop counting once; divided by the degree, the Markov operator."""
+    index, xs = g._index, x.tolist()
+    return np.array(
+        [sum(xs[index[u]] for u in g.neighbors(v)) for v in g.vertices], dtype=float
+    )
 
 
 class WeightedGraph(Multigraph):
@@ -141,10 +160,7 @@ class WeightedGraph(Multigraph):
 
 def markov_weights(g: Multigraph) -> WeightedGraph:
     """Weight every (vertex, edge) pair by 1/degree(vertex)."""
-    deg = {v: g.degree(v) for v in g.vertices}
-    for v, d in deg.items():
-        if d == 0:
-            raise IsolatedVertexError(f"vertex {v!r} is isolated")
+    deg = dict(zip(g.vertices, _degrees(g)))
     edges = [
         Edge(e.u, e.v, 1.0 / deg[e.u], 1.0 / deg[e.v], e.label) for e in g.edges
     ]

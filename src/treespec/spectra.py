@@ -13,6 +13,7 @@ from scipy.linalg import eigh_tridiagonal
 from .actions import generator_action
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
 from .graphs import LinearOperator, Multigraph, NotSelfAdjointError, markov_operator
+from .graphs import _degrees, _neighbor_sum
 from .omega import OmegaWord
 from .schreier import path_canonical_form, schreier_graph
 
@@ -265,12 +266,11 @@ class DihedralReductionReport:
     markov_identity_holds: bool
 
 
-def _perm_matrix(perm: Sequence[int]) -> np.ndarray:
+def _perm_matrix(perm: Sequence[int]):
+    # imported here: at module level scipy.sparse would load with every import
+    from scipy.sparse import csr_array
     n = len(perm)
-    m = np.zeros((n, n), dtype=np.int64)
-    for i, j in enumerate(perm):
-        m[j, i] = 1
-    return m
+    return csr_array((np.ones(n, dtype=np.int64), (perm, np.arange(n))), shape=(n, n))
 
 
 def dihedral_reduction_check(
@@ -286,12 +286,11 @@ def dihedral_reduction_check(
         g: _perm_matrix(generator_action(g, w, depth).leaf_perm)
         for g in ("a", "b", "c", "d")
     }
-    n = 1 << depth
-    eye = np.eye(n, dtype=np.int64)
+    eye = _perm_matrix(range(1 << depth))
     two_t = mats["b"] + mats["c"] + mats["d"] - eye
-    t_sq = bool(np.array_equal(two_t @ two_t, 4 * eye))
+    t_sq = not (two_t @ two_t - 4 * eye).count_nonzero()
     four_m = mats["a"] + mats["b"] + mats["c"] + mats["d"]
-    markov = bool(np.array_equal(four_m, mats["a"] + two_t + eye))
+    markov = not (four_m - (mats["a"] + two_t + eye)).count_nonzero()
     return DihedralReductionReport(depth, t_sq, markov)
 
 
@@ -341,23 +340,18 @@ class MomentSequence:
         return float(np.linalg.eigvalsh(h).min())
 
 
-def spectral_moments(
-    g: Multigraph, v, count: int, config: RunConfig = DEFAULT_CONFIG
-) -> MomentSequence:
+def spectral_moments(g: Multigraph, v, count: int) -> MomentSequence:
     """Return quantities (M^p delta_v, delta_v) for p = 0..count."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    if g.n > config.max_vertices:
-        raise ResourceLimitError("graph exceeds dense cap")
-    m = markov_operator(g).as_matrix().real
+    deg = np.array(_degrees(g))
     i = g.index(v)
-    delta = np.zeros(g.n)
-    delta[i] = 1.0
-    vec = delta
+    vec = np.zeros(g.n)
+    vec[i] = 1.0
     moments = []
     for _p in range(count + 1):
         moments.append(float(vec[i]))
-        vec = m @ vec
+        vec = _neighbor_sum(g, vec) / deg
     return MomentSequence(v, tuple(moments))
 
 

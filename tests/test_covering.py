@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treespec import (
     BadStartError,
     CoveringMap,
+    IsolatedVertexError,
     LazyGraphOracle,
     Multigraph,
     NotAnEigenpairError,
     OmegaWord,
+    ResourceLimitError,
+    RunConfig,
     WindowTooSmallError,
     binary_tree_oracle,
     cayley_ball,
     fiber_count,
     folner_balls,
     hulanicki_residual,
+    laplace_type_operator,
     level_projection_covering,
     lift_path,
     lift_weights,
@@ -25,14 +30,29 @@ from treespec import (
     verify_covering,
     window_pullback_residual,
 )
+from treespec.graphs import _bfs_distances
 
 W = OmegaWord.parse(":012")
+OMEGAS = st.sampled_from([":012", ":01", "0:12", "2:21"]).map(OmegaWord.parse)
 
 
 def eigenpairs(g):
     m = markov_operator(g).as_matrix()
     vals, vecs = np.linalg.eigh(m)
     return vals, vecs
+
+
+def dense_residual(c, lam, f, radius=None):
+    """Reference route: the pullback of f, cut to the radius ball around the
+    first source vertex, against the dense operator of the weighted lift."""
+    h = laplace_type_operator(lift_weights(c, markov_weights(c.target))).as_matrix().real
+    f = f / np.linalg.norm(f)
+    dist = _bfs_distances(c.source, c.source.vertices[0])
+    fk = np.array([
+        f[c.target.index(c.phi(v))] if radius is None or dist[v] <= radius else 0.0
+        for v in c.source.vertices
+    ])
+    return float(np.linalg.norm(h @ fk - lam * fk)) / float(np.linalg.norm(fk))
 
 
 class TestVerifyCovering:
@@ -104,6 +124,40 @@ class TestLifting:
         proj = [cov.phi(v) for v in lifted]
         assert proj[0] == "11"
 
+    @given(
+        w=OMEGAS,
+        n=st.integers(1, 3),
+        extra=st.integers(1, 3),
+        steps=st.lists(st.integers(0, 3), max_size=12),
+        origin=st.integers(0, 7),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lifts_are_unique_and_disjoint(self, w, n, extra, steps, origin):
+        cov = level_projection_covering(w, n + extra, n)
+        tgt = cov.target
+        # a target walk: at each step take the chosen incident edge
+        walk, verts = [], [tgt.vertices[origin % tgt.n]]
+        for s in steps:
+            ids = tgt.incident(verts[-1])
+            ti = ids[s % len(ids)]
+            e = tgt.edges[ti]
+            walk.append(ti)
+            verts.append(e.v if e.u == verts[-1] else e.u)
+        fiber = [v for v in cov.source.vertices if cov.phi(v) == verts[0]]
+        lifts = [lift_path(cov, verts[0], walk, start) for start in fiber]
+        src = cov.source
+        for path in lifts:
+            assert [cov.phi(v) for v in path] == verts
+            for p, q, ti in zip(path, path[1:], walk):
+                ends = [
+                    {src.edges[ei].u, src.edges[ei].v}
+                    for ei in src.incident(p) if cov.edge_map[ei] == ti
+                ]
+                assert ends == [{p, q}]
+        # lifts from distinct starts never meet: each step permutes the fiber
+        for step in zip(*lifts):
+            assert len(set(step)) == len(fiber)
+
     def test_bad_start_rejected(self):
         cov = level_projection_covering(W, 3, 2)
         start = next(v for v in cov.source.vertices if cov.phi(v) != "11")
@@ -131,6 +185,10 @@ class TestFolner:
         g, interior = LazyGraphOracle("root", nbrs, 2).window(2)
         assert g.neighbors("root") == [1, "1"]
         assert g.degree(1) == g.degree("1") == 1
+
+    def test_unknown_base_vertex_raises(self):
+        with pytest.raises(ValueError, match="not in the graph"):
+            folner_balls(schreier_graph(W, 4), "nope", 6)
 
     def test_sizes_linear_on_ray(self):
         rep = folner_balls(upsilon_ray_oracle(), 0, 8)
@@ -202,6 +260,39 @@ class TestResiduals:
             res.append(window_pullback_residual(cov, lam, f).residual)
         assert all(x > 0 for x in res)
         assert res[0] > res[1] > res[2]
+
+    @pytest.mark.parametrize(
+        "source, k, mode",
+        [("ball", 3, "subexp"), ("ball", 5, "subexp"),
+         ("level", 1, "finite-target"), ("level", 3, "subexp")],
+    )
+    def test_harness_matches_dense_lift(self, source, k, mode):
+        if source == "ball":
+            cov = cayley_ball(W, 8, 2).covering
+        else:
+            cov = level_projection_covering(W, 5, 2)
+        vals, vecs = eigenpairs(cov.target)
+        trunc = k + cov.target.n + 1 if mode == "finite-target" else k
+        for i, lam in enumerate(vals):
+            f = vecs[:, i]
+            rec = hulanicki_residual(cov, float(lam), f, mode, k)
+            assert abs(rec.residual - dense_residual(cov, lam, f, trunc)) < 1e-14
+            win = window_pullback_residual(cov, float(lam), f)
+            assert abs(win.residual - dense_residual(cov, lam, f)) < 1e-14
+
+    def test_isolated_target_vertex_raises(self):
+        tgt = Multigraph(["x", "y"], [("x", "x")])
+        src = Multigraph(["a", "b"], [("a", "a")])
+        cov = CoveringMap(src, tgt, {"a": "x", "b": "y"}, {0: 0})
+        with pytest.raises(IsolatedVertexError):
+            hulanicki_residual(cov, 1.0, [1.0, 0.0], "subexp", 1)
+        with pytest.raises(IsolatedVertexError):
+            window_pullback_residual(cov, 1.0, [1.0, 0.0])
+
+    def test_inclusion_report_refuses_target_above_cap(self):
+        cov = level_projection_covering(W, 4, 3)
+        with pytest.raises(ResourceLimitError):
+            spectral_inclusion_report(cov, [2], config=RunConfig(max_vertices=4))
 
     def test_inclusion_report_improves_with_schedule(self):
         ball = cayley_ball(W, 8, 2)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from treespec import (
     GRIG_TARGET,
     IntervalUnion,
+    IsolatedVertexError,
+    Multigraph,
     OmegaWord,
     ResourceLimitError,
     RunConfig,
@@ -123,8 +129,17 @@ class TestDihedral:
     def test_reduction_identities(self):
         for depth in (3, 5, 7):
             rep = dihedral_reduction_check(W, depth)
-            assert rep.t_squared_is_identity
-            assert rep.markov_identity_holds
+            assert rep.t_squared_is_identity is True
+            assert rep.markov_identity_holds is True
+
+    def test_import_does_not_load_scipy_sparse(self):
+        # the sparse check imports it on first use, not with the package
+        import treespec
+
+        src = str(Path(treespec.__file__).resolve().parents[1])
+        code = "import sys, treespec; sys.exit('scipy.sparse' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0
 
     def test_weighted_line_spectrum(self):
         spec = dihedral_weighted_spectrum(1.0, 2.0)
@@ -210,6 +225,10 @@ class TestMoments:
         a = spectral_moments(g, v, 12)
         b = moments_via_eigendecomposition(g, v, 12)
         assert np.allclose(a.moments, b.moments, atol=1e-12)
+
+    def test_isolated_vertex_raises(self):
+        with pytest.raises(IsolatedVertexError):
+            spectral_moments(Multigraph([0, 1], [(0, 0)]), 0, 3)
 
     def test_moment_normalization(self):
         g = schreier_graph(W, 3)
