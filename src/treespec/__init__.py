@@ -61,15 +61,12 @@ from .covering import (
     HulanickiRecord,
     InclusionReport,
     CoveringMap,
-    LazyGraphOracle,
-    binary_tree_oracle,
     fiber_count,
     folner_balls,
     hulanicki_residual,
     lift_path,
     lift_weights,
     spectral_inclusion_report,
-    upsilon_ray_oracle,
     verify_covering,
     window_pullback_residual,
 )

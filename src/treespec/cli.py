@@ -133,7 +133,8 @@ def cmd_cover_verify(args, config) -> int:
 def cmd_hulanicki(args, config) -> int:
     w = OmegaWord.parse(args.omega)
     radii = [int(r) for r in args.radii.split(",")]
-    window = max(radii) + (1 << args.target_level) + 1
+    # finite-target truncates one layer beyond the subexp ball, so reads one more
+    window = max(radii) + (1 << args.target_level) + 1 + (args.mode == "finite-target")
     ball = cayley_ball(w, window, args.target_level, config)
     report = cov.spectral_inclusion_report(ball.covering, radii, args.mode, config=config)
     ok = True

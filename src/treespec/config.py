@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 
 class ResourceLimitError(RuntimeError):
@@ -14,19 +13,11 @@ class FormatError(ValueError):
     """A serialized document is malformed."""
 
 
-ENV_MAX_VERTICES = "TREESPEC_MAX_VERTICES"
-
-
-def _default_max_vertices() -> int:
-    raw = os.environ.get(ENV_MAX_VERTICES)
-    return int(raw) if raw else 1 << 12
-
-
 @dataclass
 class RunConfig:
     """Caps and tolerances shared across runs; echoed into artifacts."""
 
-    max_vertices: int = field(default_factory=_default_max_vertices)
+    max_vertices: int = 1 << 12
     max_depth: int = 24
     max_ball_elements: int = 200_000
     membership_tol: float = 1e-8

@@ -13,15 +13,15 @@ The residual harness applies the lifted Markov operator without building it;
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
-from .graphs import Edge, Multigraph, WeightedGraph, markov_operator
-from .graphs import _bfs_distances, _degrees, _neighbor_sum
+from .graphs import Edge, Multigraph, WeightedGraph
+from .graphs import _bfs_distances, _degrees, _markov_eigh, _neighbor_sum
 
 
 class WindowTooSmallError(RuntimeError):
@@ -157,84 +157,6 @@ def lift_path(
 
 
 # ---------------------------------------------------------------------------
-# lazy sources
-
-
-class LazyGraphOracle:
-    """Deterministic neighborhood oracle for an infinite bounded-degree graph.
-
-    ``neighbors(v)`` returns the full incident edge list of v as tuples
-    (label, neighbor, multiplicity); loops have neighbor == v.
-    """
-
-    def __init__(self, root, neighbors: Callable, degree_bound: int):
-        self.root = root
-        self.neighbors = neighbors
-        self.degree_bound = degree_bound
-
-    def window(self, radius: int) -> tuple[Multigraph, set]:
-        """Materialize the radius ball; interior = vertices of depth < radius."""
-        dist = {self.root: 0}
-        order = [self.root]
-        queue = deque([self.root])
-        while queue:
-            v = queue.popleft()
-            if dist[v] >= radius:
-                continue
-            for _label, u, _mult in self.neighbors(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    order.append(u)
-                    queue.append(u)
-        edges = []
-        seen = set()
-        for v in order:
-            if dist[v] >= radius:
-                continue
-            for label, u, mult in self.neighbors(v):
-                if u not in dist:
-                    continue
-                key = (frozenset((v, u)), label)
-                if key in seen:
-                    continue
-                seen.add(key)
-                for _ in range(mult):
-                    edges.append(Edge(v, u, label=label))
-        interior = {v for v in order if dist[v] < radius}
-        return Multigraph(order, edges), interior
-
-
-def upsilon_ray_oracle() -> LazyGraphOracle:
-    """The one-ended path-with-loops model graph as a lazy oracle."""
-
-    def nbrs(i: int):
-        out = []
-        if i == 0:
-            out += [("loop", 0, 3), ("right", 1, 1)]
-            return out
-        out.append(("loop", i, 1))
-        left_mult = 2 if (i - 1) % 2 == 1 else 1
-        right_mult = 2 if i % 2 == 1 else 1
-        out.append(("left", i - 1, left_mult))
-        out.append(("right", i + 1, right_mult))
-        return out
-
-    return LazyGraphOracle(0, nbrs, 4)
-
-
-def binary_tree_oracle() -> LazyGraphOracle:
-    """Exponential-growth control case: the rooted binary tree."""
-
-    def nbrs(v: str):
-        out = [("child", v + "0", 1), ("child", v + "1", 1)]
-        if v:
-            out.append(("parent", v[:-1], 1))
-        return out
-
-    return LazyGraphOracle("", nbrs, 3)
-
-
-# ---------------------------------------------------------------------------
 # Folner data
 
 
@@ -246,19 +168,15 @@ class FolnerReport:
     growth_rates: tuple[float, ...]  # |B_k|^(1/k)
 
 
-def folner_balls(src, v, k_max: int) -> FolnerReport:
+def folner_balls(src: Multigraph, v, k_max: int) -> FolnerReport:
     """Ball sizes and boundary ratios of F_k = B_k(v).
 
-    ``src`` is a finite Multigraph or a LazyGraphOracle; oracles are
-    materialized to radius k_max + 1 so the outer boundary is exact.
+    ``src`` is finite; for an infinite graph pass a window that contains
+    B_{k_max + 1}(v), so the outer boundary is exact.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if isinstance(src, LazyGraphOracle):
-        graph, _interior = src.window(k_max + 1)
-    else:
-        graph = src
-    dist = _bfs_distances(graph, v)
+    dist = _bfs_distances(src, v)
     sizes = [sum(1 for d in dist.values() if d <= k) for k in range(k_max + 2)]
     ratios = tuple(
         (sizes[k + 1] - sizes[k]) / sizes[k] for k in range(1, k_max + 1)
@@ -322,16 +240,23 @@ class HulanickiRecord:
     alphas: dict[int, int] = field(default_factory=dict)
 
 
+# a target residual at or below this makes (lam, f) an exact eigenpair
+EIGEN_TOL = 1e-9
+
+
+def _base_distances(c: CoveringMap) -> tuple:
+    """The base (the first source vertex) and the two searches every residual
+    record reads: source distances from it and target distances from its image."""
+    base = c.source.vertices[0]
+    return base, _bfs_distances(c.source, base), _bfs_distances(c.target, c.phi(base))
+
+
 def hulanicki_residual(
-    c: CoveringMap,
-    lam: float,
-    f: np.ndarray,
-    mode: str,
-    k: int,
-    base=None,
-    eigen_tol: float = 1e-9,
+    c: CoveringMap, lam: float, f: np.ndarray, mode: str, k: int
 ) -> HulanickiRecord:
     """Residual of the truncated pullback of f against the lifted operator.
+
+    Balls are centred at the base, the first source vertex.
 
     mode "finite-target": f must be an exact eigenpair of the target Markov
     operator; the pullback is truncated to B_{N+1}(B_k(base)) with N the
@@ -342,20 +267,23 @@ def hulanicki_residual(
     eps^2 a_k / a_{k-N} + 2 |supp f| (a_{k+N} - a_{k-2N}) / a_{k-N}
     computed from the measured fiber counts a_j.
     """
+    return _residual(c, _base_distances(c), lam, f, mode, k)
+
+
+def _residual(
+    c: CoveringMap, searches: tuple, lam: float, f, mode: str, k: int
+) -> HulanickiRecord:
+    """:func:`hulanicki_residual` on the searches of :func:`_base_distances`."""
     if mode not in ("finite-target", "subexp"):
         raise ValueError(f"unknown mode {mode!r}")
     tgt = c.target
     f = _unit_target_vector(c, f)
     eps = float(np.linalg.norm(_neighbor_sum(tgt, f) / _degrees(tgt) - lam * f))
-    if mode == "finite-target" and eps > eigen_tol:
-        raise NotAnEigenpairError(f"target residual {eps:.3e} > {eigen_tol}")
+    if mode == "finite-target" and eps > EIGEN_TOL:
+        raise NotAnEigenpairError(f"target residual {eps:.3e} > {EIGEN_TOL}")
 
-    if base is None:
-        base = c.source.vertices[0]
-    dist = _bfs_distances(c.source, base)
-
+    base, dist, tdist = searches
     support = [tgt.vertices[i] for i in np.nonzero(np.abs(f) > 0)[0]]
-    tdist = _bfs_distances(tgt, c.phi(base))
     if mode == "finite-target":
         n_ctrl = tgt.n
         trunc = k + n_ctrl + 1
@@ -424,24 +352,26 @@ def spectral_inclusion_report(
     c: CoveringMap,
     k_schedule: Sequence[int],
     mode: str = "subexp",
-    base=None,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> InclusionReport:
     """Best residual per target eigenvalue over a schedule of radii.
 
     The target must be finite; its Markov operator is fully diagonalized and
-    each eigenpair is pushed through :func:`hulanicki_residual`.
+    each eigenpair is pushed through :func:`hulanicki_residual`, all on one
+    pair of searches.
     """
     if c.target.n > config.max_vertices:
         raise ResourceLimitError(f"target exceeds max_vertices {config.max_vertices}")
-    h2 = markov_operator(c.target).as_matrix().real
-    vals, vecs = np.linalg.eigh(h2)
+    vals, vecs = _markov_eigh(c.target)
+    # eigenvectors of the symmetric form, mapped to eigenvectors of D^-1 A
+    vecs = vecs / np.sqrt(_degrees(c.target))[:, None]
+    searches = _base_distances(c)
     records = []
     best = []
     for i in range(len(vals)):
         best_res = math.inf
         for k in k_schedule:
-            rec = hulanicki_residual(c, float(vals[i]), vecs[:, i], mode, k, base)
+            rec = _residual(c, searches, float(vals[i]), vecs[:, i], mode, k)
             records.append(rec)
             best_res = min(best_res, rec.residual)
         best.append(best_res)

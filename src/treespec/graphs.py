@@ -217,6 +217,16 @@ def markov_operator(g: Multigraph) -> LinearOperator:
     return laplace_type_operator(markov_weights(g))
 
 
+def _markov_eigh(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of D^-1/2 A D^-1/2, the symmetric form of the Markov
+    operator D^-1 A: the same eigenvalues, and D^-1/2 u is an eigenvector of
+    D^-1 A for each eigenvector u.  ``eigh`` reads one triangle of its input,
+    so it cannot take D^-1 A itself, which is not symmetric on an irregular
+    graph; on a regular graph the two matrices are equal bit for bit."""
+    root = np.sqrt(_degrees(g))
+    return np.linalg.eigh(root[:, None] * markov_operator(g).as_matrix().real / root)
+
+
 def cayley_laplacian(g: Multigraph) -> LinearOperator:
     """|S| (I - M) on a regular graph of degree |S|."""
     degrees = {g.degree(v) for v in g.vertices}

@@ -16,6 +16,9 @@ from .actions import GENERATORS, generator_action
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
 from .omega import OmegaWord
 
+# the shallowest comparison depth tried
+START_DEPTH = 4
+
 
 @dataclass
 class BallEnumeration:
@@ -82,7 +85,6 @@ def enumerate_ball(
     w: OmegaWord,
     radius: int,
     config: RunConfig = DEFAULT_CONFIG,
-    start_depth: int = 4,
 ) -> BallEnumeration:
     """Enumerate the radius ball, raising the comparison depth to stability.
 
@@ -91,10 +93,8 @@ def enumerate_ball(
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    prev = _enumerate_at_depth(
-        w, radius, start_depth, config.max_ball_elements
-    )
-    for depth in range(start_depth + 1, config.max_depth + 1):
+    prev = _enumerate_at_depth(w, radius, START_DEPTH, config.max_ball_elements)
+    for depth in range(START_DEPTH + 1, config.max_depth + 1):
         cur = _enumerate_at_depth(w, radius, depth, config.max_ball_elements)
         if cur.sizes == prev.sizes:
             cur.stable = True

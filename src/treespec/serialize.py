@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import Optional
 
 from .config import FormatError
@@ -23,7 +24,7 @@ CONVENTIONS = {"loop_degree_one": True, "upsilon_middle_exception": False}
 
 def _weight_to_str(w) -> str:
     c = complex(w)
-    if c.imag == 0:
+    if c.imag == 0 and math.copysign(1.0, c.imag) > 0:  # a -0.0 part keeps its sign
         return repr(c.real)
     return repr(c)
 

@@ -12,8 +12,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from .actions import generator_action
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
-from .graphs import LinearOperator, Multigraph, NotSelfAdjointError, markov_operator
-from .graphs import _degrees, _neighbor_sum
+from .graphs import LinearOperator, Multigraph, NotSelfAdjointError
+from .graphs import _degrees, _markov_eigh, _neighbor_sum
 from .omega import OmegaWord
 from .schreier import path_canonical_form, schreier_graph
 
@@ -216,9 +216,13 @@ class DihedralSpectrum:
     boundary_errors: dict[int, float]  # max distance of truncation into exact
 
 
+# a band gap narrower than this is closed, by the closed form and the oracle alike
+_CLOSED_GAP = 1e-12
+
+
 def _dihedral_exact(x: float, y: float) -> IntervalUnion:
     lo, hi = abs(x - y), x + y
-    if lo == 0:
+    if lo < _CLOSED_GAP:
         return IntervalUnion(((-hi, hi),))
     return IntervalUnion(((-hi, -lo), (lo, hi)))
 
@@ -228,7 +232,7 @@ def _dihedral_fourier_oracle(x: float, y: float, samples: int = 20001) -> Interv
     theta = np.linspace(0.0, math.pi, samples)
     vals = np.abs(x + y * np.exp(1j * theta))
     lo, hi = float(vals.min()), float(vals.max())
-    if lo < 1e-12:
+    if lo < _CLOSED_GAP:
         return IntervalUnion(((-hi, hi),))
     return IntervalUnion(((-hi, -lo), (lo, hi)))
 
@@ -356,9 +360,12 @@ def spectral_moments(g: Multigraph, v, count: int) -> MomentSequence:
 
 
 def moments_via_eigendecomposition(g: Multigraph, v, count: int) -> MomentSequence:
-    """Independent route: sum of w_i lambda_i^p from the eigendecomposition."""
-    m = markov_operator(g).as_matrix().real
-    vals, vecs = np.linalg.eigh(m)
+    """Independent route: sum of w_i lambda_i^p from the eigendecomposition.
+
+    The diagonal entries of M^p and of its symmetric form agree, so the
+    weights w_i are read off the symmetric eigenvectors as they are.
+    """
+    vals, vecs = _markov_eigh(g)
     i = g.index(v)
     weights = vecs[i, :] ** 2
     moments = tuple(float(np.sum(weights * vals**p)) for p in range(count + 1))

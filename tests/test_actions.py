@@ -13,6 +13,29 @@ OMEGAS = st.builds(
 DEPTHS = st.integers(min_value=1, max_value=6)
 
 
+def portraits(depth):
+    """Arbitrary automorphisms of the given depth, not only group elements:
+    a swap bit at every vertex above the leaves, vertices in level order."""
+    size = (1 << depth) - 1
+
+    def build(swaps):
+        perm = []
+        for leaf in range(1 << depth):
+            image, vertex = 0, 0
+            for k in range(depth):
+                bit = (leaf >> (depth - 1 - k)) & 1
+                image = (image << 1) | (bit ^ swaps[vertex])
+                vertex = 2 * vertex + 1 + bit
+            perm.append(image)
+        return TreeAutomorphism(depth, tuple(perm))
+
+    return st.lists(st.integers(0, 1), min_size=size, max_size=size).map(build)
+
+
+AUTOMORPHISMS = DEPTHS.flatmap(portraits)
+TRIPLES = DEPTHS.flatmap(lambda d: st.tuples(portraits(d), portraits(d), portraits(d)))
+
+
 # independent oracle: act on bit strings one letter at a time, recursively.
 # a flips the top bit; b/c/d walk down the all-ones ray flipping the next
 # bit wherever omega makes the letter active.
@@ -100,6 +123,33 @@ class TestWordAction:
     def test_inverse(self, w, depth, word):
         act = word_action(word, w, depth)
         assert act.compose(act.inverse()).is_identity()
+
+
+class TestComposeInverse:
+    @given(a=AUTOMORPHISMS)
+    def test_inverse_is_two_sided(self, a):
+        assert a.compose(a.inverse()).is_identity()
+        assert a.inverse().compose(a).is_identity()
+
+    @given(a=AUTOMORPHISMS)
+    def test_inverse_is_an_involution(self, a):
+        assert a.inverse().inverse() == a
+
+    @given(t=TRIPLES)
+    def test_compose_acts_right_to_left(self, t):
+        a, b, _ = t
+        ab = a.compose(b)
+        assert all(ab.apply(i) == a.apply(b.apply(i)) for i in range(1 << a.depth))
+
+    @given(t=TRIPLES)
+    def test_compose_is_associative(self, t):
+        a, b, c = t
+        assert a.compose(b).compose(c) == a.compose(b.compose(c))
+
+    @given(w=OMEGAS, depth=DEPTHS, word=WORDS)
+    def test_inverse_reverses_the_word(self, w, depth, word):
+        # the generators are involutions
+        assert word_action(word, w, depth).inverse() == word_action(word[::-1], w, depth)
 
 
 class TestTreeAutomorphism:

@@ -140,3 +140,11 @@ class TestSubcommands:
         )
         assert code == 0
         assert "bound soundness: ok" in out
+
+    def test_hulanicki_finite_target(self, capsys):
+        code, out, _ = run(
+            capsys, "hulanicki", "--omega", ":012", "--target-level", "1",
+            "--radii", "3,4", "--mode", "finite-target",
+        )
+        assert code == 0
+        assert out.count("best residual") == 2

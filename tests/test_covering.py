@@ -6,14 +6,13 @@ from treespec import (
     BadStartError,
     CoveringMap,
     IsolatedVertexError,
-    LazyGraphOracle,
     Multigraph,
     NotAnEigenpairError,
     OmegaWord,
     ResourceLimitError,
     RunConfig,
+    UpsilonSpec,
     WindowTooSmallError,
-    binary_tree_oracle,
     cayley_ball,
     fiber_count,
     folner_balls,
@@ -26,7 +25,7 @@ from treespec import (
     markov_weights,
     schreier_graph,
     spectral_inclusion_report,
-    upsilon_ray_oracle,
+    upsilon_graph,
     verify_covering,
     window_pullback_residual,
 )
@@ -40,6 +39,16 @@ def eigenpairs(g):
     m = markov_operator(g).as_matrix()
     vals, vecs = np.linalg.eigh(m)
     return vals, vecs
+
+
+def binary_tree(depth):
+    """The rooted binary tree to the given depth; vertices are bit strings."""
+    vertices = [format(i, "b")[1:] for i in range(1, 2 << depth)]
+    return Multigraph(vertices, [(v[:-1], v, "child") for v in vertices if v])
+
+
+def identity_covering(g):
+    return CoveringMap(g, g, {v: v for v in g.vertices}, {i: i for i in range(len(g.edges))})
 
 
 def dense_residual(c, lam, f, radius=None):
@@ -71,10 +80,7 @@ class TestVerifyCovering:
         assert not rep and rep.witness
 
     def test_identity_covering(self):
-        g = schreier_graph(W, 3)
-        cov = CoveringMap(g, g, {v: v for v in g.vertices},
-                          {i: i for i in range(len(g.edges))})
-        assert verify_covering(cov)
+        assert verify_covering(identity_covering(schreier_graph(W, 3)))
 
     def test_endpoints_compared_by_value(self):
         # 1 and "1" print alike; the rim loop at c must not cover the loop at "1"
@@ -166,32 +172,23 @@ class TestLifting:
 
 
 class TestFolner:
+    # the infinite graphs are read through windows of radius k_max + 1
     def test_ray_is_folner(self):
-        rep = folner_balls(upsilon_ray_oracle(), 0, 12)
+        rep = folner_balls(upsilon_graph(UpsilonSpec("ray", 13)), 0, 12)
         assert rep.subexp_evidence
         assert rep.boundary_ratios[-1] < 0.2
 
     def test_binary_tree_is_not(self):
-        rep = folner_balls(binary_tree_oracle(), "", 12)
+        rep = folner_balls(binary_tree(13), "", 12)
         assert not rep.subexp_evidence
         assert min(rep.boundary_ratios) > 0.5
-
-    def test_window_keeps_neighbors_that_print_alike(self):
-        def nbrs(v):
-            if v == "root":
-                return [("x", 1, 1), ("x", "1", 1)]
-            return [("x", "root", 1)]
-
-        g, interior = LazyGraphOracle("root", nbrs, 2).window(2)
-        assert g.neighbors("root") == [1, "1"]
-        assert g.degree(1) == g.degree("1") == 1
 
     def test_unknown_base_vertex_raises(self):
         with pytest.raises(ValueError, match="not in the graph"):
             folner_balls(schreier_graph(W, 4), "nope", 6)
 
     def test_sizes_linear_on_ray(self):
-        rep = folner_balls(upsilon_ray_oracle(), 0, 8)
+        rep = folner_balls(upsilon_graph(UpsilonSpec("ray", 9)), 0, 8)
         assert rep.sizes == tuple(k + 1 for k in range(9))
 
 
@@ -293,6 +290,17 @@ class TestResiduals:
         cov = level_projection_covering(W, 4, 3)
         with pytest.raises(ResourceLimitError):
             spectral_inclusion_report(cov, [2], config=RunConfig(max_vertices=4))
+
+    @pytest.mark.parametrize("mode, radii", [("subexp", [6, 8]), ("finite-target", [2, 3])])
+    def test_inclusion_report_on_irregular_target(self, mode, radii):
+        # the far end of the ray segment has degree 3, the rest degree 4, so
+        # the Markov operator is not symmetric; the identity covering pulls
+        # every eigenpair back exactly
+        ray = upsilon_graph(UpsilonSpec("ray", 6))
+        rep = spectral_inclusion_report(identity_covering(ray), radii, mode)
+        ref = np.sort(np.linalg.eigvals(markov_operator(ray).as_matrix()).real)
+        assert np.abs(np.array(rep.eigenvalues) - ref).max() < 1e-12
+        assert max(rep.best_residuals) < 1e-12
 
     def test_inclusion_report_improves_with_schedule(self):
         ball = cayley_ball(W, 8, 2)

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,6 +21,24 @@ from treespec import (
 )
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+WEIGHTS = st.one_of(FINITE, st.complex_numbers(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(1, 5))
+    edges = []
+    for u, v, wu, wv in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), WEIGHTS, WEIGHTS),
+        max_size=8,
+    )):
+        edges.append(Edge(u, v, wu, wu if u == v else wv))  # a loop has one weight
+    return WeightedGraph(list(range(n)), edges)
+
+
+def weight_bits(w):
+    c = complex(w)
+    return struct.pack("<dd", c.real, c.imag)
 
 
 def graph_equal(a, b):
@@ -49,6 +68,15 @@ class TestRoundTrip:
         h = parse_graph(serialize_graph(g))
         assert float(h.edges[0].wu) == wu
         assert float(h.edges[0].wv) == wv
+
+    @given(g=weighted_graphs())
+    def test_random_weighted_graphs_round_trip_bit_exactly(self, g):
+        h = parse_graph(serialize_graph(g))
+        assert list(h.vertices) == list(g.vertices)
+        assert [(e.u, e.v) for e in h.edges] == [(e.u, e.v) for e in g.edges]
+        for e, f in zip(g.edges, h.edges):
+            assert weight_bits(f.wu) == weight_bits(e.wu)
+            assert weight_bits(f.wv) == weight_bits(e.wv)
 
     def test_complex_weights(self):
         g = WeightedGraph([0, 1], [Edge(0, 1, 1 + 0.1j, 1 - 0.1j)])

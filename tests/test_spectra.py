@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treespec import (
     GRIG_TARGET,
@@ -154,6 +154,7 @@ class TestDihedral:
         y=st.floats(0.1, 3.0),
     )
     @settings(max_examples=25, deadline=None)
+    @example(x=0.1, y=math.nextafter(0.1, 1))  # a gap of 2.8e-17 is closed
     def test_fourier_oracle_agrees(self, x, y):
         spec = dihedral_weighted_spectrum(x, y, lengths=(50,))
         for (lo, hi), (olo, ohi) in zip(
@@ -225,6 +226,21 @@ class TestMoments:
         a = spectral_moments(g, v, 12)
         b = moments_via_eigendecomposition(g, v, 12)
         assert np.allclose(a.moments, b.moments, atol=1e-12)
+
+    def test_routes_agree_on_upsilon_ray(self):
+        # degree 3 at the far end, 4 elsewhere: the Markov operator is not symmetric
+        g = upsilon_graph(UpsilonSpec("ray", 6))
+        a = spectral_moments(g, 6, 12)
+        b = moments_via_eigendecomposition(g, 6, 12)
+        assert np.allclose(a.moments, b.moments, atol=1e-12)
+
+    def test_path_moments_by_hand(self):
+        # from an end of the path 0-1-2 the walk returns with probability 1/2
+        # at every even time
+        g = Multigraph([0, 1, 2], [(0, 1), (1, 2)])
+        hand = [1.0, 0.0] + [0.5, 0.0] * 3
+        assert np.allclose(moments_via_eigendecomposition(g, 0, 7).moments, hand, atol=1e-12)
+        assert np.allclose(spectral_moments(g, 0, 7).moments, hand, atol=1e-12)
 
     def test_isolated_vertex_raises(self):
         with pytest.raises(IsolatedVertexError):
