@@ -125,10 +125,11 @@ def generator_action(g: str, w: OmegaWord, depth: int) -> TreeAutomorphism:
 
 def word_action(word: str, w: OmegaWord, depth: int) -> TreeAutomorphism:
     """Action of a word over {a,b,c,d}; the leftmost letter acts last."""
-    result = TreeAutomorphism.identity(depth)
+    gens = {g: np.array(generator_action(g, w, depth).leaf_perm) for g in set(word)}
+    perm = np.arange(1 << depth)
     for letter in word:
-        result = result.compose(generator_action(letter, w, depth))
-    return result
+        perm = perm[gens[letter]]
+    return TreeAutomorphism(depth, tuple(int(x) for x in perm))
 
 
 @dataclass(frozen=True)

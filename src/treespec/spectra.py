@@ -76,30 +76,23 @@ class IntervalUnion:
         return IntervalUnion(tuple((lo, hi) for lo, hi in merged))
 
     def hausdorff_to_points(self, points: Sequence[float]) -> float:
-        """sup over the union of the distance to the nearest point (exact)."""
-        pts = sorted(points)
-        if not pts:
+        """sup over the union of the distance to the nearest point (exact).
+
+        The supremum over an interval is attained at an endpoint or at a
+        midpoint between consecutive points, so only those are measured.
+        """
+        pts = np.sort(np.asarray(points, dtype=float))
+        if not pts.size:
             return math.inf
-
-        def dist(x: float) -> float:
-            import bisect
-
-            i = bisect.bisect_left(pts, x)
-            best = math.inf
-            if i < len(pts):
-                best = min(best, pts[i] - x)
-            if i > 0:
-                best = min(best, x - pts[i - 1])
-            return best
-
+        mids = (pts[:-1] + pts[1:]) / 2
         worst = 0.0
         for lo, hi in self.intervals:
-            candidates = [lo, hi]
-            for p, q in zip(pts, pts[1:]):
-                mid = (p + q) / 2
-                if lo <= mid <= hi:
-                    candidates.append(mid)
-            worst = max(worst, max(dist(x) for x in candidates))
+            cand = np.concatenate(([lo, hi], mids[(lo <= mids) & (mids <= hi)]))
+            i = np.searchsorted(pts, cand)
+            n = pts.size
+            right = np.where(i < n, pts[np.minimum(i, n - 1)] - cand, math.inf)
+            left = np.where(i > 0, cand - pts[np.maximum(i - 1, 0)], math.inf)
+            worst = max(worst, float(np.minimum(left, right).max()))
         return worst
 
 
@@ -148,7 +141,12 @@ def _report(
 def markov_eigenvalues_banded(
     g: Multigraph, config: RunConfig = DEFAULT_CONFIG
 ) -> np.ndarray:
-    """Markov spectrum of a path-with-loops graph via its tridiagonal form.
+    """Markov spectrum of a path-with-loops graph via its tridiagonal form."""
+    return _tridiagonal_eigvals(*_markov_tridiagonal(g))
+
+
+def _markov_tridiagonal(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the Markov matrix of a path with loops.
 
     After canonical path ordering the Markov matrix D^-1 A has bandwidth 1.
     It is similar to the symmetric D^-1/2 A D^-1/2, whose diagonal holds
@@ -159,11 +157,36 @@ def markov_eigenvalues_banded(
     loops = np.array(form.loops, dtype=float)
     mult = np.array(form.multiplicities, dtype=float)
     deg = loops + np.pad(mult, (1, 0)) + np.pad(mult, (0, 1))
-    diag = loops / deg
-    if g.n == 1:
-        return diag
-    off = mult / np.sqrt(deg[:-1] * deg[1:])
-    return eigh_tridiagonal(diag, off, eigvals_only=True)
+    return loops / deg, mult / np.sqrt(deg[:-1] * deg[1:])
+
+
+def _tridiagonal_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of the symmetric tridiagonal (diag, off).
+
+    A matrix of even size that equals its own reversal commutes with the
+    flip J, so the similarity by (I ± J)/sqrt(2) splits it exactly into two
+    tridiagonals of half the size, the mirror-even and the mirror-odd half,
+    which differ only in the last diagonal entry diag[m-1] ± off[m-1].  Each
+    half is split again while it is mirror-symmetric; on the level graphs
+    the even half is the previous level (a covering contains the spectrum
+    of the graph it covers).  Every other matrix is solved as it is.
+    """
+    size = len(diag)
+    if size == 1:
+        return diag.copy()
+    if size < 2 or size % 2 or not (
+        np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
+    ):
+        return eigh_tridiagonal(diag, off, eigvals_only=True)
+    m = size // 2
+    even, odd = diag[:m].copy(), diag[:m].copy()
+    even[-1] += off[m - 1]
+    odd[-1] -= off[m - 1]
+    half_off = off[: m - 1]
+    vals = np.concatenate(
+        (_tridiagonal_eigvals(even, half_off), _tridiagonal_eigvals(odd, half_off))
+    )
+    return np.sort(vals)
 
 
 @dataclass(frozen=True)
@@ -257,7 +280,7 @@ def dihedral_weighted_spectrum(
     errors = {}
     for length in lengths:
         off = np.array([x if i % 2 == 0 else y for i in range(length - 1)])
-        vals = eigh_tridiagonal(np.zeros(length), off, eigvals_only=True)
+        vals = _tridiagonal_eigvals(np.zeros(length), off)
         trunc_vals[length] = tuple(float(v) for v in vals)
         errors[length] = max(exact.distance(float(v)) for v in vals)
     return DihedralSpectrum(exact, oracle, tuple(lengths), trunc_vals, errors)

@@ -1,0 +1,27 @@
+"""Level spectra beyond the acceptance levels, against the closed form."""
+
+import math
+
+import numpy as np
+
+from treespec import OmegaWord, RunConfig, markov_eigenvalues_banded, schreier_graph
+
+
+def closed_form_spectrum(n):
+    """sp(M_n) = {1, 1/2} and, for L = 2..n, (1 +- sqrt(5 + 4 cos((2j+1) pi / 2^(L-1))))/4
+    for 0 <= j < 2^(L-2): the renormalisation x -> x^2 - 2x - 4 of the
+    adjacency spectrum (Bartholdi-Grigorchuk 2000)."""
+    vals = [1.0, 0.5]
+    for level in range(2, n + 1):
+        j = np.arange(1 << (level - 2))
+        r = np.sqrt(5 + 4 * np.cos((2 * j + 1) * math.pi / (1 << (level - 1))))
+        vals += list((1 + r) / 4) + list((1 - r) / 4)
+    return np.sort(vals)
+
+
+def test_level_14_matches_closed_form():
+    n = 14
+    g = schreier_graph(OmegaWord.parse(":012"), n, RunConfig(max_vertices=1 << n))
+    vals = markov_eigenvalues_banded(g)
+    assert vals.shape == (1 << n,)
+    assert np.abs(vals - closed_form_spectrum(n)).max() < 1e-10

@@ -1,3 +1,4 @@
+import bisect
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from treespec import (
     GRIG_TARGET,
@@ -29,9 +31,79 @@ from treespec import (
     spectrum_sweep,
     upsilon_graph,
 )
+from treespec import spectra
+from treespec.graphs import _markov_eigh
+from treespec.spectra import _markov_tridiagonal, _tridiagonal_eigvals
 
 W = OmegaWord.parse(":012")
 GOLD = math.sqrt(5.0)
+
+
+def hausdorff_by_loop(u, points):
+    """Reference: the per-point bisect loop IntervalUnion.hausdorff_to_points
+    replaced; the same candidates and the same min/max arithmetic."""
+    pts = sorted(points)
+    if not pts:
+        return math.inf
+
+    def dist(x):
+        i = bisect.bisect_left(pts, x)
+        best = math.inf
+        if i < len(pts):
+            best = min(best, pts[i] - x)
+        if i > 0:
+            best = min(best, x - pts[i - 1])
+        return best
+
+    worst = 0.0
+    for lo, hi in u.intervals:
+        candidates = [lo, hi]
+        for p, q in zip(pts, pts[1:]):
+            mid = (p + q) / 2
+            if lo <= mid <= hi:
+                candidates.append(mid)
+        worst = max(worst, max(dist(x) for x in candidates))
+    return worst
+
+
+# entries of random tridiagonals; zero couplings split the matrix into blocks
+ENTRIES = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def mirror_tridiagonals(draw):
+    """Random (diag, off) of even size 2..64 equal to their own reversal."""
+    m = draw(st.integers(1, 32))
+    half = draw(st.lists(ENTRIES, min_size=m, max_size=m))
+    half_off = draw(st.lists(ENTRIES, min_size=m - 1, max_size=m - 1))
+    middle = draw(ENTRIES)
+    diag = np.array(half + half[::-1])
+    off = np.array(half_off + [middle] + half_off[::-1])
+    return diag, off
+
+
+@st.composite
+def tridiagonals(draw, sizes):
+    n = draw(sizes)
+    diag = draw(st.lists(ENTRIES, min_size=n, max_size=n))
+    off = draw(st.lists(ENTRIES, min_size=n - 1, max_size=n - 1))
+    return np.array(diag), np.array(off)
+
+
+def dense_tridiagonal(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def solve_sizes(monkeypatch):
+    """Sizes of the tridiagonals the fold hands to eigh_tridiagonal."""
+    sizes = []
+
+    def recording(diag, off, **kwargs):
+        sizes.append(len(diag))
+        return eigh_tridiagonal(diag, off, **kwargs)
+
+    monkeypatch.setattr(spectra, "eigh_tridiagonal", recording)
+    return sizes
 
 
 class TestIntervalUnion:
@@ -73,6 +145,20 @@ class TestIntervalUnion:
         hd = u.hausdorff_to_points(pts)
         if -1 <= x <= 1:
             assert min(abs(x - p) for p in pts) <= hd + 1e-12
+
+    @given(
+        ends=st.lists(st.floats(-2, 2), min_size=2, max_size=6, unique=True).filter(
+            lambda e: len(e) % 2 == 0
+        ),
+        pts=st.lists(st.floats(-3, 3), max_size=20),
+    )
+    # (p + q)/2 here and p + (q - p)/2 differ in the last bit
+    @example(ends=[0.0, 0.3], pts=[-0.109, 0.443])
+    def test_hausdorff_matches_loop(self, ends, pts):
+        ends = sorted(ends)
+        u = IntervalUnion(tuple(zip(ends[::2], ends[1::2])))
+        assert u.hausdorff_to_points(pts) == hausdorff_by_loop(u, pts)
+        assert u.hausdorff_to_points(np.array(pts)) == hausdorff_by_loop(u, pts)
 
 
 class TestLevelSpectra:
@@ -123,6 +209,61 @@ class TestLevelSpectra:
         op = markov_operator(schreier_graph(W, 3))
         with pytest.raises(ResourceLimitError):
             eigenvalues_selfadjoint(op, RunConfig(max_vertices=7))
+
+
+class TestTridiagonalFold:
+    @given(mirror_tridiagonals())
+    @settings(max_examples=60, deadline=None)
+    def test_fold_agrees_with_full_solve(self, tri):
+        diag, off = tri
+        folded = _tridiagonal_eigvals(diag, off)
+        assert np.abs(folded - eigh_tridiagonal(diag, off, eigvals_only=True)).max() < 1e-12
+        assert np.abs(folded - np.linalg.eigvalsh(dense_tridiagonal(diag, off))).max() < 1e-12
+
+    @given(tridiagonals(st.integers(0, 31).map(lambda k: 2 * k + 1)))
+    @settings(deadline=None)
+    def test_odd_sizes_solved_as_they_are(self, tri):
+        diag, off = tri
+        expect = eigh_tridiagonal(diag, off, eigvals_only=True)
+        assert np.array_equal(_tridiagonal_eigvals(diag, off), expect)
+
+    @given(tridiagonals(st.integers(1, 32).map(lambda k: 2 * k)))
+    @settings(deadline=None)
+    def test_non_mirror_inputs_solved_as_they_are(self, tri):
+        diag, off = tri
+        diag[0] = diag[-1] + 1.0
+        expect = eigh_tridiagonal(diag, off, eigvals_only=True)
+        assert np.array_equal(_tridiagonal_eigvals(diag, off), expect)
+
+    @pytest.mark.parametrize("omega", [":012", ":01", "0:12"])
+    def test_even_half_is_previous_level(self, omega):
+        # the covering of level n-1 by level n: sp(M_{n-1}) is the even half
+        w = OmegaWord.parse(omega)
+        prev = _markov_tridiagonal(schreier_graph(w, 1))
+        for n in range(2, 11):
+            diag, off = _markov_tridiagonal(schreier_graph(w, n))
+            m = diag.size // 2
+            even = diag[:m].copy()
+            even[-1] += off[m - 1]
+            assert np.array_equal(even, prev[0])
+            assert np.array_equal(off[: m - 1], prev[1])
+            prev = diag, off
+
+    def test_level_solves_are_half_size(self, monkeypatch):
+        sizes = solve_sizes(monkeypatch)
+        vals = markov_eigenvalues_banded(schreier_graph(W, 8))
+        assert max(sizes) == 1 << 7 and sum(sizes) == (1 << 8) - 2
+        dense = np.linalg.eigvalsh(markov_operator(schreier_graph(W, 8)).as_matrix())
+        assert np.abs(vals - dense).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_middle_exception_folds(self, n, monkeypatch):
+        # one connecting edge at the centre: degree 3 there, still a mirror image
+        g = upsilon_graph(UpsilonSpec("finite", n, middle_exception=True))
+        sizes = solve_sizes(monkeypatch)
+        vals = markov_eigenvalues_banded(g)
+        assert max(sizes) == 1 << (n - 1)
+        assert np.abs(vals - _markov_eigh(g)[0]).max() < 1e-12
 
 
 class TestDihedral:
