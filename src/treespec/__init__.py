@@ -26,8 +26,6 @@ from .presentation import (
 from .growth import BallEnumeration, GrowthReport, ball_sizes, enumerate_ball
 from .graphs import (
     IsolatedVertexError,
-    NotRegularError,
-    NotSelfAdjointError,
     RadiusTooSmallError,
     LinearOperator,
     Edge,
@@ -36,7 +34,6 @@ from .graphs import (
     markov_weights,
     laplace_type_operator,
     markov_operator,
-    cayley_laplacian,
     shift_square_transform,
 )
 from .schreier import (
@@ -75,14 +72,11 @@ from .spectra import (
     SweepResult,
     DihedralSpectrum,
     DihedralReductionReport,
-    KestenVerdict,
     MomentSequence,
     GRIG_TARGET,
     IntervalUnion,
     dihedral_reduction_check,
     dihedral_weighted_spectrum,
-    eigenvalues_selfadjoint,
-    kesten_check,
     markov_eigenvalues_banded,
     moments_via_eigendecomposition,
     spectral_moments,

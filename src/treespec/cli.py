@@ -58,32 +58,28 @@ def _add_omega(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega", required=True, help="sequence as PRE:PERIOD, e.g. ':012'")
 
 
+def _write_graph(args, g, meta: dict) -> int:
+    """Write g as DOT under ``--dot``, else as a graph document carrying meta."""
+    _write(args.output, export_dot(g) if args.dot else serialize_graph(g, meta))
+    return OK
+
+
 def cmd_schreier(args, config) -> int:
     w = OmegaWord.parse(args.omega)
     g = schreier_graph(w, args.level, config)
-    meta = {"omega": str(w), "level": args.level}
-    if args.dot:
-        _write(args.output, export_dot(g))
-    else:
-        _write(args.output, serialize_graph(g, meta))
-    return OK
+    return _write_graph(args, g, {"omega": str(w), "level": args.level})
 
 
 def cmd_upsilon(args, config) -> int:
     spec = UpsilonSpec(args.kind, args.size, middle_exception=args.exception)
-    g = upsilon_graph(spec)
     meta = {"kind": args.kind, "size": args.size, "exception": args.exception}
-    if args.dot:
-        _write(args.output, export_dot(g))
-    else:
-        _write(args.output, serialize_graph(g, meta))
-    return OK
+    return _write_graph(args, upsilon_graph(spec), meta)
 
 
 def cmd_spectrum(args, config) -> int:
     w = OmegaWord.parse(args.omega)
     g = schreier_graph(w, args.level, config)
-    vals = markov_eigenvalues_banded(g, config)
+    vals = markov_eigenvalues_banded(g)
     target = IntervalUnion.parse(args.target) if args.target else None
     rows = []
     ok = True

@@ -168,15 +168,17 @@ class FolnerReport:
     growth_rates: tuple[float, ...]  # |B_k|^(1/k)
 
 
-def folner_balls(src: Multigraph, v, k_max: int) -> FolnerReport:
-    """Ball sizes and boundary ratios of F_k = B_k(v).
+def folner_balls(c: CoveringMap, v, k_max: int) -> FolnerReport:
+    """Ball sizes and boundary ratios of F_k = B_k(v) in the source of c.
 
-    ``src`` is finite; for an infinite graph pass a window that contains
-    B_{k_max + 1}(v), so the outer boundary is exact.
+    An infinite graph is read through a window, a covering with ``interior``
+    set; the outer boundary of F_{k_max} is exact only if B_{k_max + 1}(v) is,
+    and :class:`WindowTooSmallError` is raised otherwise.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    dist = _bfs_distances(src, v)
+    dist = _bfs_distances(c.source, v)
+    _require_exact_ball(c, dist, k_max + 1)
     sizes = [sum(1 for d in dist.values() if d <= k) for k in range(k_max + 2)]
     ratios = tuple(
         (sizes[k + 1] - sizes[k]) / sizes[k] for k in range(1, k_max + 1)
@@ -198,9 +200,9 @@ def _require_exact_ball(c: CoveringMap, dist: dict, k: int) -> None:
     """Raise unless B_k of the BFS base is exact: every vertex closer than k is interior."""
     if c.interior is None:
         return
-    interior_radius = max((d for x, d in dist.items() if x in c.interior), default=-1)
-    if k > interior_radius + 1:
-        raise WindowTooSmallError(f"radius {k} exceeds interior radius + 1")
+    for x, d in dist.items():
+        if d < k and x not in c.interior:
+            raise WindowTooSmallError(f"radius {k}: {x!r} at distance {d} is not interior")
 
 
 def _fiber_census(c: CoveringMap, dist: dict, v, radii) -> dict[int, int]:

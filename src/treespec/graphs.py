@@ -7,7 +7,7 @@ Loops count once toward the degree throughout; the convention is recorded in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Optional, Sequence
 
@@ -17,14 +17,6 @@ VertexId = Hashable
 
 
 class IsolatedVertexError(ValueError):
-    pass
-
-
-class NotRegularError(ValueError):
-    pass
-
-
-class NotSelfAdjointError(ValueError):
     pass
 
 
@@ -173,23 +165,17 @@ class LinearOperator:
 
     dimension: int
     matrix: np.ndarray
-    self_adjoint: bool = False
-    norm_bound: float = field(default=0.0)
+    norm_bound: float = 0.0
 
     def as_matrix(self) -> np.ndarray:
         return self.matrix
 
 
-def _operator_from_matrix(m: np.ndarray, self_adjoint: bool) -> LinearOperator:
+def _operator_from_matrix(m: np.ndarray) -> LinearOperator:
     norm = min(
         float(np.abs(m).sum(axis=1).max()), float(np.linalg.norm(m, "fro"))
     )
-    return LinearOperator(
-        dimension=m.shape[0],
-        matrix=m,
-        self_adjoint=self_adjoint,
-        norm_bound=norm,
-    )
+    return LinearOperator(dimension=m.shape[0], matrix=m, norm_bound=norm)
 
 
 def laplace_type_operator(g: WeightedGraph) -> LinearOperator:
@@ -209,7 +195,7 @@ def laplace_type_operator(g: WeightedGraph) -> LinearOperator:
         else:
             m[iu, iv] += e.wu if dtype is complex else complex(e.wu).real
             m[iv, iu] += e.wv if dtype is complex else complex(e.wv).real
-    return _operator_from_matrix(m, g.is_self_adjoint)
+    return _operator_from_matrix(m)
 
 
 def markov_operator(g: Multigraph) -> LinearOperator:
@@ -225,17 +211,6 @@ def _markov_eigh(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     graph; on a regular graph the two matrices are equal bit for bit."""
     root = np.sqrt(_degrees(g))
     return np.linalg.eigh(root[:, None] * markov_operator(g).as_matrix().real / root)
-
-
-def cayley_laplacian(g: Multigraph) -> LinearOperator:
-    """|S| (I - M) on a regular graph of degree |S|."""
-    degrees = {g.degree(v) for v in g.vertices}
-    if len(degrees) != 1:
-        raise NotRegularError(f"graph is not regular: degrees {sorted(degrees)}")
-    k = degrees.pop()
-    m = markov_operator(g)
-    mat = k * (np.eye(g.n) - m.as_matrix())
-    return _operator_from_matrix(mat, m.self_adjoint)
 
 
 def shift_square_transform(
@@ -262,5 +237,4 @@ def shift_square_transform(
         for j in range(i + 1, n):
             if t[i, j] != 0 or t[j, i] != 0:
                 edges.append(Edge(i, j, t[i, j], t[j, i]))
-    graph = WeightedGraph(list(range(n)), edges)
-    return _operator_from_matrix(t, graph.is_self_adjoint), graph
+    return _operator_from_matrix(t), WeightedGraph(list(range(n)), edges)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .actions import GENERATORS, generator_action
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
 from .covering import CoveringMap
@@ -78,38 +76,28 @@ def _mult(i: int) -> int:
 def upsilon_graph(spec: UpsilonSpec) -> Multigraph:
     """Materialize a model graph or a finite segment of an infinite one.
 
-    Segment boundary vertices keep their interior degree deficit; no
-    wrap-around edges are added.
+    The vertices lo..hi form a path; each carries one loop, except the ends
+    of a finite level and the end of a ray, which carry three.  Segment
+    boundary vertices keep their interior degree deficit; no wrap-around
+    edges are added.
     """
+    n = spec.size
+    lo, hi, ends = {
+        "finite": (0, (1 << n) - 1, (0, (1 << n) - 1)),
+        "ray": (0, n, (0,)),
+        "line": (-n, n, ()),
+    }[spec.kind]
+    exception_at = None
+    if spec.kind == "finite" and spec.middle_exception:
+        exception_at = (1 << (n - 1)) - 1
     edges: list[Edge] = []
-    if spec.kind == "finite":
-        m = 1 << spec.size
-        vertices = list(range(m))
-        for v in (0, m - 1):
-            edges += [Edge(v, v)] * 3
-        for v in range(1, m - 1):
-            edges.append(Edge(v, v))
-        exception_at = (1 << (spec.size - 1)) - 1
-        for i in range(m - 1):
-            mult = _mult(i)
-            if spec.middle_exception and i == exception_at and i % 2 == 1:
-                mult = 1
-            edges += [Edge(i, i + 1)] * mult
-        return Multigraph(vertices, edges)
-    if spec.kind == "ray":
-        vertices = list(range(spec.size + 1))
-        edges += [Edge(0, 0)] * 3
-        for v in range(1, spec.size + 1):
-            edges.append(Edge(v, v))
-        for i in range(spec.size):
-            edges += [Edge(i, i + 1)] * _mult(i)
-        return Multigraph(vertices, edges)
-    vertices = list(range(-spec.size, spec.size + 1))
-    for v in vertices:
-        edges.append(Edge(v, v))
-    for i in range(-spec.size, spec.size):
-        edges += [Edge(i, i + 1)] * _mult(i)
-    return Multigraph(vertices, edges)
+    for v in ends:
+        edges += [Edge(v, v)] * 3
+    edges += [Edge(v, v) for v in range(lo, hi + 1) if v not in ends]
+    for i in range(lo, hi):
+        mult = 1 if i == exception_at and i % 2 == 1 else _mult(i)
+        edges += [Edge(i, i + 1)] * mult
+    return Multigraph(list(range(lo, hi + 1)), edges)
 
 
 @dataclass(frozen=True)

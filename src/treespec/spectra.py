@@ -1,18 +1,18 @@
 """Eigensolvers, interval-union targets, spectral sweeps, the infinite
-dihedral reduction, Kesten bounds, and spectral-measure moments."""
+dihedral reduction, and spectral-measure moments."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .actions import generator_action
-from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
-from .graphs import LinearOperator, Multigraph, NotSelfAdjointError
+from .config import DEFAULT_CONFIG, RunConfig
+from .graphs import Multigraph
 from .graphs import _degrees, _markov_eigh, _neighbor_sum
 from .omega import OmegaWord
 from .schreier import path_canonical_form, schreier_graph
@@ -102,45 +102,27 @@ GRIG_TARGET = IntervalUnion(((-0.5, 0.0), (0.5, 1.0)))
 @dataclass(frozen=True)
 class SpectrumReport:
     eigenvalues: tuple[float, ...]
-    target: Optional[IntervalUnion]
+    target: IntervalUnion
     in_target: tuple[bool, ...]
-    hausdorff: Optional[float]
+    hausdorff: float
 
     @property
     def contained(self) -> bool:
         return all(self.in_target)
 
 
-def eigenvalues_selfadjoint(
-    h: LinearOperator, config: RunConfig = DEFAULT_CONFIG
-) -> np.ndarray:
-    """All eigenvalues; dimensions above ``max_vertices`` are refused."""
-    if not h.self_adjoint:
-        raise NotSelfAdjointError("operator is not flagged self-adjoint")
-    if h.dimension > config.max_vertices:
-        raise ResourceLimitError(
-            f"dimension {h.dimension} exceeds max_vertices {config.max_vertices}"
-        )
-    return np.linalg.eigvalsh(h.as_matrix())
-
-
 def _report(
     eigenvalues: np.ndarray,
-    target: Optional[IntervalUnion],
-    cumulative: Optional[Sequence[float]],
+    target: IntervalUnion,
+    cumulative: Sequence[float],
     tol: float,
 ) -> SpectrumReport:
     vals = tuple(float(x) for x in np.sort(eigenvalues))
-    if target is None:
-        return SpectrumReport(vals, None, (True,) * len(vals), None)
     flags = tuple(target.contains(v, tol) for v in vals)
-    hd = target.hausdorff_to_points(cumulative if cumulative is not None else vals)
-    return SpectrumReport(vals, target, flags, hd)
+    return SpectrumReport(vals, target, flags, target.hausdorff_to_points(cumulative))
 
 
-def markov_eigenvalues_banded(
-    g: Multigraph, config: RunConfig = DEFAULT_CONFIG
-) -> np.ndarray:
+def markov_eigenvalues_banded(g: Multigraph) -> np.ndarray:
     """Markov spectrum of a path-with-loops graph via its tridiagonal form."""
     return _tridiagonal_eigvals(*_markov_tridiagonal(g))
 
@@ -193,7 +175,6 @@ def _tridiagonal_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 class SweepResult:
     omega: str
     reports: dict[int, SpectrumReport]
-    cumulative: tuple[float, ...]
     hausdorff_by_level: dict[int, float]
 
     @property
@@ -218,12 +199,12 @@ def spectrum_sweep(
     cumulative: list[float] = []
     for n in range(1, n_max + 1):
         g = schreier_graph(w, n, config)
-        vals = markov_eigenvalues_banded(g, config)
+        vals = markov_eigenvalues_banded(g)
         cumulative.extend(float(v) for v in vals)
         rep = _report(vals, target, cumulative, config.membership_tol)
         reports[n] = rep
         hausdorff[n] = rep.hausdorff
-    return SweepResult(str(w), reports, tuple(sorted(cumulative)), hausdorff)
+    return SweepResult(str(w), reports, hausdorff)
 
 
 # ---------------------------------------------------------------------------
@@ -319,34 +300,6 @@ def dihedral_reduction_check(
     four_m = mats["a"] + mats["b"] + mats["c"] + mats["d"]
     markov = not (four_m - (mats["a"] + two_t + eye)).count_nonzero()
     return DihedralReductionReport(depth, t_sq, markov)
-
-
-# ---------------------------------------------------------------------------
-# Kesten bounds
-
-
-@dataclass(frozen=True)
-class KestenVerdict:
-    spectral_radius: float
-    lower_bound: float
-    within_bounds: bool
-    radius_is_one: bool
-
-
-def kesten_check(
-    eigenvalues: Sequence[float], half_size: int, tol: float = 1e-10
-) -> KestenVerdict:
-    """Check sqrt(2n-1)/n <= r(M) <= 1 for a degree-2n Markov spectrum.
-
-    For finite graphs the constant vector forces r(M) = 1 exactly; that is
-    reported as a separate flag.
-    """
-    if half_size < 1:
-        raise ValueError("half_size must be >= 1")
-    r = max(abs(v) for v in eigenvalues)
-    lower = math.sqrt(2 * half_size - 1) / half_size
-    within = lower - tol <= r <= 1 + tol
-    return KestenVerdict(r, lower, within, abs(r - 1) <= tol)
 
 
 # ---------------------------------------------------------------------------

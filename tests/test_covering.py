@@ -47,8 +47,11 @@ def binary_tree(depth):
     return Multigraph(vertices, [(v[:-1], v, "child") for v in vertices if v])
 
 
-def identity_covering(g):
-    return CoveringMap(g, g, {v: v for v in g.vertices}, {i: i for i in range(len(g.edges))})
+def identity_covering(g, interior=None):
+    """g onto itself; with ``interior`` set, a window onto an infinite graph."""
+    return CoveringMap(
+        g, g, {v: v for v in g.vertices}, {i: i for i in range(len(g.edges))}, interior
+    )
 
 
 def dense_residual(c, lam, f, radius=None):
@@ -171,25 +174,57 @@ class TestLifting:
             lift_path(cov, "11", [], start)
 
 
+def ray_window(size):
+    """The ray segment 0..size; its last vertex lacks the edge onward."""
+    return identity_covering(upsilon_graph(UpsilonSpec("ray", size)), set(range(size)))
+
+
+def tree_window(depth, interior_depth):
+    """The binary tree to ``depth``, complete up to ``interior_depth``."""
+    g = binary_tree(depth)
+    return identity_covering(g, {v for v in g.vertices if len(v) <= interior_depth})
+
+
 class TestFolner:
     # the infinite graphs are read through windows of radius k_max + 1
     def test_ray_is_folner(self):
-        rep = folner_balls(upsilon_graph(UpsilonSpec("ray", 13)), 0, 12)
+        rep = folner_balls(ray_window(13), 0, 12)
         assert rep.subexp_evidence
         assert rep.boundary_ratios[-1] < 0.2
 
     def test_binary_tree_is_not(self):
-        rep = folner_balls(binary_tree(13), "", 12)
+        rep = folner_balls(tree_window(13, 12), "", 12)
         assert not rep.subexp_evidence
         assert min(rep.boundary_ratios) > 0.5
 
     def test_unknown_base_vertex_raises(self):
         with pytest.raises(ValueError, match="not in the graph"):
-            folner_balls(schreier_graph(W, 4), "nope", 6)
+            folner_balls(identity_covering(schreier_graph(W, 4)), "nope", 6)
 
     def test_sizes_linear_on_ray(self):
-        rep = folner_balls(upsilon_graph(UpsilonSpec("ray", 9)), 0, 8)
+        rep = folner_balls(ray_window(9), 0, 8)
         assert rep.sizes == tuple(k + 1 for k in range(9))
+
+    @pytest.mark.parametrize("interior_depth", range(6))
+    def test_window_too_small_raises(self, interior_depth):
+        # a depth-6 tree holds no ball of radius 7 or more: the sizes would
+        # stop at 127 and read as subexponential growth
+        with pytest.raises(WindowTooSmallError):
+            folner_balls(tree_window(6, interior_depth), "", 12)
+
+    def test_window_cut_short_near_the_base_raises(self):
+        # the branch under "1" stops at "1" while the branch under "0" is
+        # interior to depth 7; the sizes would read 1, 3, 5, 9, ...
+        keep = [v for v in binary_tree(8).vertices if v[:1] != "1" or v == "1"]
+        g = Multigraph(keep, [(v[:-1], v, "child") for v in keep if v])
+        window = identity_covering(g, {v for v in keep if len(v) < 8 and v != "1"})
+        with pytest.raises(WindowTooSmallError):
+            folner_balls(window, "", 7)
+
+    def test_window_of_radius_k_max_plus_one_suffices(self):
+        assert folner_balls(tree_window(6, 5), "", 5).sizes[-1] == 63
+        with pytest.raises(WindowTooSmallError):
+            folner_balls(tree_window(6, 5), "", 6)
 
 
 class TestFiberCount:

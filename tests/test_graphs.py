@@ -8,10 +8,8 @@ from treespec import (
     Edge,
     IsolatedVertexError,
     Multigraph,
-    NotRegularError,
     RadiusTooSmallError,
     WeightedGraph,
-    cayley_laplacian,
     laplace_type_operator,
     markov_operator,
     markov_weights,
@@ -140,29 +138,11 @@ class TestLaplaceType:
         m = laplace_type_operator(g).as_matrix()
         assert m[0, 1] == 2.0 and m[1, 0] == 3.0 and m[1, 1] == 5.0
 
-    def test_self_adjoint_flag(self):
-        sym = WeightedGraph([0, 1], [Edge(0, 1, 1 + 2j, 1 - 2j)])
-        asym = WeightedGraph([0, 1], [Edge(0, 1, 1 + 2j, 1 + 2j)])
-        assert laplace_type_operator(sym).self_adjoint
-        assert not laplace_type_operator(asym).self_adjoint
-
     @given(g=GRAPHS)
     def test_norm_bound_dominates(self, g):
         op = markov_operator(g)
         vals = np.linalg.eigvals(op.as_matrix())
         assert np.abs(vals).max() <= op.norm_bound + 1e-9
-
-
-class TestCayleyLaplacian:
-    def test_regular_graph(self):
-        g = Multigraph([0, 1], [(0, 1), (0, 1), (0, 0), (1, 1)])
-        lap = cayley_laplacian(g).as_matrix()
-        m = markov_operator(g).as_matrix()
-        assert np.allclose(lap, 3 * (np.eye(2) - m))
-
-    def test_irregular_rejected(self):
-        with pytest.raises(NotRegularError):
-            cayley_laplacian(Multigraph([0, 1, 2], [(0, 1), (1, 2), (1, 1)]))
 
 
 class TestShiftSquareTransform:

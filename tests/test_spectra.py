@@ -16,13 +16,9 @@ from treespec import (
     IsolatedVertexError,
     Multigraph,
     OmegaWord,
-    ResourceLimitError,
-    RunConfig,
     UpsilonSpec,
     dihedral_reduction_check,
     dihedral_weighted_spectrum,
-    eigenvalues_selfadjoint,
-    kesten_check,
     markov_eigenvalues_banded,
     markov_operator,
     moments_via_eigendecomposition,
@@ -199,17 +195,6 @@ class TestLevelSpectra:
         assert hd == sorted(hd, reverse=True)
         assert hd[-1] < 0.06
 
-    def test_eigenvalues_selfadjoint_dense(self):
-        op = markov_operator(schreier_graph(W, 3))
-        vals = eigenvalues_selfadjoint(op)
-        assert len(vals) == 8
-        assert np.allclose(vals, np.sort(vals))
-
-    def test_eigenvalues_selfadjoint_refuses_above_cap(self):
-        op = markov_operator(schreier_graph(W, 3))
-        with pytest.raises(ResourceLimitError):
-            eigenvalues_selfadjoint(op, RunConfig(max_vertices=7))
-
 
 class TestTridiagonalFold:
     @given(mirror_tridiagonals())
@@ -340,23 +325,6 @@ class TestDihedral:
         assert image.intervals == GRIG_TARGET.intervals
         vals = markov_eigenvalues_banded(schreier_graph(W, 6))
         assert all(image.contains(float(v), tol=1e-10) for v in vals)
-
-
-class TestKesten:
-    def test_level_graphs_satisfy_bounds(self):
-        for n in (2, 4, 6):
-            vals = markov_eigenvalues_banded(schreier_graph(W, n))
-            verdict = kesten_check(vals, 2)
-            assert verdict.within_bounds
-            assert verdict.radius_is_one
-
-    def test_lower_bound_value(self):
-        verdict = kesten_check([1.0], 2)
-        assert verdict.lower_bound == pytest.approx(math.sqrt(3) / 2)
-
-    def test_violation_detected(self):
-        verdict = kesten_check([0.5], 2)
-        assert not verdict.within_bounds
 
 
 class TestMoments:
