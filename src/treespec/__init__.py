@@ -6,9 +6,7 @@ from .omega import (
     AlmostConstantError,
     OmegaClass,
     OmegaWord,
-    SigmaSequences,
     classify_omega,
-    sigma_sequences,
 )
 from .actions import (
     TreeAutomorphism,
@@ -20,7 +18,6 @@ from .actions import (
 from .presentation import (
     STANDARD_RELATIONS,
     abelianization_class,
-    in_commutator_subgroup,
     relators_U,
 )
 from .growth import BallEnumeration, GrowthReport, ball_sizes, enumerate_ball

@@ -53,11 +53,9 @@ class TreeAutomorphism:
         shift = self.depth - k
         return tuple(self.leaf_perm[i << shift] >> shift for i in range(1 << k))
 
-    def apply(self, vertex: int, level: int | None = None) -> int:
-        """Image of a vertex given as an integer at ``level`` (default: depth)."""
-        if level is None or level == self.depth:
-            return self.leaf_perm[vertex]
-        return self.level_perm(level)[vertex]
+    def apply(self, vertex: int) -> int:
+        """Image of a leaf given as an integer."""
+        return self.leaf_perm[vertex]
 
     def compose(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
         """self after other: (self * other)(v) = self(other(v))."""
@@ -75,9 +73,6 @@ class TreeAutomorphism:
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.leaf_perm))
-
-    def __mul__(self, other: "TreeAutomorphism") -> "TreeAutomorphism":
-        return self.compose(other)
 
 
 def _sigma_leaf_perm(n: int, depth: int) -> np.ndarray:

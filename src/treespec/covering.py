@@ -69,13 +69,19 @@ class CoveringReport:
 
 
 def verify_covering(c: CoveringMap) -> CoveringReport:
-    """Check surjectivity, endpoint compatibility and local bijectivity.
+    """Check that vertices map into the target, surjectivity, endpoint
+    compatibility and local bijectivity.
 
     On windowed sources local bijectivity is checked at interior vertices
     only; if the window image misses part of the target the window cannot
     certify surjectivity and :class:`WindowTooSmallError` is raised.
     """
     src, tgt = c.source, c.target
+    for v in src.vertices:
+        if c.phi(v) not in tgt._index:
+            return CoveringReport(
+                False, f"vertex {v!r} maps to {c.phi(v)!r}, not a target vertex"
+            )
     # endpoint compatibility (as multisets, so a non-loop may cover a loop)
     for ei, ti in c.edge_map.items():
         e, t = src.edges[ei], tgt.edges[ti]

@@ -48,16 +48,13 @@ class Multigraph:
             raise ValueError("duplicate vertex ids")
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self.edges: list[Edge] = []
-        for e in edges:
-            if isinstance(e, Edge):
-                self.edges.append(e)
-            else:
+        for i, e in enumerate(edges):
+            if not isinstance(e, Edge):
                 u, v, *rest = e
-                label = rest[0] if rest else None
-                self.edges.append(Edge(u, v, label=label))
-        for e in self.edges:
+                e = Edge(u, v, label=rest[0] if rest else None)
             if e.u not in self._index or e.v not in self._index:
-                raise ValueError(f"edge {e} references unknown vertex")
+                raise ValueError(f"edge {i}: {e} references unknown vertex")
+            self.edges.append(e)
 
     def index(self, v: VertexId) -> int:
         return self._index[v]
@@ -76,16 +73,16 @@ class Multigraph:
 
     def degree(self, v: VertexId) -> int:
         """Loops contribute 1."""
-        return len(self._incidence.get(v, ()))
+        return len(self._incidence[v])
 
     def incident(self, v: VertexId) -> list[int]:
         """Indices of edges adjacent to v (a loop appears once)."""
-        return list(self._incidence.get(v, ()))
+        return list(self._incidence[v])
 
     def neighbors(self, v: VertexId) -> list[VertexId]:
         edges = self.edges
         out = []
-        for i in self._incidence.get(v, ()):
+        for i in self._incidence[v]:
             e = edges[i]
             out.append(e.v if e.u == v else e.u)
         return out
@@ -163,7 +160,6 @@ def markov_weights(g: Multigraph) -> WeightedGraph:
 class LinearOperator:
     """Finite-dimensional operator; operators are dense only, held in ``matrix``."""
 
-    dimension: int
     matrix: np.ndarray
     norm_bound: float = 0.0
 
@@ -175,7 +171,7 @@ def _operator_from_matrix(m: np.ndarray) -> LinearOperator:
     norm = min(
         float(np.abs(m).sum(axis=1).max()), float(np.linalg.norm(m, "fro"))
     )
-    return LinearOperator(dimension=m.shape[0], matrix=m, norm_bound=norm)
+    return LinearOperator(matrix=m, norm_bound=norm)
 
 
 def laplace_type_operator(g: WeightedGraph) -> LinearOperator:
@@ -227,10 +223,10 @@ def shift_square_transform(
             f"radius {radius} below 2*norm estimate {2 * h.norm_bound}"
         )
     a = h.as_matrix()
-    shifted = a - lam * np.eye(h.dimension)
-    t = np.eye(h.dimension) - (shifted @ shifted.conj().T) / radius**2
+    n = a.shape[0]
+    shifted = a - lam * np.eye(n)
+    t = np.eye(n) - (shifted @ shifted.conj().T) / radius**2
     edges = []
-    n = h.dimension
     for i in range(n):
         if t[i, i] != 0:
             edges.append(Edge(i, i, t[i, i], t[i, i]))

@@ -18,6 +18,8 @@ from .omega import OmegaWord
 
 # the shallowest comparison depth tried
 START_DEPTH = 4
+# the most elements one ball enumeration may hold
+MAX_BALL_ELEMENTS = 200_000
 
 
 @dataclass
@@ -39,9 +41,7 @@ class BallEnumeration:
     stable: bool
 
 
-def _enumerate_at_depth(
-    w: OmegaWord, radius: int, depth: int, max_elements: int
-) -> BallEnumeration:
+def _enumerate_at_depth(w: OmegaWord, radius: int, depth: int) -> BallEnumeration:
     gen_perms = [
         np.asarray(generator_action(g, w, depth).leaf_perm) for g in GENERATORS
     ]
@@ -66,9 +66,9 @@ def _enumerate_at_depth(
                     radius_of.append(r)
                     neighbors.append([])
                     new_frontier.append(j)
-                    if j + 1 > max_elements:
+                    if j + 1 > MAX_BALL_ELEMENTS:
                         raise ResourceLimitError(
-                            f"ball exceeds {max_elements} elements"
+                            f"ball exceeds {MAX_BALL_ELEMENTS} elements"
                         )
                 neighbors[i].append(j)
         frontier = new_frontier
@@ -93,9 +93,9 @@ def enumerate_ball(
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    prev = _enumerate_at_depth(w, radius, START_DEPTH, config.max_ball_elements)
+    prev = _enumerate_at_depth(w, radius, START_DEPTH)
     for depth in range(START_DEPTH + 1, config.max_depth + 1):
-        cur = _enumerate_at_depth(w, radius, depth, config.max_ball_elements)
+        cur = _enumerate_at_depth(w, radius, depth)
         if cur.sizes == prev.sizes:
             cur.stable = True
             return cur

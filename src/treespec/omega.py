@@ -9,7 +9,7 @@ The classification into three normal forms drives the relator scheme in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 SYMBOLS = (0, 1, 2)
@@ -103,7 +103,6 @@ class OmegaClass:
     ``kind`` is set.
     """
 
-    in_omega2: bool
     constant: bool
     almost_constant: bool
     kind: Optional[int] = None
@@ -122,11 +121,7 @@ def classify_omega(w: OmegaWord) -> OmegaClass:
     Constant words carry no form.  Almost-constant non-constant words still
     get their form but are flagged, since the relator scheme excludes them.
     """
-    base = dict(
-        in_omega2=w.in_omega2,
-        constant=w.is_constant,
-        almost_constant=w.is_almost_constant,
-    )
+    base = dict(constant=w.is_constant, almost_constant=w.is_almost_constant)
     if w.is_constant:
         return OmegaClass(**base)
 
@@ -157,41 +152,3 @@ def classify_omega(w: OmegaWord) -> OmegaClass:
     if nxt == x:
         return OmegaClass(**base, kind=2, xyz=(x, y, z), n=m + 1)
     return OmegaClass(**base, kind=3, xyz=(x, y, z), n=m + 1)
-
-
-@dataclass(frozen=True)
-class SigmaSequences:
-    """First indices at which each of the generators b, c, d is active.
-
-    ``u``, ``v``, ``delta`` list positions n with symbol(n) in {0,1}, {0,2}
-    and {1,2} respectively.  ``complete`` marks whether the requested count
-    was reached within the scanned horizon (a constant sequence can starve
-    one of the three lists forever).
-    """
-
-    u: tuple[int, ...]
-    v: tuple[int, ...]
-    delta: tuple[int, ...]
-    complete: dict[str, bool] = field(default_factory=dict)
-
-
-def sigma_sequences(w: OmegaWord, count: int) -> SigmaSequences:
-    """First ``count`` activity indices for each of b, c, d."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    # beyond preperiod + period the pattern of hits repeats; if a list gained
-    # nothing over one full period it never will
-    horizon = len(w.preperiod) + len(w.period) * max(count, 1) + len(w.period)
-    seqs = {"b": [], "c": [], "d": []}
-    for n in range(1, horizon + 1):
-        s = w.symbol(n)
-        for letter, active in ACTIVE.items():
-            if s in active and len(seqs[letter]) < count:
-                seqs[letter].append(n)
-    complete = {letter: len(seqs[letter]) == count for letter in seqs}
-    return SigmaSequences(
-        u=tuple(seqs["b"]),
-        v=tuple(seqs["c"]),
-        delta=tuple(seqs["d"]),
-        complete=complete,
-    )

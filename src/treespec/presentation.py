@@ -90,7 +90,3 @@ def abelianization_class(word: str) -> tuple[int, int, int]:
         else:
             raise ValueError(f"letter {c!r} not in alphabet abcd")
     return (pa, pb, pc)
-
-
-def in_commutator_subgroup(word: str) -> bool:
-    return abelianization_class(word) == (0, 0, 0)

@@ -81,10 +81,7 @@ def parse_graph(data: bytes) -> Multigraph:
         )
     vertices = doc["vertices"]
     vertices = [tuple(v) if isinstance(v, list) else v for v in vertices]
-    if len(set(vertices)) != len(vertices):
-        raise FormatError("duplicate vertex id")
     weighted = bool(doc.get("weighted"))
-    vset = set(vertices)
     edges = []
     for i, rec in enumerate(doc["edges"]):
         try:
@@ -93,8 +90,6 @@ def parse_graph(data: bytes) -> Multigraph:
             raise FormatError(f"edge {i}: missing endpoint") from exc
         u = tuple(u) if isinstance(u, list) else u
         v = tuple(v) if isinstance(v, list) else v
-        if u not in vset or v not in vset:
-            raise FormatError(f"edge {i}: unknown vertex")
         if weighted:
             if u == v:
                 w = _weight_from_str(rec["w"])
@@ -112,7 +107,10 @@ def parse_graph(data: bytes) -> Multigraph:
         else:
             edges.append(Edge(u, v, label=rec.get("label")))
     cls = WeightedGraph if weighted else Multigraph
-    return cls(vertices, edges)
+    try:
+        return cls(vertices, edges)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def export_dot(g: Multigraph, name: str = "G") -> str:

@@ -12,7 +12,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .actions import generator_action
 from .config import DEFAULT_CONFIG, RunConfig
-from .graphs import Multigraph
+from .graphs import IsolatedVertexError, Multigraph
 from .graphs import _degrees, _markov_eigh, _neighbor_sum
 from .omega import OmegaWord
 from .schreier import path_canonical_form, schreier_graph
@@ -139,6 +139,9 @@ def _markov_tridiagonal(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     loops = np.array(form.loops, dtype=float)
     mult = np.array(form.multiplicities, dtype=float)
     deg = loops + np.pad(mult, (1, 0)) + np.pad(mult, (0, 1))
+    if not deg.all():
+        v = form.order[int(np.argmin(deg))]
+        raise IsolatedVertexError(f"vertex {v!r} is isolated")
     return loops / deg, mult / np.sqrt(deg[:-1] * deg[1:])
 
 
@@ -231,9 +234,13 @@ def _dihedral_exact(x: float, y: float) -> IntervalUnion:
     return IntervalUnion(((-hi, -lo), (lo, hi)))
 
 
-def _dihedral_fourier_oracle(x: float, y: float, samples: int = 20001) -> IntervalUnion:
+# points of the theta grid the Fourier oracle samples
+_FOURIER_SAMPLES = 20001
+
+
+def _dihedral_fourier_oracle(x: float, y: float) -> IntervalUnion:
     """Band endpoints from the dispersion |x + y e^(i theta)|, sampled."""
-    theta = np.linspace(0.0, math.pi, samples)
+    theta = np.linspace(0.0, math.pi, _FOURIER_SAMPLES)
     vals = np.abs(x + y * np.exp(1j * theta))
     lo, hi = float(vals.min()), float(vals.max())
     if lo < _CLOSED_GAP:
@@ -288,7 +295,10 @@ def dihedral_reduction_check(
 
     With the level permutation matrices A, B, C, D of the generators and
     T = (B + C + D - I)/2, verifies T^2 = I and 4 M = A + 2 T + I where
-    M = (A + B + C + D)/4, all in integer arithmetic (via 2T).
+    M = (A + B + C + D)/4, all in integer arithmetic (via 2T).  The second
+    identity holds for any four matrices once M is defined so, and
+    ``markov_identity_holds`` is True by construction; T^2 = I is the check
+    that carries the reduction to the infinite dihedral group.
     """
     mats = {
         g: _perm_matrix(generator_action(g, w, depth).leaf_perm)

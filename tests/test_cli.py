@@ -38,9 +38,7 @@ class TestConfigEcho:
         line = next(l for l in out.splitlines() if l.startswith("config: "))
         cfg = json.loads(line[len("config: "):])
         # only knobs that change behaviour are echoed
-        assert set(cfg) == {
-            "max_vertices", "max_depth", "max_ball_elements", "membership_tol"
-        }
+        assert set(cfg) == {"max_vertices", "max_depth"}
 
     def test_override_propagates(self, capsys):
         _, out, _ = run(

@@ -96,6 +96,14 @@ class TestVerifyCovering:
         rep = verify_covering(cov)
         assert not rep and "edge 2" in rep.witness
 
+    def test_vertex_mapped_outside_the_target_detected(self):
+        # an isolated source vertex has no edge whose endpoints would catch it
+        tgt = Multigraph([0, 1], [(0, 0), (0, 1), (1, 1)])
+        src = Multigraph([0, 1, "x"], [(0, 0), (0, 1), (1, 1)])
+        cov = CoveringMap(src, tgt, {0: 0, 1: 1, "x": "nope"}, {0: 0, 1: 1, 2: 2})
+        rep = verify_covering(cov)
+        assert not rep and "'x'" in rep.witness
+
     def test_window_too_small_raises(self):
         # a radius-1 ball cannot certify surjectivity onto the level-3 graph
         ball = cayley_ball(W, 1, 3)

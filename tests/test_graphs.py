@@ -85,8 +85,14 @@ class TestMultigraph:
             Multigraph([0, 0], [])
 
     def test_unknown_endpoint_rejected(self):
-        with pytest.raises(ValueError):
-            Multigraph([0, 1], [(0, 2)])
+        with pytest.raises(ValueError, match="edge 1"):
+            Multigraph([0, 1], [(0, 1), (1, 2)])
+
+    def test_adjacency_of_a_vertex_not_in_the_graph_raises(self):
+        g = Multigraph([0, 1], [(0, 1)])
+        for query in (g.degree, g.incident, g.neighbors):
+            with pytest.raises(KeyError):
+                query(2)
 
     def test_connectivity(self):
         assert Multigraph([0, 1], [(0, 1)]).is_connected()

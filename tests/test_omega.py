@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from treespec import AlmostConstantError, OmegaWord, classify_omega, sigma_sequences
+from treespec import AlmostConstantError, OmegaWord, classify_omega
 
 SYMS = st.integers(min_value=0, max_value=2)
 
@@ -101,33 +101,3 @@ class TestClassification:
             assert w.prefix(c.n) == (x,) + (y,) * (c.n - 2) + (x,)
         else:
             assert w.prefix(c.n) == (x,) + (y,) * (c.n - 2) + (z,)
-
-
-class TestSigmaSequences:
-    def test_activity_positions(self):
-        seqs = sigma_sequences(OmegaWord.parse(":012"), 4)
-        assert seqs.u == (1, 2, 4, 5)  # symbols 0 or 1
-        assert seqs.v == (1, 3, 4, 6)  # symbols 0 or 2
-        assert seqs.delta == (2, 3, 5, 6)  # symbols 1 or 2
-
-    def test_starved_sequence_flagged(self):
-        seqs = sigma_sequences(OmegaWord.parse("1:0"), 3)
-        assert seqs.complete["b"] and seqs.complete["c"]
-        assert not seqs.complete["d"]
-
-    @given(per=st.lists(SYMS, min_size=1, max_size=4), count=st.integers(1, 6))
-    def test_each_position_feeds_two_sequences(self, per, count):
-        seqs = sigma_sequences(word([], per), count)
-        w = word([], per)
-        for n in set(seqs.u) | set(seqs.v) | set(seqs.delta):
-            hits = sum(n in s for s in (seqs.u, seqs.v, seqs.delta))
-            assert hits == 2 or n > min(
-                max(s, default=0) for s in (seqs.u, seqs.v, seqs.delta)
-            )
-        # u: positions with symbol in {0,1} etc.
-        for n in seqs.u:
-            assert w.symbol(n) in (0, 1)
-        for n in seqs.v:
-            assert w.symbol(n) in (0, 2)
-        for n in seqs.delta:
-            assert w.symbol(n) in (1, 2)

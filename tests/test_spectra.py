@@ -186,6 +186,12 @@ class TestLevelSpectra:
         banded = np.sort(markov_eigenvalues_banded(g))
         assert np.abs(banded - dense).max() < 1e-12
 
+    def test_banded_isolated_vertex_raises(self):
+        # the dense route raises too; a loopless single vertex has no Markov row
+        with pytest.raises(IsolatedVertexError):
+            markov_eigenvalues_banded(Multigraph([0], []))
+        assert markov_eigenvalues_banded(Multigraph([0], [(0, 0)])).tolist() == [1.0]
+
     @pytest.mark.parametrize("omega", [":012", ":01", ":0102"])
     def test_levels_live_in_target(self, omega):
         sweep = spectrum_sweep(OmegaWord.parse(omega), 7)
