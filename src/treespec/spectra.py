@@ -145,6 +145,10 @@ def _markov_tridiagonal(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     return loops / deg, mult / np.sqrt(deg[:-1] * deg[1:])
 
 
+# machine epsilon: relative to the largest entry, the coupling size a fold drops
+_EPS = float(np.finfo(float).eps)
+
+
 def _tridiagonal_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of the symmetric tridiagonal (diag, off).
 
@@ -154,7 +158,11 @@ def _tridiagonal_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     which differ only in the last diagonal entry diag[m-1] ± off[m-1].  Each
     half is split again while it is mirror-symmetric; on the level graphs
     the even half is the previous level (a covering contains the spectrum
-    of the graph it covers).  Every other matrix is solved as it is.
+    of the graph it covers).  Before the split, couplings of at most eps
+    times the largest entry are dropped: that moves no eigenvalue by more
+    than 2 eps times that entry (Weyl), and keeps the halves' QR solves
+    accurate where a squared coupling would underflow.  Every other matrix
+    is solved as it is.
     """
     size = len(diag)
     if size == 1:
@@ -163,6 +171,8 @@ def _tridiagonal_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
     ):
         return eigh_tridiagonal(diag, off, eigvals_only=True)
+    scale = max(np.abs(diag).max(), np.abs(off).max())
+    off = np.where(np.abs(off) > _EPS * scale, off, 0.0)
     m = size // 2
     even, odd = diag[:m].copy(), diag[:m].copy()
     even[-1] += off[m - 1]

@@ -86,6 +86,16 @@ def tridiagonals(draw, sizes):
     return np.array(diag), np.array(off)
 
 
+# a mirror tridiagonal whose couplings near 1e-154 square below the normal
+# floats: the default LAPACK solvers put two of its eigenvalues 2e-5 off
+UNDERFLOWING_COUPLINGS = (
+    np.array([0.0] * 7 + [1.0, 0.0, 0.0, 1.0] + [0.0] * 7),
+    np.array(
+        [0.0] * 6 + [9.82368029e-154, 0.75, 7.19861323e-81, 0.75, 9.82368029e-154] + [0.0] * 6
+    ),
+)
+
+
 def dense_tridiagonal(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
@@ -204,12 +214,34 @@ class TestLevelSpectra:
 
 class TestTridiagonalFold:
     @given(mirror_tridiagonals())
+    @example(UNDERFLOWING_COUPLINGS)
+    @example(  # folded without dropping the 7e-81 couplings, two eigenvalues were 6e-5 off
+        (
+            np.array([9.8e-154, 0.75, 9.8e-154, 1.0, 1.0, 9.8e-154, 0.75, 9.8e-154]),
+            np.array([7e-81, 0.75, 7e-81, 1.0, 7e-81, 0.75, 7e-81]),
+        )
+    )
     @settings(max_examples=60, deadline=None)
     def test_fold_agrees_with_full_solve(self, tri):
+        # The QR solvers behind the default eigh_tridiagonal and eigvalsh square
+        # the couplings, and lose up to 1e-3 when a square underflows; bisection
+        # does not.  Dropping couplings below eps times the largest entry moves
+        # no eigenvalue by more than 2 eps times it, and the dense solve of what
+        # is left keeps its accuracy.
         diag, off = tri
         folded = _tridiagonal_eigvals(diag, off)
-        assert np.abs(folded - eigh_tridiagonal(diag, off, eigvals_only=True)).max() < 1e-12
-        assert np.abs(folded - np.linalg.eigvalsh(dense_tridiagonal(diag, off))).max() < 1e-12
+        bisected = eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="stebz")
+        assert np.abs(folded - bisected).max() < 1e-12
+        scale = max(np.abs(diag).max(), np.abs(off).max())
+        kept = np.where(np.abs(off) > np.finfo(float).eps * scale, off, 0.0)
+        assert np.abs(folded - np.linalg.eigvalsh(dense_tridiagonal(diag, kept))).max() < 1e-12
+
+    def test_underflowing_couplings_solved_exactly(self):
+        # two copies of [[1, 3/4], [3/4, 0]], joined by negligible couplings
+        folded = _tridiagonal_eigvals(*UNDERFLOWING_COUPLINGS)
+        root = math.sqrt(13.0) / 2
+        expect = np.array([(1 - root) / 2] * 2 + [0.0] * 14 + [(1 + root) / 2] * 2)
+        assert np.abs(folded - expect).max() < 1e-15
 
     @given(tridiagonals(st.integers(0, 31).map(lambda k: 2 * k + 1)))
     @settings(deadline=None)
