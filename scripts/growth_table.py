@@ -16,7 +16,7 @@ def main() -> None:
 
     for omega in args.omegas.split(","):
         report = ball_sizes(OmegaWord.parse(omega), args.radius)
-        print(f"omega = {omega} (stable depth = {report.depth})")
+        print(f"omega = {omega} (comparison depth = {report.depth})")
         for r, size in enumerate(report.sizes):
             root = size ** (1 / r) if r else float("nan")
             print(f"  r = {r:2d}: |B(r)| = {size:6d}  |B(r)|^(1/r) = {root:.3f}")

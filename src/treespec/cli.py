@@ -145,9 +145,9 @@ def cmd_hulanicki(args, config) -> int:
 
 def cmd_growth(args, config) -> int:
     w = OmegaWord.parse(args.omega)
-    rep = ball_sizes(w, args.radius, config)
+    rep = ball_sizes(w, args.radius)
     print(f"gamma(0..{args.radius}) = {list(rep.sizes)}")
-    print(f"verified to depth {rep.depth} (census stable: {rep.stable})")
+    print(f"exact at comparison depth {rep.depth}")
     return OK
 
 
@@ -187,6 +187,9 @@ def cmd_dihedral(args, config) -> int:
 
 def cmd_moments(args, config) -> int:
     w = OmegaWord.parse(args.omega)
+    if not 0 <= args.vertex < 1 << args.level:
+        print(f"error: --vertex must be in 0..{(1 << args.level) - 1}", file=sys.stderr)
+        return USAGE
     g = schreier_graph(w, args.level, config)
     v = g.vertices[args.vertex]
     seq = spectral_moments(g, v, args.count)
@@ -200,8 +203,7 @@ def cmd_moments(args, config) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="treespec")
-    ap.add_argument("--max-vertices", type=int, default=None)
-    ap.add_argument("--max-depth", type=int, default=None)
+    ap.add_argument("--max-vertices", type=int, default=RunConfig.max_vertices)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schreier", help="level Schreier graph")
@@ -282,12 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
-    overrides = {}
-    if args.max_vertices is not None:
-        overrides["max_vertices"] = args.max_vertices
-    if args.max_depth is not None:
-        overrides["max_depth"] = args.max_depth
-    config = RunConfig(**overrides) if overrides else RunConfig()
+    config = RunConfig(max_vertices=args.max_vertices)
     _echo_config(config)
     try:
         return args.func(args, config)

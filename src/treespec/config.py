@@ -19,13 +19,12 @@ class RunConfig:
     """Caps shared across runs; echoed into artifacts."""
 
     max_vertices: int = 1 << 12
-    max_depth: int = 24
     # distance within which an eigenvalue counts as inside a target set
     membership_tol: ClassVar[float] = 1e-8
 
     def __post_init__(self):
-        if self.max_vertices <= 0 or self.max_depth <= 0:
-            raise ValueError("caps must be positive")
+        if self.max_vertices <= 0:
+            raise ValueError("max_vertices must be positive")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -1,23 +1,21 @@
 """Ball enumeration in the four-generator tree groups.
 
 Group elements are compared through their action on a finite tree level.
-Two distinct elements can collapse at a shallow level, so balls are
-enumerated at increasing depth until the radius census is stable across two
-consecutive depths; the result records the depth that achieved stability.
+The level is a comparison depth proven by the section-length bound of the
+wreath recursion (:func:`comparison_depth`), so every census is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .actions import GENERATORS, generator_action
-from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
-from .omega import OmegaWord
+from .config import ResourceLimitError
+from .omega import ACTIVE, OmegaWord
 
-# the shallowest comparison depth tried
-START_DEPTH = 4
 # the most elements one ball enumeration may hold
 MAX_BALL_ELEMENTS = 200_000
 
@@ -29,7 +27,9 @@ class BallEnumeration:
     ``perms[i]`` is the leaf permutation of element i (index 0 = identity),
     ``radius_of[i]`` its word length, ``neighbors[i][j]`` the index of
     generator j * element i, and ``sizes[r]`` the cumulative census of the
-    radius-r ball.
+    radius-r ball.  ``stable`` is always True: distinct elements of the
+    ball and its outer shell act differently at ``depth``, so the census is
+    proven.
     """
 
     depth: int
@@ -38,14 +38,38 @@ class BallEnumeration:
     radius_of: list[int]
     neighbors: list[list[int]]
     sizes: list[int]
-    stable: bool
+    stable: ClassVar[bool] = True
+
+
+def comparison_depth(w: OmegaWord, length: int) -> int:
+    """Tree depth at which every nontrivial element of word length at most
+    ``length`` acts nontrivially.
+
+    A word with an even number of a's splits into two sections over the
+    shifted sequence, each at most ceil(length / 2) long.  At length 2 or
+    less a nontrivial element moves level 1 or is a single letter b, c or
+    d, and a letter first active at position n acts from depth n + 1.
+    """
+    depth, k = 1, 0
+    while True:
+        horizon = len(w.preperiod) + len(w.period)
+        for active in ACTIVE.values():
+            first = next((n for n in range(1, horizon + 1) if w.symbol(n) in active), None)
+            if first is not None:  # a letter never active again is trivial
+                depth = max(depth, k + first + 1)
+        if length <= 2:
+            return depth
+        length, w, k = (length + 1) // 2, w.shift(), k + 1
 
 
 def _enumerate_at_depth(w: OmegaWord, radius: int, depth: int) -> BallEnumeration:
+    # the narrowest unsigned type that holds a leaf index (uint8 at depth 8)
+    dtype = np.min_scalar_type((1 << depth) - 1)
     gen_perms = [
-        np.asarray(generator_action(g, w, depth).leaf_perm) for g in GENERATORS
+        np.asarray(generator_action(g, w, depth).leaf_perm, dtype=dtype)
+        for g in GENERATORS
     ]
-    identity = np.arange(1 << depth)
+    identity = np.arange(1 << depth, dtype=dtype)
     index = {identity.tobytes(): 0}
     perms = [identity]
     radius_of = [0]
@@ -78,31 +102,18 @@ def _enumerate_at_depth(w: OmegaWord, radius: int, depth: int) -> BallEnumeratio
         for gp in gen_perms:
             j = index.get(gp[perms[i]].tobytes())
             neighbors[i].append(-1 if j is None else j)
-    return BallEnumeration(depth, radius, perms, radius_of, neighbors, sizes, False)
+    return BallEnumeration(depth, radius, perms, radius_of, neighbors, sizes)
 
 
-def enumerate_ball(
-    w: OmegaWord,
-    radius: int,
-    config: RunConfig = DEFAULT_CONFIG,
-) -> BallEnumeration:
-    """Enumerate the radius ball, raising the comparison depth to stability.
+def enumerate_ball(w: OmegaWord, radius: int) -> BallEnumeration:
+    """Enumerate the radius ball once, at the proven comparison depth.
 
-    Stability = identical census vectors at two consecutive depths.  The
-    returned enumeration is the one at the deeper of the two.
+    Two elements of the ball differ by a word of length at most 2 * radius;
+    the neighbour rows of the outer shell compare words one letter longer.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    prev = _enumerate_at_depth(w, radius, START_DEPTH)
-    for depth in range(START_DEPTH + 1, config.max_depth + 1):
-        cur = _enumerate_at_depth(w, radius, depth)
-        if cur.sizes == prev.sizes:
-            cur.stable = True
-            return cur
-        prev = cur
-    raise ResourceLimitError(
-        f"ball census did not stabilize by depth {config.max_depth}"
-    )
+    return _enumerate_at_depth(w, radius, comparison_depth(w, 2 * radius + 1))
 
 
 @dataclass(frozen=True)
@@ -110,16 +121,13 @@ class GrowthReport:
     omega: str
     sizes: tuple[int, ...]
     depth: int
-    stable: bool
 
 
-def ball_sizes(
-    w: OmegaWord, radius: int, config: RunConfig = DEFAULT_CONFIG
-) -> GrowthReport:
-    """Growth values |B_0|, ..., |B_radius|, with the stabilization depth.
+def ball_sizes(w: OmegaWord, radius: int) -> GrowthReport:
+    """Growth values |B_0|, ..., |B_radius|, with the comparison depth.
 
-    Values are exact whenever the census stabilization is genuine; the depth
-    is reported so the evidence can be reproduced or pushed further.
+    Values are exact: the depth is the one :func:`comparison_depth` proves
+    from the section-length bound of the wreath recursion.
     """
-    enum = enumerate_ball(w, radius, config)
-    return GrowthReport(str(w), tuple(enum.sizes), enum.depth, enum.stable)
+    enum = enumerate_ball(w, radius)
+    return GrowthReport(str(w), tuple(enum.sizes), enum.depth)

@@ -16,7 +16,7 @@ from .actions import GENERATORS, generator_action
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
 from .covering import CoveringMap
 from .graphs import Edge, Multigraph
-from .growth import BallEnumeration, enumerate_ball
+from .growth import BallEnumeration, _enumerate_at_depth, comparison_depth
 from .omega import OmegaWord
 
 
@@ -234,7 +234,9 @@ def cayley_ball(
     """
     if radius < 1 or level < 1:
         raise ValueError("radius and level must be >= 1")
-    enum = enumerate_ball(w, radius, config)
+    # phi truncates a leaf image to ``level``, so enumerate at least that deep
+    depth = max(level, comparison_depth(w, 2 * radius + 1))
+    enum = _enumerate_at_depth(w, radius, depth)
     tgt = schreier_graph(w, level, config)
     lookup = _edge_lookup(tgt)
     m = len(enum.perms)

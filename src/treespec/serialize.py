@@ -70,6 +70,8 @@ def parse_graph(data: bytes) -> Multigraph:
         doc = json.loads(data.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError("document is not a JSON object")
     for key in ("format_version", "vertices", "edges"):
         if key not in doc:
             raise FormatError(f"missing field {key!r}")
@@ -79,37 +81,28 @@ def parse_graph(data: bytes) -> Multigraph:
         raise FormatError(
             f"conventions {doc['conventions']!r} differ from {CONVENTIONS!r}"
         )
-    vertices = doc["vertices"]
-    vertices = [tuple(v) if isinstance(v, list) else v for v in vertices]
+    if not (isinstance(doc["vertices"], list) and isinstance(doc["edges"], list)):
+        raise FormatError("vertices and edges must be lists")
+    vertices = [tuple(v) if isinstance(v, list) else v for v in doc["vertices"]]
     weighted = bool(doc.get("weighted"))
     edges = []
     for i, rec in enumerate(doc["edges"]):
         try:
-            u, v = rec["u"], rec["v"]
-        except (TypeError, KeyError) as exc:
-            raise FormatError(f"edge {i}: missing endpoint") from exc
-        u = tuple(u) if isinstance(u, list) else u
-        v = tuple(v) if isinstance(v, list) else v
-        if weighted:
-            if u == v:
+            u, v = (tuple(x) if isinstance(x, list) else x for x in (rec["u"], rec["v"]))
+            if not weighted:
+                edges.append(Edge(u, v, label=rec.get("label")))
+            elif u == v:
                 w = _weight_from_str(rec["w"])
                 edges.append(Edge(u, v, w, w, rec.get("label")))
             else:
-                edges.append(
-                    Edge(
-                        u,
-                        v,
-                        _weight_from_str(rec["wu"]),
-                        _weight_from_str(rec["wv"]),
-                        rec.get("label"),
-                    )
-                )
-        else:
-            edges.append(Edge(u, v, label=rec.get("label")))
+                wu, wv = _weight_from_str(rec["wu"]), _weight_from_str(rec["wv"])
+                edges.append(Edge(u, v, wu, wv, rec.get("label")))
+        except (TypeError, KeyError) as exc:
+            raise FormatError(f"edge {i}: missing or malformed field {exc}") from exc
     cls = WeightedGraph if weighted else Multigraph
     try:
         return cls(vertices, edges)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: an unhashable vertex id
         raise FormatError(str(exc)) from exc
 
 

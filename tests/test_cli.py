@@ -38,7 +38,7 @@ class TestConfigEcho:
         line = next(l for l in out.splitlines() if l.startswith("config: "))
         cfg = json.loads(line[len("config: "):])
         # only knobs that change behaviour are echoed
-        assert set(cfg) == {"max_vertices", "max_depth"}
+        assert set(cfg) == {"max_vertices"}
 
     def test_override_propagates(self, capsys):
         _, out, _ = run(
@@ -125,6 +125,16 @@ class TestSubcommands:
         )
         assert code == 0
         assert "hankel min eigenvalue" in out
+
+    @pytest.mark.parametrize("vertex", ["8", "99", "-1"])
+    def test_moments_vertex_out_of_range(self, capsys, vertex):
+        # a list index would raise past the last vertex and wrap below the first
+        code, out, err = run(
+            capsys, "moments", "--omega", ":012", "--level", "3", "--vertex", vertex
+        )
+        assert code == 2
+        assert err == "error: --vertex must be in 0..7\n"
+        assert "moments at" not in out
 
     def test_upsilon(self, capsys):
         code, out, _ = run(capsys, "upsilon", "--size", "3", "--dot")

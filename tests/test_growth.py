@@ -1,9 +1,9 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treespec import OmegaWord, ball_sizes, enumerate_ball, generator_action
+from treespec import growth
+from treespec.growth import _enumerate_at_depth, comparison_depth
 
 OMEGAS = st.builds(
     OmegaWord,
@@ -36,7 +36,6 @@ class TestBallSizes:
     def test_classic_sequence_small_balls(self):
         rep = ball_sizes(OmegaWord.parse(":012"), 5)
         assert rep.sizes == (1, 5, 11, 23, 40, 68)
-        assert rep.stable
 
     def test_sphere_sizes_match_published_values(self):
         rep = ball_sizes(OmegaWord.parse(":012"), 10)
@@ -58,6 +57,42 @@ class TestBallSizes:
     def test_negative_radius(self):
         with pytest.raises(ValueError):
             ball_sizes(OmegaWord.parse(":012"), -1)
+
+
+class TestComparisonDepth:
+    @pytest.mark.parametrize("length, depth", [(3, 4), (13, 6), (23, 7), (37, 8)])
+    def test_classic_sequence(self, length, depth):
+        assert comparison_depth(OmegaWord.parse(":012"), length) == depth
+
+    @pytest.mark.parametrize(
+        "omega, size", [(":012", 15303), (":01", 15478), ("0:01", 13063)]
+    )
+    def test_radius_18_census(self, omega, size, monkeypatch):
+        depths = []
+
+        def recording(w, radius, depth):
+            depths.append(depth)
+            return _enumerate_at_depth(w, radius, depth)
+
+        monkeypatch.setattr(growth, "_enumerate_at_depth", recording)
+        enum = enumerate_ball(OmegaWord.parse(omega), 18)
+        assert enum.sizes[-1] == size and enum.stable
+        assert depths == [8]  # one enumeration, at the proven depth
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        w=st.builds(
+            OmegaWord,
+            st.lists(st.integers(0, 2), max_size=3).map(tuple),
+            st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
+        ),
+        radius=st.integers(0, 10),
+    )
+    def test_deeper_levels_separate_nothing_more(self, w, radius):
+        enum = enumerate_ball(w, radius)
+        deeper = _enumerate_at_depth(w, radius, enum.depth + 2)
+        assert deeper.sizes == enum.sizes
+        assert deeper.neighbors == enum.neighbors
 
 
 class TestEnumeration:

@@ -6,6 +6,7 @@ from treespec import (
     NotAPathError,
     OmegaWord,
     UpsilonSpec,
+    WindowTooSmallError,
     cayley_ball,
     check_isomorphic,
     level_projection_covering,
@@ -140,3 +141,12 @@ class TestCayleyBall:
         w = OmegaWord.parse(":012")
         ball = cayley_ball(w, 3, 3)
         assert ball.covering.phi(0) == "111"
+
+    def test_level_deeper_than_comparison_depth(self):
+        # radius 3 needs comparison depth 5; the level-6 labels need depth 6
+        ball = cayley_ball(OmegaWord.parse(":012"), 3, 6)
+        assert ball.enumeration.depth == 6 and ball.graph.n == 23
+        assert ball.covering.phi(0) == "111111"
+        # the local checks pass; 23 elements cannot reach all 64 vertices
+        with pytest.raises(WindowTooSmallError):
+            verify_covering(ball.covering)

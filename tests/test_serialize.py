@@ -131,6 +131,23 @@ class TestParseErrors:
         with pytest.raises(FormatError, match="weight"):
             parse_graph(doc)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b'{"format_version":1,"weighted":true,"vertices":[0],"edges":[{"u":0,"v":0}]}',
+            b'{"format_version":1,"weighted":true,"vertices":[0,1],"edges":[{"u":0,"v":1}]}',
+            b'{"format_version":1,"vertices":[{}],"edges":[]}',
+            b'{"format_version":1,"vertices":[0],"edges":[{"u":0,"v":{}}]}',
+            b'{"format_version":1,"vertices":5,"edges":[]}',
+            b"5",
+        ],
+        ids=["loop-without-w", "edge-without-wu", "object-vertex", "object-endpoint",
+             "vertices-not-a-list", "not-an-object"],
+    )
+    def test_malformed_structure(self, doc):
+        with pytest.raises(FormatError):
+            parse_graph(doc)
+
 
 class TestExports:
     def test_dot_contains_every_edge(self):
