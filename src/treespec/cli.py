@@ -14,7 +14,7 @@ import sys
 
 from . import covering as cov
 from .config import FormatError, RunConfig
-from .growth import ball_sizes
+from .growth import ball_sizes, comparison_depth
 from .omega import OmegaWord
 from .presentation import abelianization_class, relators_U
 from .actions import verify_trivial
@@ -71,20 +71,19 @@ def cmd_schreier(args, config) -> int:
 
 
 def cmd_upsilon(args, config) -> int:
-    spec = UpsilonSpec(args.kind, args.size, middle_exception=args.exception)
-    meta = {"kind": args.kind, "size": args.size, "exception": args.exception}
-    return _write_graph(args, upsilon_graph(spec), meta)
+    spec = UpsilonSpec(args.kind, args.size)
+    return _write_graph(args, upsilon_graph(spec), {"kind": args.kind, "size": args.size})
 
 
 def cmd_spectrum(args, config) -> int:
     w = OmegaWord.parse(args.omega)
     g = schreier_graph(w, args.level, config)
     vals = markov_eigenvalues_banded(g)
-    target = IntervalUnion.parse(args.target) if args.target else None
+    target = IntervalUnion.parse(args.target)
     rows = []
     ok = True
     for i, v in enumerate(sorted(float(x) for x in vals)):
-        inside = target.contains(v, config.membership_tol) if target else True
+        inside = target.contains(v, config.membership_tol)
         ok = ok and inside
         rows.append((args.level, i, repr(v), inside))
     _write(args.output, export_eigenvalue_csv(rows))
@@ -93,7 +92,7 @@ def cmd_spectrum(args, config) -> int:
 
 def cmd_sweep(args, config) -> int:
     w = OmegaWord.parse(args.omega)
-    target = IntervalUnion.parse(args.target) if args.target else GRIG_TARGET
+    target = IntervalUnion.parse(args.target)
     result = spectrum_sweep(w, args.max_level, target, config)
     rows = []
     for n, rep in result.reports.items():
@@ -156,32 +155,29 @@ def cmd_relators(args, config) -> int:
     ok = True
     for level in range(1, args.k + 1):
         for rel in relators_U(w, level):
-            trivial = verify_trivial(rel, w, args.depth)
+            trivial = verify_trivial(rel, w, comparison_depth(w, len(rel)))
             in_comm = abelianization_class(rel) == (0, 0, 0)
             ok = ok and trivial.trivial and in_comm
             print(
                 f"U_{level}: {rel[:40]}{'...' if len(rel) > 40 else ''} "
-                f"trivial@{args.depth}={trivial.trivial} commutator={in_comm}"
+                f"trivial@{trivial.depth}={trivial.trivial} commutator={in_comm}"
             )
     return OK if ok else VERIFY_FAIL
 
 
 def cmd_dihedral(args, config) -> int:
-    w = OmegaWord.parse(args.omega) if args.omega else None
-    ok = True
-    if w is not None:
-        rep = dihedral_reduction_check(w, args.depth)
-        print(
-            f"depth {rep.depth}: T^2=I {rep.t_squared_is_identity}, "
-            f"4M=A+2T+I {rep.markov_identity_holds}"
-        )
-        ok = rep.t_squared_is_identity and rep.markov_identity_holds
-    spec = dihedral_weighted_spectrum(args.x, args.y)
+    rep = dihedral_reduction_check(OmegaWord.parse(args.omega), args.depth)
+    print(
+        f"depth {rep.depth}: T^2=I {rep.t_squared_is_identity}, "
+        f"4M=A+2T+I {rep.markov_identity_holds}"
+    )
+    # M = A/4 + T/2 + I/4: line weights 1/4 and 1/2, then a shift by 1/4
+    spec = dihedral_weighted_spectrum(0.25, 0.5)
     print(f"exact spectrum: {spec.exact}")
-    shifted = spec.exact.affine(1.0, args.shift)
-    print(f"shifted by {args.shift}: {shifted}")
+    print(f"shifted by 0.25: {spec.exact.affine(1.0, 0.25)}")
     for length in spec.truncation_lengths:
         print(f"truncation L={length}: boundary error {spec.boundary_errors[length]:.3g}")
+    ok = rep.t_squared_is_identity and rep.markov_identity_holds
     return OK if ok else VERIFY_FAIL
 
 
@@ -216,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("upsilon", help="model path-with-loops graph")
     p.add_argument("--kind", choices=["finite", "ray", "line"], default="finite")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--exception", action="store_true")
     p.add_argument("--dot", action="store_true")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_upsilon)
@@ -224,14 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="single-level Markov spectrum")
     _add_omega(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--target", default=None, help='e.g. "[-0.5,0]u[0.5,1]"')
+    p.add_argument("--target", default=str(GRIG_TARGET))
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("sweep", help="spectra of all levels vs a target set")
     _add_omega(p)
     p.add_argument("--max-level", type=int, required=True)
-    p.add_argument("--target", default=None)
+    p.add_argument("--target", default=str(GRIG_TARGET))
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_sweep)
 
@@ -257,15 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("relators", help="relator families and their checks")
     _add_omega(p)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--depth", type=int, default=12)
     p.set_defaults(func=cmd_relators)
 
     p = sub.add_parser("dihedral", help="dihedral reduction and line spectrum")
-    p.add_argument("--omega", default=None)
+    _add_omega(p)
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--x", type=float, default=0.25)
-    p.add_argument("--y", type=float, default=0.5)
-    p.add_argument("--shift", type=float, default=0.25)
     p.set_defaults(func=cmd_dihedral)
 
     p = sub.add_parser("moments", help="spectral-measure moments at a vertex")
@@ -282,9 +273,12 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        config = RunConfig(max_vertices=args.max_vertices)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
-    config = RunConfig(max_vertices=args.max_vertices)
+    except ValueError as exc:  # a cap RunConfig rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     _echo_config(config)
     try:
         return args.func(args, config)

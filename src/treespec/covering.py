@@ -78,12 +78,16 @@ def verify_covering(c: CoveringMap) -> CoveringReport:
     """
     src, tgt = c.source, c.target
     for v in src.vertices:
+        if v not in c.vertex_map:
+            return CoveringReport(False, f"vertex {v!r} unmapped")
         if c.phi(v) not in tgt._index:
             return CoveringReport(
                 False, f"vertex {v!r} maps to {c.phi(v)!r}, not a target vertex"
             )
     # endpoint compatibility (as multisets, so a non-loop may cover a loop)
     for ei, ti in c.edge_map.items():
+        if not (0 <= ei < len(src.edges) and 0 <= ti < len(tgt.edges)):
+            return CoveringReport(False, f"edge map {ei} -> {ti} out of range")
         e, t = src.edges[ei], tgt.edges[ti]
         if Counter((c.phi(e.u), c.phi(e.v))) != Counter((t.u, t.v)):
             return CoveringReport(False, f"edge {ei} endpoints do not cover edge {ti}")

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from treespec import parse_graph
+from treespec import cli, parse_graph
 from treespec.cli import main
 
 
@@ -25,6 +26,31 @@ class TestExitCodes:
         code, _, err = run(capsys, "growth", "--omega", "bogus", "--radius", "2")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["relators", "--omega", ":012", "--depth", "8"],
+            ["dihedral", "--omega", ":012", "--x", "1"],
+            ["dihedral", "--omega", ":012", "--shift", "0"],
+            ["upsilon", "--size", "3", "--exception"],
+            ["dihedral"],
+        ],
+    )
+    def test_usage_error_on_fixed_or_missing_option(self, capsys, argv):
+        # the relator depth, the dihedral weights and the Upsilon variant are
+        # fixed by the mathematics, and dihedral needs a sequence
+        code, _, _ = run(capsys, *argv)
+        assert code == 2
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_usage_error_on_nonpositive_max_vertices(self, capsys, cap):
+        code, out, err = run(
+            capsys, "--max-vertices", cap, "growth", "--omega", ":012", "--radius", "2"
+        )
+        assert code == 2
+        assert err == "error: max_vertices must be positive\n"
+        assert out == ""
 
     def test_success(self, capsys):
         code, out, _ = run(capsys, "growth", "--omega", ":012", "--radius", "4")
@@ -107,11 +133,25 @@ class TestSubcommands:
         assert "violated" in out
 
     def test_relators(self, capsys):
-        code, out, _ = run(
-            capsys, "relators", "--omega", ":012", "--k", "1", "--depth", "8"
-        )
+        code, out, _ = run(capsys, "relators", "--omega", ":012", "--k", "1")
         assert code == 0
-        assert "trivial@8=True" in out
+        assert "trivial@7=True" in out
+
+    @pytest.mark.parametrize(
+        "omega, k, depths",
+        [(":012", "2", [7, 7, 8, 8]), ("0:01", "1", [6, 7, 8, 8, 9])],
+    )
+    def test_relators_proven_at_comparison_depth(self, capsys, omega, k, depths):
+        code, out, _ = run(capsys, "relators", "--omega", omega, "--k", k)
+        assert code == 0
+        assert [int(d) for d in re.findall(r"trivial@(\d+)=True", out)] == depths
+        assert "False" not in out
+
+    def test_relators_nontrivial_word_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "relators_U", lambda w, k: ["ad"])
+        code, out, _ = run(capsys, "relators", "--omega", ":012", "--k", "1")
+        assert code == 1
+        assert "trivial@3=False" in out
 
     def test_dihedral(self, capsys):
         code, out, _ = run(capsys, "dihedral", "--omega", ":012", "--depth", "4")

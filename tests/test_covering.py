@@ -104,6 +104,23 @@ class TestVerifyCovering:
         rep = verify_covering(cov)
         assert not rep and "'x'" in rep.witness
 
+    @pytest.mark.parametrize(
+        "vertex_map, edge_map, named",
+        [
+            ({"a": "x"}, {0: 0, 1: 0}, "'b'"),
+            ({"a": "x", "b": "x"}, {0: 0, 1: 5}, "5"),
+            ({"a": "x", "b": "x"}, {0: 0, 1: -1}, "-1"),
+            ({"a": "x", "b": "x"}, {0: 0, 1: 0, 7: 0}, "7"),
+        ],
+    )
+    def test_malformed_maps_answered(self, vertex_map, edge_map, named):
+        # a map that misses a vertex or indexes past an edge list is a
+        # failed covering, not a KeyError or IndexError
+        src = Multigraph(["a", "b"], [("a", "a"), ("b", "b")])
+        tgt = Multigraph(["x"], [("x", "x")])
+        rep = verify_covering(CoveringMap(src, tgt, vertex_map, edge_map))
+        assert not rep and named in rep.witness
+
     def test_window_too_small_raises(self):
         # a radius-1 ball cannot certify surjectivity onto the level-3 graph
         ball = cayley_ball(W, 1, 3)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treespec import (
     AlmostConstantError,
@@ -9,12 +9,21 @@ from treespec import (
     verify_trivial,
     word_action,
 )
+from treespec.growth import comparison_depth
 from treespec.presentation import STANDARD_RELATIONS
 
 WORDS = st.text(alphabet="abcd", max_size=12)
 
 # enough depth to catch any nontrivial action of relators this short
 DEPTH = 10
+
+SYMBOL_LISTS = st.lists(st.integers(0, 2), max_size=3)
+# sequences outside the almost-constant ones: at least two symbols recur
+NORMAL_FORM_OMEGAS = st.builds(
+    lambda pre, per: OmegaWord(tuple(pre), tuple(per)),
+    SYMBOL_LISTS,
+    SYMBOL_LISTS.filter(lambda per: len(set(per)) >= 2),
+)
 
 
 class TestRelatorFamilies:
@@ -32,6 +41,14 @@ class TestRelatorFamilies:
         w = OmegaWord.parse(omega)
         for r in relators_U(w, k):
             assert verify_trivial(r, w, DEPTH), (k, r)
+
+    @settings(max_examples=30, deadline=None)
+    @given(w=NORMAL_FORM_OMEGAS)
+    def test_relators_trivial_at_comparison_depth(self, w):
+        # trivial action at this depth proves the relator trivial in the group
+        for k in (1, 2, 3):
+            for r in relators_U(w, k):
+                assert verify_trivial(r, w, comparison_depth(w, len(r))), (k, r)
 
     @pytest.mark.parametrize("omega", [":012", ":01", ":0012"])
     def test_relators_lie_in_commutator_subgroup(self, omega):
