@@ -42,6 +42,7 @@ from .schreier import (
     UpsilonSpec,
     cayley_ball,
     check_isomorphic,
+    level_path_form,
     level_projection_covering,
     schreier_graph,
     upsilon_graph,

@@ -21,6 +21,7 @@ from .actions import verify_trivial
 from .schreier import (
     UpsilonSpec,
     cayley_ball,
+    level_path_form,
     level_projection_covering,
     schreier_graph,
     upsilon_graph,
@@ -77,8 +78,7 @@ def cmd_upsilon(args, config) -> int:
 
 def cmd_spectrum(args, config) -> int:
     w = OmegaWord.parse(args.omega)
-    g = schreier_graph(w, args.level, config)
-    vals = markov_eigenvalues_banded(g)
+    vals = markov_eigenvalues_banded(level_path_form(w, args.level, config))
     target = IntervalUnion.parse(args.target)
     rows = []
     ok = True

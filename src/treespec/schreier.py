@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .actions import GENERATORS, generator_action
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
 from .covering import CoveringMap
@@ -28,14 +30,18 @@ def _bits(i: int, n: int) -> str:
     return format(i, f"0{n}b")
 
 
-def schreier_graph(
-    w: OmegaWord, n: int, config: RunConfig = DEFAULT_CONFIG
-) -> Multigraph:
-    """Level-n Schreier graph: one labeled edge {v, g v} per generator."""
+def _check_level(n: int, config: RunConfig) -> None:
     if n < 1:
         raise ValueError("n must be >= 1")
     if 1 << n > config.max_vertices:
         raise ResourceLimitError(f"2^{n} vertices exceed cap {config.max_vertices}")
+
+
+def schreier_graph(
+    w: OmegaWord, n: int, config: RunConfig = DEFAULT_CONFIG
+) -> Multigraph:
+    """Level-n Schreier graph: one labeled edge {v, g v} per generator."""
+    _check_level(n, config)
     vertices = [_bits(i, n) for i in range(1 << n)]
     edges = []
     for g in GENERATORS:
@@ -111,40 +117,87 @@ class PathForm:
     multiplicities: tuple[int, ...]
 
 
-def path_canonical_form(g: Multigraph) -> PathForm:
-    loops = {v: 0 for v in g.vertices}
-    simple = {v: set() for v in g.vertices}
-    mult = {}
-    for e in g.edges:
-        if e.is_loop:
-            loops[e.u] += 1
-        else:
-            simple[e.u].add(e.v)
-            simple[e.v].add(e.u)
-            key = frozenset((e.u, e.v))
-            mult[key] = mult.get(key, 0) + 1
-    if g.n == 1:
-        v = g.vertices[0]
-        return PathForm((v,), (loops[v],), ())
-    ends = [v for v in g.vertices if len(simple[v]) == 1]
-    if len(ends) != 2 or any(len(simple[v]) > 2 for v in g.vertices):
+def _path_order(
+    size: int, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Path order, loop counts and multiplicities of a path with loops.
+
+    The vertices are 0..size-1 and edge i joins u[i] to v[i].  The order
+    starts at the end with the smaller index; loop counts are listed along
+    it, and multiplicities between consecutive vertices.  Raises
+    NotAPathError unless the non-loop edges form one simple path through
+    every vertex.
+    """
+    loop = u == v
+    loops = np.bincount(u[loop], minlength=size)
+    lo = np.minimum(u[~loop], v[~loop])
+    hi = np.maximum(u[~loop], v[~loop])
+    pairs, mult = np.unique(lo * size + hi, return_counts=True)
+    if size == 1:
+        return np.zeros(1, dtype=np.intp), loops, mult
+    a, b = np.divmod(pairs, size)
+    deg = np.bincount(a, minlength=size) + np.bincount(b, minlength=size)
+    ends = np.flatnonzero(deg == 1)
+    if len(ends) != 2 or deg.max() > 2:
         raise NotAPathError("non-loop edges do not form a simple path")
-    start = min(ends, key=lambda v: str(v))
-    order = [start]
-    prev = None
-    while len(order) < g.n:
-        nxt = [u for u in simple[order[-1]] if u != prev]
-        if len(nxt) != 1:
-            raise NotAPathError("non-loop edges do not form a simple path")
-        prev = order[-1]
-        order.append(nxt[0])
-    if len(set(order)) != g.n:
-        raise NotAPathError("non-loop edges are disconnected or cyclic")
+    # the distinct neighbours of each vertex, -1 where it has only one
+    src, dst = np.concatenate((a, b)), np.concatenate((b, a))
+    by_src = np.argsort(src, kind="stable")
+    src, dst = src[by_src], dst[by_src]
+    slot = np.arange(len(src)) - np.searchsorted(src, src)
+    nb = np.full((size, 2), -1, dtype=np.int64)
+    nb[src, slot] = dst
+    first, second = nb[:, 0].tolist(), nb[:, 1].tolist()
+    # every inner vertex has two neighbours, so the walk never turns back;
+    # it stops early only at the far end of a path that misses a vertex
+    prev, cur = -1, int(ends[0])
+    order = [cur]
+    for _ in range(size - 1):
+        prev, cur = cur, first[cur] if first[cur] != prev else second[cur]
+        if cur < 0:
+            raise NotAPathError("non-loop edges are disconnected or cyclic")
+        order.append(cur)
+    path = np.array(order)
+    steps = np.minimum(path[:-1], path[1:]) * size + np.maximum(path[:-1], path[1:])
+    return path, loops[path], mult[np.searchsorted(pairs, steps)]
+
+
+def _path_form(
+    labels, order: np.ndarray, loops: np.ndarray, mult: np.ndarray
+) -> PathForm:
     return PathForm(
-        tuple(order),
-        tuple(loops[v] for v in order),
-        tuple(mult[frozenset((order[i], order[i + 1]))] for i in range(g.n - 1)),
+        tuple(labels[i] for i in order.tolist()),
+        tuple(loops.tolist()),
+        tuple(mult.tolist()),
     )
+
+
+def path_canonical_form(g: Multigraph) -> PathForm:
+    """Canonical form of a path with loops; NotAPathError otherwise."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    u = np.array([index[e.u] for e in g.edges], dtype=np.int64)
+    v = np.array([index[e.v] for e in g.edges], dtype=np.int64)
+    order, loops, mult = _path_order(g.n, u, v)
+    # start from the end whose label sorts first as a string
+    if str(g.vertices[order[-1]]) < str(g.vertices[order[0]]):
+        order, loops, mult = order[::-1], loops[::-1], mult[::-1]
+    return _path_form(g.vertices, order, loops, mult)
+
+
+def level_path_form(
+    w: OmegaWord, n: int, config: RunConfig = DEFAULT_CONFIG
+) -> PathForm:
+    """``path_canonical_form(schreier_graph(w, n, config))``, read off the
+    generator permutations without building the graph."""
+    _check_level(n, config)
+    size = 1 << n
+    perms = np.array([generator_action(g, w, n).leaf_perm for g in GENERATORS])
+    u = np.tile(np.arange(size), len(GENERATORS))
+    v = perms.ravel()
+    keep = u <= v  # one edge per orbit {i, g i}, as in schreier_graph
+    order, loops, mult = _path_order(size, u[keep], v[keep])
+    # equal-length bit strings sort as their integers: order[0] starts
+    return _path_form([_bits(i, n) for i in range(size)], order, loops, mult)
 
 
 @dataclass(frozen=True)

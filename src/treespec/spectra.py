@@ -15,7 +15,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .graphs import IsolatedVertexError, Multigraph
 from .graphs import _degrees, _markov_eigh, _neighbor_sum
 from .omega import OmegaWord
-from .schreier import path_canonical_form, schreier_graph
+from .schreier import PathForm, level_path_form, path_canonical_form
 
 
 @dataclass(frozen=True)
@@ -117,17 +117,28 @@ def _report(
     cumulative: Sequence[float],
     tol: float,
 ) -> SpectrumReport:
-    vals = tuple(float(x) for x in np.sort(eigenvalues))
-    flags = tuple(target.contains(v, tol) for v in vals)
-    return SpectrumReport(vals, target, flags, target.hausdorff_to_points(cumulative))
+    vals = np.sort(eigenvalues)
+    # IntervalUnion.contains on every value at once, with the same arithmetic
+    inside = np.zeros(vals.shape, dtype=bool)
+    dist = np.full(vals.shape, math.inf)
+    for lo, hi in target.intervals:
+        inside |= (lo <= vals) & (vals <= hi)
+        dist = np.minimum(dist, np.minimum(np.abs(vals - lo), np.abs(vals - hi)))
+    flags = np.where(inside, 0.0, dist) <= tol
+    return SpectrumReport(
+        tuple(vals.tolist()),
+        target,
+        tuple(flags.tolist()),
+        target.hausdorff_to_points(cumulative),
+    )
 
 
-def markov_eigenvalues_banded(g: Multigraph) -> np.ndarray:
+def markov_eigenvalues_banded(g: Multigraph | PathForm) -> np.ndarray:
     """Markov spectrum of a path-with-loops graph via its tridiagonal form."""
     return _tridiagonal_eigvals(*_markov_tridiagonal(g))
 
 
-def _markov_tridiagonal(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
+def _markov_tridiagonal(g: Multigraph | PathForm) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the Markov matrix of a path with loops.
 
     After canonical path ordering the Markov matrix D^-1 A has bandwidth 1.
@@ -135,7 +146,7 @@ def _markov_tridiagonal(g: Multigraph) -> tuple[np.ndarray, np.ndarray]:
     loopcount/degree and whose off-diagonal holds mult_i / sqrt(d_i d_{i+1}),
     so the spectrum is exact for any path with loops.
     """
-    form = path_canonical_form(g)
+    form = g if isinstance(g, PathForm) else path_canonical_form(g)
     loops = np.array(form.loops, dtype=float)
     mult = np.array(form.multiplicities, dtype=float)
     deg = loops + np.pad(mult, (1, 0)) + np.pad(mult, (0, 1))
@@ -204,15 +215,15 @@ def spectrum_sweep(
 
     Every eigenvalue is checked for membership (tolerance from the config);
     the one-sided Hausdorff distance from the target to the cumulative
-    eigenvalue union is reported per level.
+    eigenvalue union is reported per level.  Each level's path form is read
+    off the generator permutations; no graph is built.
     """
     reports = {}
     hausdorff = {}
     cumulative: list[float] = []
     for n in range(1, n_max + 1):
-        g = schreier_graph(w, n, config)
-        vals = markov_eigenvalues_banded(g)
-        cumulative.extend(float(v) for v in vals)
+        vals = markov_eigenvalues_banded(level_path_form(w, n, config))
+        cumulative.extend(vals.tolist())
         rep = _report(vals, target, cumulative, config.membership_tol)
         reports[n] = rep
         hausdorff[n] = rep.hausdorff

@@ -181,6 +181,21 @@ class TestSubcommands:
         assert code == 0
         assert out.count("--") == 22  # 8 loops + 14 connecting edges
 
+    @pytest.mark.parametrize("kind, size, count", [("ray", 5, 6), ("line", 3, 7)])
+    def test_upsilon_kind(self, capsys, tmp_path, kind, size, count):
+        out_file = tmp_path / "u.json"
+        code, _, _ = run(
+            capsys, "upsilon", "--kind", kind, "--size", str(size), "-o", str(out_file)
+        )
+        assert code == 0
+        g = parse_graph(out_file.read_bytes())
+        assert g.n == count
+        assert all(g.degree(v) == 4 for v in g.vertices[1:-1])
+        if kind == "ray":
+            # three loops at the end, one at every other vertex
+            loops = [sum(e.is_loop for e in g.edges if e.u == v) for v in g.vertices]
+            assert loops == [3, 1, 1, 1, 1, 1]
+
     def test_hulanicki_small(self, capsys):
         code, out, _ = run(
             capsys, "hulanicki", "--omega", ":012", "--target-level", "1",

@@ -45,29 +45,77 @@ def test_detects_unused_import():
     assert unused_imports(source) == ["np (line 1)", "Optional (line 2)"]
 
 
+def own_dests(ap: argparse.ArgumentParser) -> list[str]:
+    """Settable values of this parser alone, except help and the
+    subcommand selector."""
+    return [
+        action.dest
+        for action in ap._actions
+        if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+    ]
+
+
+def subparsers(ap: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return {
+        name: sub
+        for action in ap._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for name, sub in action.choices.items()
+    }
+
+
 def parser_dests(ap: argparse.ArgumentParser) -> list[str]:
-    """Every settable value of the parser and of each subparser, except
-    help and the subcommand selector."""
-    dests = []
-    for action in ap._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                dests += parser_dests(sub)
-        elif not isinstance(action, argparse._HelpAction):
-            dests.append(action.dest)
+    """Every settable value of the parser and of each subparser."""
+    dests = own_dests(ap)
+    for sub in subparsers(ap).values():
+        dests += parser_dests(sub)
     return dests
 
 
-def unread_options(ap: argparse.ArgumentParser, source: str) -> list[str]:
-    """Option dests never read as ``args.<dest>`` in the source."""
-    read = {
-        node.attr
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "args"
+def args_reads(node: ast.AST) -> set[str]:
+    """Attributes read as ``args.<name>`` anywhere below node."""
+    return {
+        n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
     }
-    return sorted(set(parser_dests(ap)) - read)
+
+
+def handler_reads(name: str, functions: dict[str, ast.FunctionDef]) -> set[str]:
+    """``args`` attributes read by a handler and by every function of the
+    source that it, or such a function, passes ``args`` to."""
+    read, todo, seen = set(), [name], set()
+    while todo:
+        fn = functions[todo.pop()]
+        seen.add(fn.name)
+        read |= args_reads(fn)
+        for call in ast.walk(fn):
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id in functions
+                and call.func.id not in seen
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in call.args)
+            ):
+                todo.append(call.func.id)
+    return read
+
+
+def unread_options(ap: argparse.ArgumentParser, source: str) -> list[str]:
+    """Options that nothing reads as ``args.<dest>``.
+
+    A top-level option may be read anywhere in the source.  A subcommand's
+    option must be read by its own ``set_defaults(func=...)`` handler or by
+    a helper that receives ``args`` from it; it is reported as
+    ``<subcommand>.<dest>``.
+    """
+    tree = ast.parse(source)
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    unread = sorted(set(own_dests(ap)) - args_reads(tree))
+    for name, sub in subparsers(ap).items():
+        read = handler_reads(sub.get_default("func").__name__, functions)
+        unread += [f"{name}.{dest}" for dest in own_dests(sub) if dest not in read]
+    return unread
 
 
 def test_cli_reads_every_option():
@@ -83,3 +131,30 @@ def test_detects_unread_option():
     ap.add_argument("--used")
     ap.add_argument("--spare-knob")
     assert unread_options(ap, "def f(args):\n    return args.used\n") == ["spare_knob"]
+
+
+def test_detects_option_read_only_by_another_subcommand():
+    # relators defines --depth, but only the dihedral handler reads it
+    source = (
+        "def cmd_relators(args):\n"
+        "    return _report(args, args.k)\n"
+        "def _report(args, k):\n"
+        "    return args.omega, k\n"
+        "def cmd_dihedral(args):\n"
+        "    return args.omega, args.depth\n"
+    )
+    handlers = {}
+    exec(source, handlers)
+    ap = argparse.ArgumentParser()
+    sub = ap.add_subparsers(dest="command")
+    p = sub.add_parser("relators")
+    p.add_argument("--omega")
+    p.add_argument("--k")
+    p.add_argument("--depth")
+    p.set_defaults(func=handlers["cmd_relators"])
+    p = sub.add_parser("dihedral")
+    p.add_argument("--omega")
+    p.add_argument("--depth")
+    p.set_defaults(func=handlers["cmd_dihedral"])
+    # --omega of relators is read by the helper it passes args to
+    assert unread_options(ap, source) == ["relators.depth"]

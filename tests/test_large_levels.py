@@ -4,7 +4,13 @@ import math
 
 import numpy as np
 
-from treespec import OmegaWord, RunConfig, markov_eigenvalues_banded, schreier_graph
+from treespec import (
+    OmegaWord,
+    RunConfig,
+    markov_eigenvalues_banded,
+    schreier_graph,
+    spectrum_sweep,
+)
 
 
 def closed_form_spectrum(n):
@@ -25,3 +31,14 @@ def test_level_14_matches_closed_form():
     vals = markov_eigenvalues_banded(g)
     assert vals.shape == (1 << n,)
     assert np.abs(vals - closed_form_spectrum(n)).max() < 1e-10
+
+
+def test_level_14_sweep_matches_graph_route():
+    # the sweep's path forms come from the generator permutations, the
+    # graph's from its edges; the eigenvalues agree to the bit
+    n = 14
+    w = OmegaWord.parse(":012")
+    config = RunConfig(max_vertices=1 << n)
+    sweep = spectrum_sweep(w, n, config=config)
+    vals = markov_eigenvalues_banded(schreier_graph(w, n, config))
+    assert sweep.reports[n].eigenvalues == tuple(vals.tolist())

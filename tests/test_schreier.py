@@ -1,14 +1,22 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treespec import (
+    Edge,
+    Multigraph,
     NotAPathError,
     OmegaWord,
+    PathForm,
+    RunConfig,
+    ResourceLimitError,
     UpsilonSpec,
     WindowTooSmallError,
     cayley_ball,
     check_isomorphic,
+    level_path_form,
     level_projection_covering,
     path_canonical_form,
     schreier_graph,
@@ -99,6 +107,136 @@ class TestUpsilonModel:
         form = path_canonical_form(g)
         assert len(form.order) == 8
         assert form.loops[0] == 3 and form.loops[-1] == 3
+
+
+def reference_path_form(g):
+    """The set-and-frozenset path form that ``path_canonical_form`` replaced,
+    kept as the second route."""
+    loops = {v: 0 for v in g.vertices}
+    simple = {v: set() for v in g.vertices}
+    mult = {}
+    for e in g.edges:
+        if e.is_loop:
+            loops[e.u] += 1
+        else:
+            simple[e.u].add(e.v)
+            simple[e.v].add(e.u)
+            key = frozenset((e.u, e.v))
+            mult[key] = mult.get(key, 0) + 1
+    if g.n == 1:
+        v = g.vertices[0]
+        return PathForm((v,), (loops[v],), ())
+    ends = [v for v in g.vertices if len(simple[v]) == 1]
+    if len(ends) != 2 or any(len(simple[v]) > 2 for v in g.vertices):
+        raise NotAPathError("non-loop edges do not form a simple path")
+    start = min(ends, key=lambda v: str(v))
+    order = [start]
+    prev = None
+    while len(order) < g.n:
+        nxt = [u for u in simple[order[-1]] if u != prev]
+        if len(nxt) != 1:
+            raise NotAPathError("non-loop edges do not form a simple path")
+        prev = order[-1]
+        order.append(nxt[0])
+    if len(set(order)) != g.n:
+        raise NotAPathError("non-loop edges are disconnected or cyclic")
+    return PathForm(
+        tuple(order),
+        tuple(loops[v] for v in order),
+        tuple(mult[frozenset((order[i], order[i + 1]))] for i in range(g.n - 1)),
+    )
+
+
+def outcome(fn, *args):
+    """The result of fn, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+# vertex ids of both kinds; 5 and "5" are distinct ids with equal str keys
+LABELS = list(range(-40, 41)) + [str(i) for i in range(-40, 41)]
+
+
+class TestPathForm:
+    @given(w=OMEGAS, n=st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_level_form_matches_graph_form_and_reference(self, w, n):
+        g = schreier_graph(w, n)
+        expect = outcome(reference_path_form, g)
+        assert outcome(path_canonical_form, g) == expect
+        assert outcome(level_path_form, w, n) == expect
+
+    @given(
+        spec=st.one_of(
+            st.builds(UpsilonSpec, st.just("finite"), st.integers(1, 5)),
+            st.builds(UpsilonSpec, st.sampled_from(["ray", "line"]), st.integers(1, 12)),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_relabelled_models_match_reference(self, spec, seed):
+        # new labels, a vertex order and an edge order of their own, endpoints
+        # swapped at random: the start is the end whose label sorts first as
+        # a string
+        u = upsilon_graph(spec)
+        rng = random.Random(seed)
+        relabel = dict(zip(u.vertices, rng.sample(LABELS, u.n)))
+        vertices = [relabel[v] for v in u.vertices]
+        rng.shuffle(vertices)
+        edges = [
+            Edge(relabel[e.u], relabel[e.v])
+            if rng.random() < 0.5
+            else Edge(relabel[e.v], relabel[e.u])
+            for e in u.edges
+        ]
+        rng.shuffle(edges)
+        g = Multigraph(vertices, edges)
+        assert path_canonical_form(g) == reference_path_form(g)
+
+    def test_string_order_picks_the_start(self):
+        # ends 9 and 10: as strings "10" < "9"
+        g = Multigraph([9, 5, 10], [(9, 5), (5, 10), (5, 10), (9, 9)])
+        form = path_canonical_form(g)
+        assert form == PathForm((10, 5, 9), (0, 0, 1), (2, 1))
+        assert form == reference_path_form(g)
+        # ends 5 and "5" tie as strings: the one listed first starts
+        for vertices in (["5", 0, 5], [5, 0, "5"]):
+            g = Multigraph(vertices, [("5", 0), (0, 5)])
+            form = path_canonical_form(g)
+            assert form.order[0] is vertices[0]
+            assert form == reference_path_form(g)
+
+    @pytest.mark.parametrize(
+        "vertices, edges",
+        [
+            ([0, 1, 2], [(0, 1), (1, 2), (2, 0)]),  # cycle
+            ([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)]),  # branch
+            ([0, 1, 2, 3], [(0, 1), (2, 3)]),  # two paths
+            ([0, 1, 2, 3, 4, 5], [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),  # path and cycle
+            ([0, 1, 2], [(0, 1), (2, 2)]),  # path and a vertex with a loop
+            ([0, 1], []),  # no edges
+        ],
+    )
+    def test_not_a_path(self, vertices, edges):
+        g = Multigraph(vertices, edges)
+        with pytest.raises(NotAPathError):
+            path_canonical_form(g)
+        with pytest.raises(NotAPathError):
+            reference_path_form(g)
+
+    def test_single_vertex(self):
+        g = Multigraph([0], [(0, 0), (0, 0)])
+        assert path_canonical_form(g) == PathForm((0,), (2,), ())
+        assert path_canonical_form(g) == reference_path_form(g)
+
+    def test_level_form_caps(self):
+        w = OmegaWord.parse(":012")
+        with pytest.raises(ResourceLimitError):
+            level_path_form(w, 5, RunConfig(max_vertices=16))
+        with pytest.raises(ValueError):
+            level_path_form(w, 0)
 
 
 class TestCoverings:

@@ -141,6 +141,20 @@ class TestIntervalUnion:
         # a negative scale flips the order
         assert u.affine(-1.0, 0.0).intervals == ((-3.0, -2.0), (-1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "target", [GRIG_TARGET, IntervalUnion(((-3.0, -1.5), (0.1, 0.2), (2.0, 2.0)))]
+    )
+    @pytest.mark.parametrize("tol", [0.0, 1e-8, 0.25])
+    def test_report_flags_match_contains(self, target, tol):
+        # points at exactly +-tol from each endpoint, and their float neighbours
+        pts = []
+        for lo, hi in target.intervals:
+            for end in (lo, hi):
+                for x in (end - tol, end, end + tol):
+                    pts += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+        rep = spectra._report(np.array(pts), target, pts, tol)
+        assert rep.in_target == tuple(target.contains(x, tol) for x in sorted(pts))
+
     def test_hausdorff_exact_on_gaps(self):
         u = IntervalUnion(((0.0, 1.0),))
         # worst point of [0,1] against {0, 1} is the midpoint
@@ -215,6 +229,15 @@ class TestLevelSpectra:
         hd = [sweep.hausdorff_by_level[n] for n in range(1, 8)]
         assert hd == sorted(hd, reverse=True)
         assert hd[-1] < 0.06
+
+    def test_sweep_builds_no_graph(self, monkeypatch):
+        # the sweep reads each level off the generator permutations
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectrum_sweep built a Multigraph")
+
+        monkeypatch.setattr(Multigraph, "__init__", refuse)
+        sweep = spectrum_sweep(W, 6)
+        assert sweep.all_contained and len(sweep.reports) == 6
 
 
 class TestTridiagonalFold:
