@@ -153,7 +153,8 @@ def cmd_growth(args, config) -> int:
 def cmd_relators(args, config) -> int:
     w = OmegaWord.parse(args.omega)
     ok = True
-    for level in range(1, args.k + 1):
+    # a k below 1 reaches relators_U, which rejects it
+    for level in range(min(args.k, 1), args.k + 1):
         for rel in relators_U(w, level):
             trivial = verify_trivial(rel, w, comparison_depth(w, len(rel)))
             in_comm = abelianization_class(rel) == (0, 0, 0)
@@ -166,7 +167,7 @@ def cmd_relators(args, config) -> int:
 
 
 def cmd_dihedral(args, config) -> int:
-    rep = dihedral_reduction_check(OmegaWord.parse(args.omega), args.depth)
+    rep = dihedral_reduction_check(OmegaWord.parse(args.omega), args.depth, config)
     print(
         f"depth {rep.depth}: T^2=I {rep.t_squared_is_identity}, "
         f"4M=A+2T+I {rep.markov_identity_holds}"

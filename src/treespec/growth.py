@@ -65,10 +65,7 @@ def comparison_depth(w: OmegaWord, length: int) -> int:
 def _enumerate_at_depth(w: OmegaWord, radius: int, depth: int) -> BallEnumeration:
     # the narrowest unsigned type that holds a leaf index (uint8 at depth 8)
     dtype = np.min_scalar_type((1 << depth) - 1)
-    gen_perms = [
-        np.asarray(generator_action(g, w, depth).leaf_perm, dtype=dtype)
-        for g in GENERATORS
-    ]
+    gen_perms = [generator_action(g, w, depth).perm.astype(dtype) for g in GENERATORS]
     identity = np.arange(1 << depth, dtype=dtype)
     index = {identity.tobytes(): 0}
     perms = [identity]

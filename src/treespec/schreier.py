@@ -45,7 +45,8 @@ def schreier_graph(
     vertices = [_bits(i, n) for i in range(1 << n)]
     edges = []
     for g in GENERATORS:
-        perm = generator_action(g, w, n).leaf_perm
+        # Python ints: iterating the array would box every entry as np.intp
+        perm = generator_action(g, w, n).perm.tolist()
         for i, j in enumerate(perm):
             if i <= j:
                 edges.append(Edge(vertices[i], vertices[j], label=g))
@@ -191,7 +192,7 @@ def level_path_form(
     generator permutations without building the graph."""
     _check_level(n, config)
     size = 1 << n
-    perms = np.array([generator_action(g, w, n).leaf_perm for g in GENERATORS])
+    perms = np.stack([generator_action(g, w, n).perm for g in GENERATORS])
     u = np.tile(np.arange(size), len(GENERATORS))
     v = perms.ravel()
     keep = u <= v  # one edge per orbit {i, g i}, as in schreier_graph

@@ -15,7 +15,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .graphs import IsolatedVertexError, Multigraph
 from .graphs import _degrees, _markov_eigh, _neighbor_sum
 from .omega import OmegaWord
-from .schreier import PathForm, level_path_form, path_canonical_form
+from .schreier import PathForm, _check_level, level_path_form, path_canonical_form
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,8 @@ def spectrum_sweep(
     eigenvalue union is reported per level.  Each level's path form is read
     off the generator permutations; no graph is built.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
     reports = {}
     hausdorff = {}
     cumulative: list[float] = []
@@ -301,7 +303,7 @@ class DihedralReductionReport:
     markov_identity_holds: bool
 
 
-def _perm_matrix(perm: Sequence[int]):
+def _perm_matrix(perm: np.ndarray):
     # imported here: at module level scipy.sparse would load with every import
     from scipy.sparse import csr_array
     n = len(perm)
@@ -309,7 +311,7 @@ def _perm_matrix(perm: Sequence[int]):
 
 
 def dihedral_reduction_check(
-    w: OmegaWord, depth: int
+    w: OmegaWord, depth: int, config: RunConfig = DEFAULT_CONFIG
 ) -> DihedralReductionReport:
     """Exact integer check of the dihedral involution identity on a level.
 
@@ -318,13 +320,15 @@ def dihedral_reduction_check(
     M = (A + B + C + D)/4, all in integer arithmetic (via 2T).  The second
     identity holds for any four matrices once M is defined so, and
     ``markov_identity_holds`` is True by construction; T^2 = I is the check
-    that carries the reduction to the infinite dihedral group.
+    that carries the reduction to the infinite dihedral group.  The level
+    has 2^depth vertices, which ``config.max_vertices`` caps.
     """
+    _check_level(depth, config)
     mats = {
-        g: _perm_matrix(generator_action(g, w, depth).leaf_perm)
+        g: _perm_matrix(generator_action(g, w, depth).perm)
         for g in ("a", "b", "c", "d")
     }
-    eye = _perm_matrix(range(1 << depth))
+    eye = _perm_matrix(np.arange(1 << depth))
     two_t = mats["b"] + mats["c"] + mats["d"] - eye
     t_sq = not (two_t @ two_t - 4 * eye).count_nonzero()
     four_m = mats["a"] + mats["b"] + mats["c"] + mats["d"]

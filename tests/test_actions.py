@@ -2,7 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treespec import OmegaWord, TreeAutomorphism, generator_action, verify_trivial, word_action
+from treespec import (
+    OmegaWord,
+    TreeAutomorphism,
+    cayley_ball,
+    dihedral_reduction_check,
+    enumerate_ball,
+    generator_action,
+    level_projection_covering,
+    spectrum_sweep,
+    verify_trivial,
+    word_action,
+)
+from treespec.omega import ACTIVE
 
 WORDS = st.text(alphabet="abcd", min_size=0, max_size=8)
 OMEGAS = st.builds(
@@ -13,9 +25,10 @@ OMEGAS = st.builds(
 DEPTHS = st.integers(min_value=1, max_value=6)
 
 
-def portraits(depth):
-    """Arbitrary automorphisms of the given depth, not only group elements:
-    a swap bit at every vertex above the leaves, vertices in level order."""
+def portrait_perms(depth):
+    """Leaf permutations of arbitrary automorphisms of the given depth, not
+    only of group elements: a swap bit at every vertex above the leaves,
+    vertices in level order."""
     size = (1 << depth) - 1
 
     def build(swaps):
@@ -27,9 +40,13 @@ def portraits(depth):
                 image = (image << 1) | (bit ^ swaps[vertex])
                 vertex = 2 * vertex + 1 + bit
             perm.append(image)
-        return TreeAutomorphism(depth, tuple(perm))
+        return tuple(perm)
 
     return st.lists(st.integers(0, 1), min_size=size, max_size=size).map(build)
+
+
+def portraits(depth):
+    return portrait_perms(depth).map(lambda perm: TreeAutomorphism(depth, perm))
 
 
 AUTOMORPHISMS = DEPTHS.flatmap(portraits)
@@ -126,7 +143,7 @@ class TestWordAction:
         # the action at depth-1 is the level-(depth-1) part of the action at depth
         deep = word_action(word, w, depth)
         shallow = word_action(word, w, depth - 1)
-        assert deep.level_perm(depth - 1) == shallow.leaf_perm
+        assert np.array_equal(deep.level_perm(depth - 1), shallow.perm)
 
     @given(w=OMEGAS, depth=DEPTHS, word=WORDS)
     def test_inverse(self, w, depth, word):
@@ -193,3 +210,173 @@ class TestVerifyTrivial:
         w = OmegaWord.parse(":012")
         r = verify_trivial("aa", w, 5)
         assert r.trivial and r.depth == 5
+
+
+# reference routes: the set-and-ptp validator and the product of branch-swap
+# compositions that the array checks and the block XOR replaced
+
+
+def reference_validate(depth, leaf_perm):
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    n = 1 << depth
+    if len(leaf_perm) != n or set(leaf_perm) != set(range(n)):
+        raise ValueError("leaf_perm is not a permutation of the leaves")
+    perm = np.asarray(leaf_perm)
+    for k in range(depth - 1, 0, -1):
+        shift = depth - k
+        parents = perm >> shift
+        if np.any(np.ptp(parents.reshape(-1, 1 << shift), axis=1)):
+            raise ValueError("leaf permutation is not tree-coherent")
+
+
+def sigma_leaf_perm(n, depth):
+    """Leaf permutation of the branch swap below 1^(n-1)0 (the root for n = 0)."""
+    perm = np.arange(1 << depth)
+    if n >= depth:
+        return perm
+    flip = 1 << (depth - n - 1)
+    if n == 0:
+        return perm ^ flip
+    prefix = ((1 << (n - 1)) - 1) << 1
+    mask = perm >> (depth - n) == prefix
+    perm[mask] ^= flip
+    return perm
+
+
+def reference_generator_perm(g, w, depth):
+    if g == "a":
+        return sigma_leaf_perm(0, depth)
+    perm = np.arange(1 << depth)
+    for n in range(1, depth):
+        if w.symbol(n) in ACTIVE[g]:
+            perm = sigma_leaf_perm(n, depth)[perm]
+    return perm
+
+
+def _replace(perm, i, value):
+    out = list(perm)
+    out[i % len(out)] = value
+    return tuple(out)
+
+
+def _swap(perm, i, j):
+    out = list(perm)
+    out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def candidate_perms(depth):
+    """Valid, shuffled, swapped, out-of-range and resized leaf tuples."""
+    n = 1 << depth
+    valid = portrait_perms(depth)
+    index = st.integers(0, n - 1)
+    return st.one_of(
+        valid,
+        st.permutations(range(n)).map(tuple),
+        st.tuples(valid, index, index).map(lambda t: _swap(*t)),
+        st.tuples(valid, index, st.integers(-n, 2 * n)).map(lambda t: _replace(*t)),
+        valid.flatmap(lambda t: st.sampled_from([t[:-1], t + (0,), t + (n,)])),
+    )
+
+
+def float_perms(depth):
+    """Leaf tuples with float entries, integral or not."""
+    valid = portrait_perms(depth)
+    return st.one_of(
+        valid.map(lambda t: tuple(float(x) for x in t)),
+        st.tuples(valid, st.integers(0, (1 << depth) - 1), st.sampled_from([0.0, 0.5])).map(
+            lambda t: _replace(t[0], t[1], t[0][t[1]] + t[2])
+        ),
+    )
+
+
+def accepts(validate, depth, leaf_perm, rejections):
+    try:
+        validate(depth, leaf_perm)
+    except rejections:
+        return False
+    return True
+
+
+class TestArrayStorage:
+    @given(DEPTHS.flatmap(lambda d: st.tuples(st.just(d), candidate_perms(d))))
+    def test_validator_matches_reference(self, case):
+        depth, perm = case
+        # the array validator rejects with ValueError only
+        assert accepts(TreeAutomorphism, depth, perm, ValueError) == accepts(
+            reference_validate, depth, perm, ValueError
+        )
+
+    @given(
+        st.integers(2, 6).flatmap(lambda d: st.tuples(st.just(d), float_perms(d)))
+    )
+    def test_float_entries_rejected_as_by_reference(self, case):
+        # the reference rejects floats at depth >= 2: a fraction fails the
+        # set comparison and an integral float fails the shift
+        depth, perm = case
+        assert not accepts(reference_validate, depth, perm, (ValueError, TypeError))
+        with pytest.raises(ValueError):
+            TreeAutomorphism(depth, perm)
+
+    @pytest.mark.parametrize("perm", [(1.0, 0.0), (True, False)])
+    def test_non_integer_entries_rejected_at_depth_one(self, perm):
+        # the reference accepted these: at depth 1 it runs no shift
+        with pytest.raises(ValueError):
+            TreeAutomorphism(1, perm)
+
+    @given(w=OMEGAS, depth=st.integers(1, 12), g=st.sampled_from("abcd"))
+    def test_block_xor_matches_product_of_swaps(self, w, depth, g):
+        perm = generator_action(g, w, depth).perm
+        assert perm.dtype == np.intp
+        assert np.array_equal(perm, reference_generator_perm(g, w, depth))
+
+    @given(AUTOMORPHISMS)
+    def test_tuple_and_array_construction_agree(self, a):
+        for source in (a.leaf_perm, np.array(a.leaf_perm), np.array(a.leaf_perm, np.uint8)):
+            b = TreeAutomorphism(a.depth, source)
+            assert b == a and hash(b) == hash(a)
+            assert b.leaf_perm == a.leaf_perm
+
+    def test_depth_is_part_of_the_value(self):
+        a = TreeAutomorphism(1, (0, 1))
+        assert a != TreeAutomorphism(2, (0, 1, 2, 3))
+        assert a != (0, 1)
+        assert len({a, TreeAutomorphism(1, np.arange(2)), TreeAutomorphism(2, np.arange(4))}) == 2
+
+    def test_source_is_copied(self):
+        source = np.array([1, 0, 2, 3])
+        a = TreeAutomorphism(2, source)
+        source[:] = [0, 1, 2, 3]
+        assert a.leaf_perm == (1, 0, 2, 3)
+
+    def test_perm_is_read_only(self):
+        a = TreeAutomorphism(2, (1, 0, 2, 3))
+        with pytest.raises(ValueError):
+            a.perm[0] = 0
+        with pytest.raises(AttributeError):
+            a.perm = np.arange(4)
+        with pytest.raises(AttributeError):
+            a.depth = 3
+
+    def test_cached_generator_is_read_only(self):
+        w = OmegaWord.parse(":012")
+        b = generator_action("b", w, 5)
+        with pytest.raises(ValueError):
+            b.perm[:] = 0
+        assert generator_action("b", w, 5) is b
+        assert np.array_equal(b.perm, reference_generator_perm("b", w, 5))
+
+
+def test_no_leaf_tuple_on_hot_paths(monkeypatch):
+    def refuse(self):
+        raise AssertionError("leaf_perm tuple built")
+
+    monkeypatch.setattr(TreeAutomorphism, "leaf_perm", property(refuse))
+    w = OmegaWord.parse(":012")
+    assert spectrum_sweep(w, 8).all_contained
+    assert enumerate_ball(w, 6).sizes[-1] > 1
+    assert cayley_ball(w, 6, 1).covering is not None
+    assert verify_trivial("ad" * 4, w, 10)
+    assert level_projection_covering(w, 4, 2) is not None
+    assert dihedral_reduction_check(w, 6).t_squared_is_identity

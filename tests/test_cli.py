@@ -79,6 +79,14 @@ class TestConfigEcho:
         )
         assert code == 1
 
+    def test_dihedral_resource_cap_enforced(self, capsys):
+        code, out, err = run(
+            capsys, "--max-vertices", "4", "dihedral", "--omega", ":012", "--depth", "6"
+        )
+        assert code == 1
+        assert err == "error: 2^6 vertices exceed cap 4\n"
+        assert "T^2=I" not in out
+
 
 class TestSubcommands:
     def test_schreier_document_round_trips(self, capsys, tmp_path):
@@ -115,6 +123,22 @@ class TestSubcommands:
         code, out, _ = run(capsys, "sweep", "--omega", ":01", "--max-level", "4")
         assert code == 0
         assert "hausdorff" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--omega", ":012", "--max-level", "0"], "n_max must be >= 1"),
+            (["relators", "--omega", ":012", "--k", "0"], "k must be >= 1"),
+            (["relators", "--omega", ":012", "--k", "-2"], "k must be >= 1"),
+            (["spectrum", "--omega", ":012", "--level", "0"], "n must be >= 1"),
+        ],
+    )
+    def test_empty_certificate_refused(self, capsys, argv, message):
+        # a run that would check nothing fails instead of passing vacuously
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not re.search(r"^\d", out, re.M) and "U_" not in out
 
     def test_cover_verify(self, capsys):
         code, out, _ = run(

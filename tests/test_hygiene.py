@@ -1,7 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and the CLI reads every option it defines.
+no module reads the leaf tuple of a tree automorphism, and the CLI reads
+every option it defines.
 
-``__init__`` is exempt, because its imports are the public re-exports.
+``__init__`` is exempt from the import check, because its imports are the
+public re-exports.
 """
 
 import argparse
@@ -43,6 +45,26 @@ def test_no_unused_imports(path):
 def test_detects_unused_import():
     source = "import numpy as np\nfrom typing import Optional, Sequence\nx: Sequence = ()\n"
     assert unused_imports(source) == ["np (line 1)", "Optional (line 2)"]
+
+
+def leaf_tuple_reads(source: str) -> list[int]:
+    """Lines that read ``.leaf_perm``, the tuple built on demand; the
+    package works on the ``.perm`` array."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "leaf_perm"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_leaf_tuple_reads(path):
+    assert leaf_tuple_reads(path.read_text()) == []
+
+
+def test_detects_leaf_tuple_read():
+    source = "def f(a):\n    return a.perm\n\ndef g(a):\n    return len(a.leaf_perm)\n"
+    assert leaf_tuple_reads(source) == [5]
 
 
 def own_dests(ap: argparse.ArgumentParser) -> list[str]:

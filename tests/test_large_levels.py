@@ -7,6 +7,7 @@ import numpy as np
 from treespec import (
     OmegaWord,
     RunConfig,
+    generator_action,
     markov_eigenvalues_banded,
     schreier_graph,
     spectrum_sweep,
@@ -42,3 +43,16 @@ def test_level_14_sweep_matches_graph_route():
     sweep = spectrum_sweep(w, n, config=config)
     vals = markov_eigenvalues_banded(schreier_graph(w, n, config))
     assert sweep.reports[n].eigenvalues == tuple(vals.tolist())
+
+
+def test_level_20_generators_are_arrays():
+    # one intp per leaf and generator, with no tuple beside them; each
+    # projects onto level 19 by dropping the last bit
+    w = OmegaWord.parse(":012")
+    gens = [generator_action(g, w, 20) for g in "abcd"]
+    assert not any("leaf_perm" in vars(a) for a in gens)
+    deep = [a.perm for a in gens]
+    assert sum(p.nbytes for p in deep) == 4 * (1 << 20) * np.dtype(np.intp).itemsize
+    for g, perm in zip("abcd", deep):
+        assert np.array_equal(perm[::2] >> 1, generator_action(g, w, 19).perm)
+    generator_action.cache_clear()

@@ -16,6 +16,8 @@ from treespec import (
     IsolatedVertexError,
     Multigraph,
     OmegaWord,
+    ResourceLimitError,
+    RunConfig,
     UpsilonSpec,
     dihedral_reduction_check,
     dihedral_weighted_spectrum,
@@ -230,6 +232,10 @@ class TestLevelSpectra:
         assert hd == sorted(hd, reverse=True)
         assert hd[-1] < 0.06
 
+    def test_sweep_needs_a_level(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            spectrum_sweep(W, 0)
+
     def test_sweep_builds_no_graph(self, monkeypatch):
         # the sweep reads each level off the generator permutations
         def refuse(*args, **kwargs):
@@ -342,6 +348,11 @@ class TestDihedral:
             rep = dihedral_reduction_check(W, depth)
             assert rep.t_squared_is_identity is True
             assert rep.markov_identity_holds is True
+
+    def test_level_cap_enforced(self):
+        with pytest.raises(ResourceLimitError):
+            dihedral_reduction_check(W, 6, RunConfig(max_vertices=32))
+        assert dihedral_reduction_check(W, 5, RunConfig(max_vertices=32)).t_squared_is_identity
 
     def test_import_does_not_load_scipy_sparse(self):
         # the sparse check imports it on first use, not with the package
