@@ -13,13 +13,14 @@ import json
 import sys
 
 from . import covering as cov
-from .config import FormatError, RunConfig
+from .config import FormatError, ResourceLimitError, RunConfig
 from .growth import ball_sizes, comparison_depth
 from .omega import OmegaWord
 from .presentation import abelianization_class, relators_U
 from .actions import verify_trivial
 from .schreier import (
     UpsilonSpec,
+    _check_level,
     cayley_ball,
     level_path_form,
     level_projection_covering,
@@ -73,6 +74,12 @@ def cmd_schreier(args, config) -> int:
 
 def cmd_upsilon(args, config) -> int:
     spec = UpsilonSpec(args.kind, args.size)
+    if spec.kind == "finite":
+        _check_level(spec.size, config)  # 2^size vertices
+    else:
+        count = {"ray": spec.size + 1, "line": 2 * spec.size + 1}[spec.kind]
+        if count > config.max_vertices:
+            raise ResourceLimitError(f"{count} vertices exceed cap {config.max_vertices}")
     return _write_graph(args, upsilon_graph(spec), {"kind": args.kind, "size": args.size})
 
 
@@ -80,14 +87,13 @@ def cmd_spectrum(args, config) -> int:
     w = OmegaWord.parse(args.omega)
     vals = markov_eigenvalues_banded(level_path_form(w, args.level, config))
     target = IntervalUnion.parse(args.target)
-    rows = []
-    ok = True
-    for i, v in enumerate(sorted(float(x) for x in vals)):
-        inside = target.contains(v, config.membership_tol)
-        ok = ok and inside
-        rows.append((args.level, i, repr(v), inside))
+    inside = target.contains(vals, config.membership_tol)
+    rows = [
+        (args.level, i, repr(v), flag)
+        for i, (v, flag) in enumerate(zip(vals.tolist(), inside.tolist()))
+    ]
     _write(args.output, export_eigenvalue_csv(rows))
-    return OK if ok else VERIFY_FAIL
+    return OK if inside.all() else VERIFY_FAIL
 
 
 def cmd_sweep(args, config) -> int:

@@ -37,19 +37,32 @@ def _check_level(n: int, config: RunConfig) -> None:
         raise ResourceLimitError(f"2^{n} vertices exceed cap {config.max_vertices}")
 
 
+def _level_edges(w: OmegaWord, n: int) -> tuple[np.ndarray, ...]:
+    """The edge table of level n, read off the generator permutations.
+
+    Returns the endpoint arrays u, v and the generator index of every edge,
+    one per orbit {i, g i} at its smaller end, generator by generator (the
+    order of ``schreier_graph``), and ``ids[g, i]``, the g-edge at vertex i.
+    """
+    perms = np.stack([generator_action(g, w, n).perm for g in GENERATORS])
+    gen, u = np.nonzero(perms >= np.arange(1 << n))
+    v = perms[gen, u]
+    ids = np.empty_like(perms)
+    ids[gen, u] = ids[gen, v] = np.arange(len(u))
+    return u, v, gen, ids
+
+
 def schreier_graph(
     w: OmegaWord, n: int, config: RunConfig = DEFAULT_CONFIG
 ) -> Multigraph:
     """Level-n Schreier graph: one labeled edge {v, g v} per generator."""
     _check_level(n, config)
     vertices = [_bits(i, n) for i in range(1 << n)]
-    edges = []
-    for g in GENERATORS:
-        # Python ints: iterating the array would box every entry as np.intp
-        perm = generator_action(g, w, n).perm.tolist()
-        for i, j in enumerate(perm):
-            if i <= j:
-                edges.append(Edge(vertices[i], vertices[j], label=g))
+    u, v, gen = _level_edges(w, n)[:3]
+    edges = [
+        Edge(vertices[i], vertices[j], label=GENERATORS[g])
+        for i, j, g in zip(u.tolist(), v.tolist(), gen.tolist())
+    ]
     return Multigraph(vertices, edges)
 
 
@@ -191,14 +204,10 @@ def level_path_form(
     """``path_canonical_form(schreier_graph(w, n, config))``, read off the
     generator permutations without building the graph."""
     _check_level(n, config)
-    size = 1 << n
-    perms = np.stack([generator_action(g, w, n).perm for g in GENERATORS])
-    u = np.tile(np.arange(size), len(GENERATORS))
-    v = perms.ravel()
-    keep = u <= v  # one edge per orbit {i, g i}, as in schreier_graph
-    order, loops, mult = _path_order(size, u[keep], v[keep])
+    u, v = _level_edges(w, n)[:2]
+    order, loops, mult = _path_order(1 << n, u, v)
     # equal-length bit strings sort as their integers: order[0] starts
-    return _path_form([_bits(i, n) for i in range(size)], order, loops, mult)
+    return _path_form([_bits(i, n) for i in range(1 << n)], order, loops, mult)
 
 
 @dataclass(frozen=True)
@@ -241,15 +250,6 @@ def check_isomorphic(g: Multigraph, u: Multigraph) -> IsomorphismResult:
     return IsomorphismResult(False, witness="orientation mismatch")
 
 
-def _edge_lookup(g: Multigraph) -> dict:
-    """(vertex, label) -> edge index, for graphs with one edge per label."""
-    table = {}
-    for i, e in enumerate(g.edges):
-        table[(e.u, e.label)] = i
-        table[(e.v, e.label)] = i
-    return table
-
-
 def level_projection_covering(
     w: OmegaWord, m: int, n: int, config: RunConfig = DEFAULT_CONFIG
 ) -> CoveringMap:
@@ -258,11 +258,11 @@ def level_projection_covering(
         raise ValueError("need m > n >= 1")
     src = schreier_graph(w, m, config)
     tgt = schreier_graph(w, n, config)
-    lookup = _edge_lookup(tgt)
+    u, _, gen, _ = _level_edges(w, m)
+    ids = _level_edges(w, n)[3]
     vertex_map = {v: v[:n] for v in src.vertices}
-    edge_map = {
-        i: lookup[(e.u[:n], e.label)] for i, e in enumerate(src.edges)
-    }
+    # the g-edge at u lies over the g-edge at u's length-n prefix
+    edge_map = dict(enumerate(ids[gen, u >> (m - n)].tolist()))
     return CoveringMap(src, tgt, vertex_map, edge_map)
 
 
@@ -288,30 +288,26 @@ def cayley_ball(
     """
     if radius < 1 or level < 1:
         raise ValueError("radius and level must be >= 1")
-    # phi truncates a leaf image to ``level``, so enumerate at least that deep
+    # the image is a leaf image truncated to ``level``, so enumerate that deep
     depth = max(level, comparison_depth(w, 2 * radius + 1))
     enum = _enumerate_at_depth(w, radius, depth)
     tgt = schreier_graph(w, level, config)
-    lookup = _edge_lookup(tgt)
-    m = len(enum.perms)
-    vertices = list(range(m))
+    ids = _level_edges(w, level)[3].tolist()
     shift = enum.depth - level
-    top_leaf = (1 << enum.depth) - 1
-
-    def phi(i: int) -> str:
-        return _bits(int(enum.perms[i][top_leaf]) >> shift, level)
-
+    # element i maps to image[i], its image of the level vertex 1...1
+    image = [int(p[-1]) >> shift for p in enum.perms]
+    vertices = list(range(len(image)))
     edges = []
     edge_map = {}
     for i in vertices:
-        for gi, g in enumerate(GENERATORS):
-            j = enum.neighbors[i][gi]
+        for gi, j in enumerate(enum.neighbors[i]):
+            # j == i is a loop where a generator fixes the element
             if j == -1 or j < i:
                 continue
-            edge_map[len(edges)] = lookup[(phi(i), g)]
-            edges.append(Edge(i, j, label=g))
+            edge_map[len(edges)] = ids[gi][image[i]]
+            edges.append(Edge(i, j, label=GENERATORS[gi]))
     graph = Multigraph(vertices, edges)
     interior = {i for i in vertices if enum.radius_of[i] < radius}
-    vertex_map = {i: phi(i) for i in vertices}
+    vertex_map = {i: tgt.vertices[x] for i, x in enumerate(image)}
     covering = CoveringMap(graph, tgt, vertex_map, edge_map, interior=interior)
     return CayleyBall(graph, covering, enum, radius, level)

@@ -29,8 +29,8 @@ class IntervalUnion:
             raise ValueError("interval union must be nonempty")
         prev_hi = -math.inf
         for lo, hi in self.intervals:
-            if lo > hi:
-                raise ValueError(f"empty interval [{lo}, {hi}]")
+            if not lo <= hi:  # false also at a NaN endpoint
+                raise ValueError(f"interval [{lo}, {hi}] is empty or has a NaN end")
             if lo <= prev_hi:
                 raise ValueError("intervals must be sorted and disjoint")
             prev_hi = hi
@@ -50,15 +50,16 @@ class IntervalUnion:
     def __str__(self) -> str:
         return "u".join(f"[{lo:g},{hi:g}]" for lo, hi in self.intervals)
 
-    def distance(self, x: float) -> float:
-        best = math.inf
-        for lo, hi in self.intervals:
-            if lo <= x <= hi:
-                return 0.0
-            best = min(best, abs(x - lo), abs(x - hi))
-        return best
+    def distance(self, x: float | np.ndarray) -> float | np.ndarray:
+        """Distance from x, a number or an array of numbers, to the union."""
+        lo, hi = np.array(self.intervals).T
+        x = np.asarray(x, dtype=float)[..., None]
+        # where x is an infinite end, inf - inf is NaN and fmax takes the other side
+        with np.errstate(invalid="ignore"):
+            d = np.maximum(np.fmax(lo - x, x - hi), 0.0).min(axis=-1)
+        return float(d) if d.ndim == 0 else d
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
+    def contains(self, x: float | np.ndarray, tol: float = 0.0) -> bool | np.ndarray:
         return self.distance(x) <= tol
 
     def affine(self, scale: float, shift: float) -> "IntervalUnion":
@@ -118,17 +119,10 @@ def _report(
     tol: float,
 ) -> SpectrumReport:
     vals = np.sort(eigenvalues)
-    # IntervalUnion.contains on every value at once, with the same arithmetic
-    inside = np.zeros(vals.shape, dtype=bool)
-    dist = np.full(vals.shape, math.inf)
-    for lo, hi in target.intervals:
-        inside |= (lo <= vals) & (vals <= hi)
-        dist = np.minimum(dist, np.minimum(np.abs(vals - lo), np.abs(vals - hi)))
-    flags = np.where(inside, 0.0, dist) <= tol
     return SpectrumReport(
         tuple(vals.tolist()),
         target,
-        tuple(flags.tolist()),
+        tuple(target.contains(vals, tol).tolist()),
         target.hausdorff_to_points(cumulative),
     )
 
@@ -292,7 +286,7 @@ def dihedral_weighted_spectrum(
         off = np.array([x if i % 2 == 0 else y for i in range(length - 1)])
         vals = _tridiagonal_eigvals(np.zeros(length), off)
         trunc_vals[length] = tuple(float(v) for v in vals)
-        errors[length] = max(exact.distance(float(v)) for v in vals)
+        errors[length] = float(exact.distance(vals).max())
     return DihedralSpectrum(exact, oracle, tuple(lengths), trunc_vals, errors)
 
 

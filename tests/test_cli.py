@@ -79,6 +79,32 @@ class TestConfigEcho:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schreier", "--omega", ":012", "--level", "3"],
+            ["upsilon", "--size", "3"],
+            ["upsilon", "--kind", "ray", "--size", "4"],
+            ["upsilon", "--kind", "line", "--size", "2"],
+            ["spectrum", "--omega", ":012", "--level", "3"],
+            ["sweep", "--omega", ":012", "--max-level", "3"],
+            ["moments", "--omega", ":012", "--level", "3"],
+            ["cover-verify", "--omega", ":012", "--source-level", "3", "--target-level", "1"],
+            ["hulanicki", "--omega", ":012", "--target-level", "3", "--radii", "2"],
+            ["dihedral", "--omega", ":012", "--depth", "3"],
+        ],
+    )
+    def test_every_graph_builder_capped(self, capsys, argv):
+        # each of these builds at least 5 vertices
+        code, out, err = run(capsys, "--max-vertices", "4", *argv)
+        assert code == 1
+        assert re.fullmatch(r"error: (2\^3|5) vertices exceed cap 4\n", err)
+        assert out.splitlines() == ['config: {"max_vertices": 4}']
+
+    def test_upsilon_within_cap(self, capsys):
+        code, out, _ = run(capsys, "--max-vertices", "5", "upsilon", "--kind", "ray", "--size", "4")
+        assert code == 0 and '"vertices":[0,1,2,3,4]' in out
+
     def test_dihedral_resource_cap_enforced(self, capsys):
         code, out, err = run(
             capsys, "--max-vertices", "4", "dihedral", "--omega", ":012", "--depth", "6"
@@ -118,6 +144,16 @@ class TestSubcommands:
             "--target", "[0.9,1]",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("sub, level", [("spectrum", "--level"), ("sweep", "--max-level")])
+    def test_nan_target_refused(self, capsys, sub, level):
+        # with a NaN end, 7 of the 8 level-3 eigenvalues were flagged outside
+        code, out, err = run(
+            capsys, sub, "--omega", ":012", level, "3", "--target", "[nan,1]"
+        )
+        assert code == 1
+        assert err == "error: interval [nan, 1.0] is empty or has a NaN end\n"
+        assert "value" not in out
 
     def test_sweep(self, capsys):
         code, out, _ = run(capsys, "sweep", "--omega", ":01", "--max-level", "4")

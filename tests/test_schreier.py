@@ -24,11 +24,16 @@ from treespec import (
     verify_covering,
     word_action,
 )
+from treespec.schreier import _level_edges
 
 OMEGAS = st.builds(
     OmegaWord,
     st.lists(st.integers(0, 2), max_size=1).map(tuple),
     st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
+)
+# one symbol throughout: the letter that skips it (d for ":0") is never active
+ONE_SYMBOL = st.builds(
+    lambda s, k: OmegaWord((s,) * k, (s,)), st.integers(0, 2), st.integers(0, 1)
 )
 
 
@@ -280,6 +285,16 @@ class TestCayleyBall:
         ball = cayley_ball(w, 3, 3)
         assert ball.covering.phi(0) == "111"
 
+    def test_trivial_generator_keeps_its_loops(self):
+        # on ":0" the letter d is never active, so d fixes every element and
+        # adds a loop at each; without them the stars are short of a d-edge
+        ball = cayley_ball(OmegaWord.parse(":0"), 4, 2)
+        d_loops = [e for e in ball.graph.edges if e.label == "d"]
+        assert ball.graph.n == 9 and len(d_loops) == 9
+        assert all(e.is_loop for e in d_loops)
+        rep = verify_covering(ball.covering)
+        assert rep, rep.witness
+
     def test_level_deeper_than_comparison_depth(self):
         # radius 3 needs comparison depth 5; the level-6 labels need depth 6
         ball = cayley_ball(OmegaWord.parse(":012"), 3, 6)
@@ -288,3 +303,72 @@ class TestCayleyBall:
         # the local checks pass; 23 elements cannot reach all 64 vertices
         with pytest.raises(WindowTooSmallError):
             verify_covering(ball.covering)
+
+
+def edge_lookup(g):
+    """(vertex, label) -> edge index, for graphs with one edge per label: the
+    dict both coverings were built from before the edge table, kept as the
+    reference route."""
+    table = {}
+    for i, e in enumerate(g.edges):
+        table[(e.u, e.label)] = i
+        table[(e.v, e.label)] = i
+    return table
+
+
+def reference_cayley_maps(w, ball):
+    """Vertex map, edges and edge map of a Cayley ball, rebuilt from its
+    enumeration through bit-string labels and the label lookup."""
+    enum, level = ball.enumeration, ball.level
+    lookup = edge_lookup(schreier_graph(w, level))
+
+    def phi(i):
+        top = int(enum.perms[i][(1 << enum.depth) - 1])
+        return format(top >> (enum.depth - level), f"0{level}b")
+
+    edges, edge_map = [], {}
+    for i, row in enumerate(enum.neighbors):
+        for g, j in zip("abcd", row):
+            if j != -1 and j >= i:  # j == i: a loop where g fixes element i
+                edge_map[len(edges)] = lookup[(phi(i), g)]
+                edges.append((i, j, g))
+    return {i: phi(i) for i in range(len(enum.perms))}, edges, edge_map
+
+
+class TestEdgeTable:
+    @given(w=st.one_of(OMEGAS, ONE_SYMBOL), n=st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_table_matches_label_lookup(self, w, n):
+        g = schreier_graph(w, n)
+        u, v, gen, ids = _level_edges(w, n)
+        assert [(e.u, e.v, e.label) for e in g.edges] == [
+            (g.vertices[i], g.vertices[j], "abcd"[k])
+            for i, j, k in zip(u.tolist(), v.tolist(), gen.tolist())
+        ]
+        lookup = edge_lookup(g)
+        assert {
+            (x, "abcd"[k]): ids[k, i] for k in range(4) for i, x in enumerate(g.vertices)
+        } == lookup
+
+    @given(w=st.one_of(OMEGAS, ONE_SYMBOL), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_projection_matches_reference(self, w, data):
+        m = data.draw(st.integers(2, 9))
+        n = data.draw(st.integers(1, m - 1))
+        cov = level_projection_covering(w, m, n)
+        lookup = edge_lookup(schreier_graph(w, n))
+        assert cov.edge_map == {
+            i: lookup[(e.u[:n], e.label)] for i, e in enumerate(cov.source.edges)
+        }
+        assert all(type(t) is int for t in cov.edge_map.values())
+        assert cov.vertex_map == {x: x[:n] for x in cov.source.vertices}
+
+    @given(w=st.one_of(OMEGAS, ONE_SYMBOL), radius=st.integers(1, 5), level=st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_cayley_ball_matches_reference(self, w, radius, level):
+        ball = cayley_ball(w, radius, level)
+        vertex_map, edges, edge_map = reference_cayley_maps(w, ball)
+        assert ball.covering.vertex_map == vertex_map
+        assert [(e.u, e.v, e.label) for e in ball.graph.edges] == edges
+        assert ball.covering.edge_map == edge_map
+        assert all(type(t) is int for t in ball.covering.edge_map.values())

@@ -64,6 +64,16 @@ def hausdorff_by_loop(u, points):
     return worst
 
 
+def distance_by_loop(u, x):
+    """Reference: the per-interval loop that IntervalUnion.distance replaced."""
+    best = math.inf
+    for lo, hi in u.intervals:
+        if lo <= x <= hi:
+            return 0.0
+        best = min(best, abs(x - lo), abs(x - hi))
+    return best
+
+
 # entries of random tridiagonals; zero couplings split the matrix into blocks
 ENTRIES = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
 
@@ -156,6 +166,43 @@ class TestIntervalUnion:
                     pts += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
         rep = spectra._report(np.array(pts), target, pts, tol)
         assert rep.in_target == tuple(target.contains(x, tol) for x in sorted(pts))
+        assert rep.in_target == tuple(distance_by_loop(target, x) <= tol for x in sorted(pts))
+
+    @given(
+        ends=st.lists(st.floats(-2, 2), min_size=2, max_size=6, unique=True).filter(
+            lambda e: len(e) % 2 == 0
+        ),
+        pts=st.lists(st.floats(-3, 3), max_size=20),
+    )
+    def test_distance_matches_loop(self, ends, pts):
+        # at every endpoint and its float neighbours too; a number gives a
+        # float, an array an array of the same values
+        ends = sorted(ends)
+        u = IntervalUnion(tuple(zip(ends[::2], ends[1::2])))
+        pts = pts + ends + [np.nextafter(e, t) for e in ends for t in (-np.inf, np.inf)]
+        expect = [distance_by_loop(u, x) for x in pts]
+        got = [u.distance(x) for x in pts]
+        assert got == expect and all(type(d) is float for d in got)
+        assert u.distance(np.array(pts)).tolist() == expect
+
+    def test_distance_at_infinite_ends(self):
+        # inf - inf is NaN at x = inf; the union still contains it
+        u = IntervalUnion(((0.0, 1.0), (2.0, math.inf)))
+        assert u.distance(np.array([-math.inf, 1.5, math.inf])).tolist() == [math.inf, 0.5, 0.0]
+        assert u.contains(math.inf)
+
+    @pytest.mark.parametrize(
+        "intervals", [((math.nan, 1.0),), ((0.0, math.nan),), ((0.0, 1.0), (math.nan, 2.0))]
+    )
+    def test_rejects_nan_ends(self, intervals):
+        # unchecked, a NaN end made 0.5 lie outside [nan, 1] and still put the
+        # Hausdorff distance from [nan, 1] to {0.5} at 0
+        with pytest.raises(ValueError, match="NaN"):
+            IntervalUnion(intervals)
+
+    def test_parse_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            IntervalUnion.parse("[nan,1]")
 
     def test_hausdorff_exact_on_gaps(self):
         u = IntervalUnion(((0.0, 1.0),))
