@@ -297,10 +297,11 @@ def cayley_ball(
     # element i maps to image[i], its image of the level vertex 1...1
     image = [int(p[-1]) >> shift for p in enum.perms]
     vertices = list(range(len(image)))
+    neighbors = enum.neighbors.tolist()  # Python ints for edge ends and map keys
     edges = []
     edge_map = {}
     for i in vertices:
-        for gi, j in enumerate(enum.neighbors[i]):
+        for gi, j in enumerate(neighbors[i]):
             # j == i is a loop where a generator fixes the element
             if j == -1 or j < i:
                 continue

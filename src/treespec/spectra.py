@@ -27,13 +27,12 @@ class IntervalUnion:
     def __post_init__(self):
         if not self.intervals:
             raise ValueError("interval union must be nonempty")
-        prev_hi = -math.inf
         for lo, hi in self.intervals:
             if not lo <= hi:  # false also at a NaN endpoint
                 raise ValueError(f"interval [{lo}, {hi}] is empty or has a NaN end")
+        for (_, prev_hi), (lo, _) in zip(self.intervals, self.intervals[1:]):
             if lo <= prev_hi:
                 raise ValueError("intervals must be sorted and disjoint")
-            prev_hi = hi
 
     @staticmethod
     def parse(text: str) -> "IntervalUnion":
@@ -297,11 +296,23 @@ class DihedralReductionReport:
     markov_identity_holds: bool
 
 
-def _perm_matrix(perm: np.ndarray):
-    # imported here: at module level scipy.sparse would load with every import
-    from scipy.sparse import csr_array
-    n = len(perm)
-    return csr_array((np.ones(n, dtype=np.int64), (perm, np.arange(n))), shape=(n, n))
+def _vanishes(terms: list[tuple[int, np.ndarray]]) -> bool:
+    """Whether the sum of s * P over the (s, perm) terms is the zero matrix,
+    where P has a 1 at (perm[j], j); summed exactly, in int64."""
+    n = len(terms[0][1])
+    keys = np.concatenate([p.astype(np.int64) * n + np.arange(n) for _, p in terms])
+    keys, at = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, at, np.repeat(np.array([s for s, _ in terms], dtype=np.int64), n))
+    return not sums.any()
+
+
+def _t_squared_is_identity(b: np.ndarray, c: np.ndarray, d: np.ndarray) -> bool:
+    """(2T)^2 = 4I for 2T = B + C + D - I.  Each of the 16 signed products
+    XY has its 1 in column j at row x(y(j))."""
+    eye = np.arange(len(b))
+    two_t = [(1, b), (1, c), (1, d), (-1, eye)]
+    return _vanishes([(s * t, x[y]) for s, x in two_t for t, y in two_t] + [(-4, eye)])
 
 
 def dihedral_reduction_check(
@@ -311,23 +322,20 @@ def dihedral_reduction_check(
 
     With the level permutation matrices A, B, C, D of the generators and
     T = (B + C + D - I)/2, verifies T^2 = I and 4 M = A + 2 T + I where
-    M = (A + B + C + D)/4, all in integer arithmetic (via 2T).  The second
-    identity holds for any four matrices once M is defined so, and
-    ``markov_identity_holds`` is True by construction; T^2 = I is the check
-    that carries the reduction to the infinite dihedral group.  The level
-    has 2^depth vertices, which ``config.max_vertices`` caps.
+    M = (A + B + C + D)/4, all in integer arithmetic (via 2T) on the
+    permutation arrays.  The second identity holds for any four matrices
+    once M is defined so, and ``markov_identity_holds`` is True by
+    construction; T^2 = I is the check that carries the reduction to the
+    infinite dihedral group.  The level has 2^depth vertices, which
+    ``config.max_vertices`` caps.
     """
     _check_level(depth, config)
-    mats = {
-        g: _perm_matrix(generator_action(g, w, depth).perm)
-        for g in ("a", "b", "c", "d")
-    }
-    eye = _perm_matrix(np.arange(1 << depth))
-    two_t = mats["b"] + mats["c"] + mats["d"] - eye
-    t_sq = not (two_t @ two_t - 4 * eye).count_nonzero()
-    four_m = mats["a"] + mats["b"] + mats["c"] + mats["d"]
-    markov = not (four_m - (mats["a"] + two_t + eye)).count_nonzero()
-    return DihedralReductionReport(depth, t_sq, markov)
+    a, b, c, d = (generator_action(g, w, depth).perm for g in ("a", "b", "c", "d"))
+    eye = np.arange(1 << depth)
+    two_t = [(1, b), (1, c), (1, d), (-1, eye)]
+    four_m = [(1, a), (1, b), (1, c), (1, d)]
+    markov = _vanishes(four_m + [(-s, p) for s, p in [(1, a), *two_t, (1, eye)]])
+    return DihedralReductionReport(depth, _t_squared_is_identity(b, c, d), markov)
 
 
 # ---------------------------------------------------------------------------

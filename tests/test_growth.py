@@ -1,7 +1,14 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from treespec import OmegaWord, ball_sizes, enumerate_ball, generator_action
+from treespec import (
+    OmegaWord,
+    ResourceLimitError,
+    ball_sizes,
+    enumerate_ball,
+    generator_action,
+)
 from treespec import growth
 from treespec.growth import _enumerate_at_depth, comparison_depth
 
@@ -30,6 +37,53 @@ def oracle_sizes(w, radius, depth):
         frontier = nxt
         sizes.append(len(seen))
     return sizes
+
+
+def reference_enumeration(w, radius, depth):
+    """Reference: the one-candidate-at-a-time BFS that the shell-by-shell
+    numpy enumeration replaced.  Returns (perms, radius_of, neighbors, sizes)
+    with ``neighbors`` a list of lists."""
+    dtype = np.min_scalar_type((1 << depth) - 1)
+    gen_perms = [generator_action(g, w, depth).perm.astype(dtype) for g in "abcd"]
+    identity = np.arange(1 << depth, dtype=dtype)
+    index = {identity.tobytes(): 0}
+    perms = [identity]
+    radius_of = [0]
+    neighbors = [[]]
+    sizes = [1]
+    frontier = [0]
+    for r in range(1, radius + 1):
+        new_frontier = []
+        for i in frontier:
+            for gp in gen_perms:
+                img = gp[perms[i]]
+                key = img.tobytes()
+                j = index.get(key)
+                if j is None:
+                    j = len(perms)
+                    index[key] = j
+                    perms.append(img)
+                    radius_of.append(r)
+                    neighbors.append([])
+                    new_frontier.append(j)
+                neighbors[i].append(j)
+        frontier = new_frontier
+        sizes.append(len(perms))
+    for i in frontier:
+        for gp in gen_perms:
+            neighbors[i].append(index.get(gp[perms[i]].tobytes(), -1))
+    return perms, radius_of, neighbors, sizes
+
+
+def assert_matches_reference(enum, w, radius, depth):
+    perms, radius_of, neighbors, sizes = reference_enumeration(w, radius, depth)
+    assert len(enum.perms) == len(perms)
+    for got, ref in zip(enum.perms, perms):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert enum.radius_of == radius_of
+    assert enum.neighbors.dtype == np.int32 and enum.neighbors.shape == (len(perms), 4)
+    assert enum.neighbors.tolist() == neighbors
+    assert enum.sizes == sizes
 
 
 class TestBallSizes:
@@ -92,7 +146,7 @@ class TestComparisonDepth:
         enum = enumerate_ball(w, radius)
         deeper = _enumerate_at_depth(w, radius, enum.depth + 2)
         assert deeper.sizes == enum.sizes
-        assert deeper.neighbors == enum.neighbors
+        assert np.array_equal(deeper.neighbors, enum.neighbors)
 
 
 class TestEnumeration:
@@ -118,3 +172,57 @@ class TestEnumeration:
         enum = enumerate_ball(OmegaWord.parse(":012"), 3)
         assert enum.radius_of[0] == 0
         assert list(enum.perms[0]) == list(range(1 << enum.depth))
+
+    def test_perms_are_read_only(self):
+        enum = enumerate_ball(OmegaWord.parse(":012"), 3)
+        for i in (0, 4, len(enum.perms) - 1):
+            with pytest.raises(ValueError, match="read-only"):
+                enum.perms[i][0] = 1
+
+    @pytest.mark.parametrize("radius, raises", [(5, False), (6, True)])
+    def test_element_cap(self, radius, raises, monkeypatch):
+        # the radius-5 ball of :012 has 68 elements and the radius-6 ball 108
+        monkeypatch.setattr(growth, "MAX_BALL_ELEMENTS", 100)
+        w = OmegaWord.parse(":012")
+        if raises:
+            with pytest.raises(ResourceLimitError, match="ball exceeds 100 elements"):
+                enumerate_ball(w, radius)
+        else:
+            assert enumerate_ball(w, radius).sizes[-1] == 68
+
+
+class TestShellEnumeration:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        w=st.builds(
+            OmegaWord,
+            st.lists(st.integers(0, 2), max_size=3).map(tuple),
+            st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple),
+        ),
+        radius=st.integers(0, 10),
+        extra=st.integers(0, 2),
+    )
+    @example(w=OmegaWord.parse(":0"), radius=10, extra=0)
+    @example(w=OmegaWord.parse("1:2"), radius=10, extra=2)
+    def test_matches_reference_loop(self, w, radius, extra):
+        depth = comparison_depth(w, 2 * radius + 1) + extra
+        assert_matches_reference(_enumerate_at_depth(w, radius, depth), w, radius, depth)
+
+    @pytest.mark.parametrize("omega", [":012", ":0"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_shallow_truncation_matches_reference_loop(self, omega, depth):
+        # below the comparison depth the truncated group is finite, so the
+        # shells run out before the radius does
+        w = OmegaWord.parse(omega)
+        enum = _enumerate_at_depth(w, 16, depth)
+        assert enum.sizes[-1] == enum.sizes[-2]
+        assert_matches_reference(enum, w, 16, depth)
+
+    @pytest.mark.parametrize("radius, depth, step", [(14, 7, 1024), (7, 14, 16)])
+    def test_spans_several_chunks(self, radius, depth, step):
+        # shells of more rows than one numpy step takes: 1024 rows, and at
+        # most 2^18 leaves
+        w = OmegaWord.parse(":012")
+        enum = _enumerate_at_depth(w, radius, depth)
+        assert max(b - a for a, b in zip(enum.sizes, enum.sizes[1:])) > step
+        assert_matches_reference(enum, w, radius, depth)

@@ -1,12 +1,15 @@
-"""Level spectra beyond the acceptance levels, against the closed form."""
+"""Level spectra beyond the acceptance levels, against the closed form, and
+ball censuses beyond the acceptance radii."""
 
 import math
 
 import numpy as np
+import pytest
 
 from treespec import (
     OmegaWord,
     RunConfig,
+    enumerate_ball,
     generator_action,
     markov_eigenvalues_banded,
     schreier_graph,
@@ -56,3 +59,12 @@ def test_level_20_generators_are_arrays():
     for g, perm in zip("abcd", deep):
         assert np.array_equal(perm[::2] >> 1, generator_action(g, w, 19).perm)
     generator_action.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "omega, size", [(":012", 65_527), (":01", 68_645), ("0:01", 57_052)]
+)
+def test_radius_22_census(omega, size):
+    # the values the one-candidate-at-a-time loop gave, at comparison depth 8
+    enum = enumerate_ball(OmegaWord.parse(omega), 22)
+    assert enum.depth == 8 and enum.sizes[-1] == size

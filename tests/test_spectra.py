@@ -21,6 +21,7 @@ from treespec import (
     UpsilonSpec,
     dihedral_reduction_check,
     dihedral_weighted_spectrum,
+    generator_action,
     markov_eigenvalues_banded,
     markov_operator,
     moments_via_eigendecomposition,
@@ -35,6 +36,20 @@ from treespec.spectra import _markov_tridiagonal, _tridiagonal_eigvals
 
 W = OmegaWord.parse(":012")
 GOLD = math.sqrt(5.0)
+
+
+def t_squared_by_sparse(b, c, d):
+    """Reference: (B + C + D - I)^2 = 4I with scipy.sparse permutation matrices,
+    the route that the permutation-array sum replaced."""
+    from scipy.sparse import csr_array
+
+    def mat(perm):
+        n = len(perm)
+        return csr_array((np.ones(n, dtype=np.int64), (perm, np.arange(n))), shape=(n, n))
+
+    eye = mat(np.arange(len(b)))
+    two_t = mat(b) + mat(c) + mat(d) - eye
+    return not (two_t @ two_t - 4 * eye).count_nonzero()
 
 
 def hausdorff_by_loop(u, points):
@@ -138,6 +153,22 @@ class TestIntervalUnion:
     def test_rejects_overlap(self):
         with pytest.raises(ValueError):
             IntervalUnion(((0.0, 2.0), (1.0, 3.0)))
+
+    @pytest.mark.parametrize("text", ["[-inf,0]", "[-inf,-1]u[0,1]"])
+    def test_accepts_minus_inf_start(self, text):
+        u = IntervalUnion.parse(text)
+        assert u.intervals[0][0] == -math.inf and str(u) == text
+
+    @pytest.mark.parametrize(
+        "intervals", [((-math.inf, 0.0), (-1.0, 1.0)), ((0.0, 1.0), (-3.0, -2.0))]
+    )
+    def test_rejects_overlap_after_minus_inf_and_unsorted(self, intervals):
+        with pytest.raises(ValueError, match="sorted and disjoint"):
+            IntervalUnion(intervals)
+
+    def test_parse_rejects_overlap_after_minus_inf(self):
+        with pytest.raises(ValueError, match="sorted and disjoint"):
+            IntervalUnion.parse("[-inf,0]u[-1,1]")
 
     def test_distance_and_contains(self):
         u = GRIG_TARGET
@@ -401,12 +432,33 @@ class TestDihedral:
             dihedral_reduction_check(W, 6, RunConfig(max_vertices=32))
         assert dihedral_reduction_check(W, 5, RunConfig(max_vertices=32)).t_squared_is_identity
 
+    @pytest.mark.parametrize("omega", [":012", ":01", "0:12", "2:21"])
+    def test_t_squared_matches_sparse_reference(self, omega):
+        w = OmegaWord.parse(omega)
+        for depth in range(1, 10):
+            b, c, d = (generator_action(g, w, depth).perm for g in "bcd")
+            got = spectra._t_squared_is_identity(b, c, d)
+            assert got == t_squared_by_sparse(b, c, d)
+            assert got == dihedral_reduction_check(w, depth).t_squared_is_identity
+
+    @pytest.mark.parametrize("omega", [":012", ":01", "0:12", "2:21"])
+    def test_t_squared_fails_with_a_for_b(self, omega):
+        w = OmegaWord.parse(omega)
+        a, c, d = (generator_action(g, w, 6).perm for g in "acd")
+        assert spectra._t_squared_is_identity(a, c, d) is False
+        assert t_squared_by_sparse(a, c, d) is False
+
     def test_import_does_not_load_scipy_sparse(self):
-        # the sparse check imports it on first use, not with the package
+        # neither the package nor the dihedral check loads scipy.sparse
         import treespec
 
         src = str(Path(treespec.__file__).resolve().parents[1])
-        code = "import sys, treespec; sys.exit('scipy.sparse' in sys.modules)"
+        code = (
+            "import sys, treespec\n"
+            "rep = treespec.dihedral_reduction_check(treespec.OmegaWord.parse(':012'), 6)\n"
+            "assert rep.t_squared_is_identity and rep.markov_identity_holds\n"
+            "sys.exit('scipy.sparse' in sys.modules)"
+        )
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0
 
