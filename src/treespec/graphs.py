@@ -9,7 +9,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Optional, Sequence
+from operator import itemgetter
+from typing import Hashable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,9 +25,12 @@ class RadiusTooSmallError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Undirected edge; a loop has u == v and a single weight wu (= wv)."""
+class Edge(NamedTuple):
+    """Undirected edge; a loop has u == v and a single weight wu (= wv).
+
+    A named tuple: read-only, equal and hashed by value, and built by one
+    tuple allocation, which every graph builder pays once per edge.
+    """
 
     u: VertexId
     v: VertexId
@@ -39,22 +43,30 @@ class Edge:
         return self.u == self.v
 
 
+def _as_edge(e: tuple) -> Edge:
+    """An edge from a tuple (u, v) or (u, v, label)."""
+    u, v, *rest = e
+    return Edge(u, v, label=rest[0] if rest else None)
+
+
 class Multigraph:
     """Unweighted multigraph with loops; edges may carry labels."""
 
     def __init__(self, vertices: Sequence[VertexId], edges: Sequence[tuple]):
         self.vertices = list(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        self._index = index = {v: i for i, v in enumerate(self.vertices)}
+        if len(index) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        self.edges: list[Edge] = []
-        for i, e in enumerate(edges):
-            if not isinstance(e, Edge):
-                u, v, *rest = e
-                e = Edge(u, v, label=rest[0] if rest else None)
-            if e.u not in self._index or e.v not in self._index:
-                raise ValueError(f"edge {i}: {e} references unknown vertex")
-            self.edges.append(e)
+        self.edges: list[Edge] = [
+            e if isinstance(e, Edge) else _as_edge(e) for e in edges
+        ]
+        # one set comparison checks every endpoint; the scan names the first bad edge
+        ends = set(map(itemgetter(0), self.edges))
+        ends.update(map(itemgetter(1), self.edges))
+        if not ends <= index.keys():
+            for i, e in enumerate(self.edges):
+                if e.u not in index or e.v not in index:
+                    raise ValueError(f"edge {i}: {e} references unknown vertex")
 
     def index(self, v: VertexId) -> int:
         return self._index[v]

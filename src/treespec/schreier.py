@@ -26,8 +26,10 @@ class NotAPathError(ValueError):
     pass
 
 
-def _bits(i: int, n: int) -> str:
-    return format(i, f"0{n}b")
+def _level_vertices(n: int) -> list[str]:
+    """The level-n vertices, bit strings in the order of their integers."""
+    spec = f"0{n}b"
+    return [format(i, spec) for i in range(1 << n)]
 
 
 def _check_level(n: int, config: RunConfig) -> None:
@@ -57,7 +59,7 @@ def schreier_graph(
 ) -> Multigraph:
     """Level-n Schreier graph: one labeled edge {v, g v} per generator."""
     _check_level(n, config)
-    vertices = [_bits(i, n) for i in range(1 << n)]
+    vertices = _level_vertices(n)
     u, v, gen = _level_edges(w, n)[:3]
     edges = [
         Edge(vertices[i], vertices[j], label=GENERATORS[g])
@@ -188,7 +190,7 @@ def _path_form(
 
 def path_canonical_form(g: Multigraph) -> PathForm:
     """Canonical form of a path with loops; NotAPathError otherwise."""
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index = g._index
     u = np.array([index[e.u] for e in g.edges], dtype=np.int64)
     v = np.array([index[e.v] for e in g.edges], dtype=np.int64)
     order, loops, mult = _path_order(g.n, u, v)
@@ -207,7 +209,7 @@ def level_path_form(
     u, v = _level_edges(w, n)[:2]
     order, loops, mult = _path_order(1 << n, u, v)
     # equal-length bit strings sort as their integers: order[0] starts
-    return _path_form([_bits(i, n) for i in range(1 << n)], order, loops, mult)
+    return _path_form(_level_vertices(n), order, loops, mult)
 
 
 @dataclass(frozen=True)
@@ -288,6 +290,8 @@ def cayley_ball(
     """
     if radius < 1 or level < 1:
         raise ValueError("radius and level must be >= 1")
+    # refuse a level over the cap before the enumeration, which costs more
+    _check_level(level, config)
     # the image is a leaf image truncated to ``level``, so enumerate that deep
     depth = max(level, comparison_depth(w, 2 * radius + 1))
     enum = _enumerate_at_depth(w, radius, depth)

@@ -83,14 +83,19 @@ def parse_graph(data: bytes) -> Multigraph:
         )
     if not (isinstance(doc["vertices"], list) and isinstance(doc["edges"], list)):
         raise FormatError("vertices and edges must be lists")
-    vertices = [tuple(v) if isinstance(v, list) else v for v in doc["vertices"]]
+    # JSON has no tuples: a list-valued vertex id comes back as a tuple
+    vertices = [tuple(v) if type(v) is list else v for v in doc["vertices"]]
     weighted = bool(doc.get("weighted"))
     edges = []
     for i, rec in enumerate(doc["edges"]):
         try:
-            u, v = (tuple(x) if isinstance(x, list) else x for x in (rec["u"], rec["v"]))
+            u, v = rec["u"], rec["v"]
+            if type(u) is list:
+                u = tuple(u)
+            if type(v) is list:
+                v = tuple(v)
             if not weighted:
-                edges.append(Edge(u, v, label=rec.get("label")))
+                edges.append(Edge(u, v, 1.0, 1.0, rec.get("label")))
             elif u == v:
                 w = _weight_from_str(rec["w"])
                 edges.append(Edge(u, v, w, w, rec.get("label")))

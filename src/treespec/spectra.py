@@ -3,6 +3,7 @@ dihedral reduction, and spectral-measure moments."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -166,7 +167,20 @@ def _tridiagonal_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     half is split again while it is mirror-symmetric; on the level graphs
     the even half is the previous level (a covering contains the spectrum
     of the graph it covers).  Every other matrix is solved unfolded.
+
+    Answers come from a memo of the last few inputs, keyed by their exact
+    float64 bytes.  The level entries are dyadic, so the even half of level
+    n is the tridiagonal of level n-1 bit for bit, and a sweep over the
+    levels solves each odd half once.  Every answer is a fresh array.
     """
+    key = np.asarray(diag, dtype=float).tobytes(), np.asarray(off, dtype=float).tobytes()
+    return _folded_eigvals(*key).copy()
+
+
+# a sweep reads back only the level before; a few entries hold it
+@functools.lru_cache(maxsize=4)
+def _folded_eigvals(diag_bytes: bytes, off_bytes: bytes) -> np.ndarray:
+    diag, off = np.frombuffer(diag_bytes), np.frombuffer(off_bytes)
     size = len(diag)
     if size == 1:
         return diag.copy()
@@ -180,9 +194,9 @@ def _tridiagonal_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     even, odd = diag[:m].copy(), diag[:m].copy()
     even[-1] += off[m - 1]
     odd[-1] -= off[m - 1]
-    half_off = off[: m - 1]
+    half_off = off[: m - 1].tobytes()
     vals = np.concatenate(
-        (_tridiagonal_eigvals(even, half_off), _tridiagonal_eigvals(odd, half_off))
+        (_folded_eigvals(even.tobytes(), half_off), _folded_eigvals(odd.tobytes(), half_off))
     )
     return np.sort(vals)
 

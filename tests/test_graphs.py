@@ -113,6 +113,56 @@ class TestMultigraph:
             assert _bfs_distances(h, v) == scan_distances(h, v)
 
 
+FIELDS = st.tuples(
+    st.one_of(st.integers(), st.text(max_size=3)),
+    st.one_of(st.integers(), st.text(max_size=3)),
+    st.one_of(st.floats(allow_nan=False), st.complex_numbers(allow_nan=False)),
+    st.one_of(st.floats(allow_nan=False), st.complex_numbers(allow_nan=False)),
+    st.one_of(st.none(), st.sampled_from("abcd")),
+)
+
+
+class TestEdge:
+    @given(FIELDS)
+    def test_equal_and_hashed_by_value(self, fields):
+        e = Edge(*fields)
+        assert e == Edge(*fields) and hash(e) == hash(Edge(*fields))
+        assert hash(e) == hash(tuple(fields))
+        assert (e.u, e.v, e.wu, e.wv, e.label) == fields
+
+    def test_defaults_and_loops(self):
+        assert Edge(0, 1) == Edge(0, 1, 1.0, 1.0, None)
+        assert Edge(2, 2).is_loop and not Edge(0, 1).is_loop
+
+    def test_read_only(self):
+        e = Edge(0, 1)
+        for field in ("u", "v", "wu", "wv", "label"):
+            with pytest.raises(AttributeError):
+                setattr(e, field, 5)
+        assert e == Edge(0, 1)
+
+    def test_repr(self):
+        assert repr(Edge("0", "1", label="a")) == (
+            "Edge(u='0', v='1', wu=1.0, wv=1.0, label='a')"
+        )
+        assert repr(Edge(0, 0, 0.25, 0.25)) == (
+            "Edge(u=0, v=0, wu=0.25, wv=0.25, label=None)"
+        )
+
+    def test_tuple_inputs_become_edges(self):
+        g = Multigraph([0, 1], [(0, 1), (1, 1, "b"), Edge(0, 0, label="c")])
+        assert g.edges == [Edge(0, 1), Edge(1, 1, label="b"), Edge(0, 0, label="c")]
+        assert all(type(e) is Edge for e in g.edges)
+
+    def test_first_unknown_endpoint_is_named(self):
+        edges = [(0, 1), (1, 7, "a"), Edge(9, 0)]
+        with pytest.raises(ValueError) as info:
+            Multigraph([0, 1], edges)
+        assert str(info.value) == (
+            "edge 1: Edge(u=1, v=7, wu=1.0, wv=1.0, label='a') references unknown vertex"
+        )
+
+
 class TestMarkovWeights:
     def test_isolated_vertex(self):
         with pytest.raises(IsolatedVertexError):

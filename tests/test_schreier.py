@@ -24,6 +24,7 @@ from treespec import (
     verify_covering,
     word_action,
 )
+from treespec import schreier
 from treespec.schreier import _level_edges
 
 OMEGAS = st.builds(
@@ -303,6 +304,19 @@ class TestCayleyBall:
         # the local checks pass; 23 elements cannot reach all 64 vertices
         with pytest.raises(WindowTooSmallError):
             verify_covering(ball.covering)
+
+    def test_level_cap_checked_before_enumeration(self, monkeypatch):
+        # at the default cap, level 16 is refused before the comparison depth
+        # is computed or a ball is enumerated at depth 16
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked on the ball of a refused level")
+
+        monkeypatch.setattr(schreier, "_enumerate_at_depth", refuse)
+        monkeypatch.setattr(schreier, "comparison_depth", refuse)
+        with pytest.raises(ResourceLimitError, match=r"2\^16 vertices exceed cap 4096"):
+            cayley_ball(OmegaWord.parse(":012"), 11, 16)
+        with pytest.raises(ResourceLimitError):
+            cayley_ball(OmegaWord.parse(":012"), 2, 3, RunConfig(max_vertices=4))
 
 
 def edge_lookup(g):

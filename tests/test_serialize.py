@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import struct
@@ -49,6 +50,20 @@ def graph_equal(a, b):
     return ea == eb
 
 
+LEVEL_DOCUMENT_SHA256 = {
+    1: "5266d193c42ea4137a063fda6dc8acc458cde823c2724867cddee2ddda958290",
+    2: "47b5fe2b86b45ccd0ab422c06a022f11bc71328d95462ad7b11f2e28707fdfbc",
+    3: "ccf3e1f67b478c2db13496cf3998212c0d7385cb76728efa5b91344950953c23",
+    4: "583b6940bcc31bc3c89544788f9a179296ce0b0391380d09f449088bf8b6ad77",
+    5: "d604b197e5a452d16a1975243c433a4213eb5fcc930e5485424d7dd560e0d1e1",
+    6: "65541673573861d9e850d17599a510ab5cb83d2180f6dfe8f3e86213ee53a72a",
+    7: "00cccb8512260c95c8f2916b7362b7d9a55481222501110f632dc2e56fe2b15d",
+    8: "d75c8e013c957a4e28d3770bacdc67de92b969cff743bf7d158e3a0127ccceef",
+    9: "84cf67bcabb793ea00cf45670b38c30b0e11b4a6fac516fca4cf56156fa36b25",
+    10: "0a4f84ad0d069a690e19869844da4010a452d80b1618ca27d2f287d7a6dd3649",
+}
+
+
 class TestRoundTrip:
     def test_schreier_graph(self):
         g = schreier_graph(OmegaWord.parse(":012"), 3)
@@ -89,6 +104,20 @@ class TestRoundTrip:
         doc = json.loads(serialize_graph(g))
         assert doc["format_version"] == 1
         assert "conventions" in doc
+
+    def test_level_documents_unchanged(self):
+        # the documents of the level graphs must not change by a byte
+        w = OmegaWord.parse(":012")
+        for n, digest in LEVEL_DOCUMENT_SHA256.items():
+            assert hashlib.sha256(serialize_graph(schreier_graph(w, n))).hexdigest() == digest
+
+    def test_list_vertex_ids_come_back_as_tuples(self):
+        g = Multigraph([(0, 1), (1, "a"), 2], [((0, 1), (1, "a"), "x"), (2, (0, 1)), (2, 2)])
+        data = serialize_graph(g)
+        h = parse_graph(data)
+        assert h.vertices == [(0, 1), (1, "a"), 2] and h.edges == g.edges
+        assert all(type(v) is tuple for v in h.vertices[:2])
+        assert serialize_graph(h) == data
 
 
 class TestParseErrors:
@@ -138,10 +167,13 @@ class TestParseErrors:
             b'{"format_version":1,"weighted":true,"vertices":[0,1],"edges":[{"u":0,"v":1}]}',
             b'{"format_version":1,"vertices":[{}],"edges":[]}',
             b'{"format_version":1,"vertices":[0],"edges":[{"u":0,"v":{}}]}',
+            b'{"format_version":1,"vertices":[[0,[1]]],"edges":[]}',
+            b'{"format_version":1,"vertices":[[0,1]],"edges":[{"u":[0,[1]],"v":[0,1]}]}',
             b'{"format_version":1,"vertices":5,"edges":[]}',
             b"5",
         ],
         ids=["loop-without-w", "edge-without-wu", "object-vertex", "object-endpoint",
+             "nested-list-vertex", "nested-list-endpoint",
              "vertices-not-a-list", "not-an-object"],
     )
     def test_malformed_structure(self, doc):

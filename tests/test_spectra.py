@@ -22,6 +22,7 @@ from treespec import (
     dihedral_reduction_check,
     dihedral_weighted_spectrum,
     generator_action,
+    level_path_form,
     markov_eigenvalues_banded,
     markov_operator,
     moments_via_eigendecomposition,
@@ -133,7 +134,9 @@ def without_negligible_couplings(diag, off):
 
 
 def solve_sizes(monkeypatch):
-    """Sizes of the tridiagonals the fold hands to eigh_tridiagonal."""
+    """Sizes of the tridiagonals the fold hands to eigh_tridiagonal, from an
+    empty memo, so that no earlier answer is read back."""
+    spectra._folded_eigvals.cache_clear()
     sizes = []
 
     def recording(diag, off, **kwargs):
@@ -264,6 +267,26 @@ class TestIntervalUnion:
         u = IntervalUnion(tuple(zip(ends[::2], ends[1::2])))
         assert u.hausdorff_to_points(pts) == hausdorff_by_loop(u, pts)
         assert u.hausdorff_to_points(np.array(pts)) == hausdorff_by_loop(u, pts)
+
+
+def reference_fold(diag, off):
+    """Reference: the fold as it was before its memo, solving every half of
+    every level it meets; the same arithmetic in the same order."""
+    size = len(diag)
+    if size == 1:
+        return diag.copy()
+    off = without_negligible_couplings(diag, off)
+    if size % 2 or not (
+        np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
+    ):
+        return eigh_tridiagonal(diag, off, eigvals_only=True)
+    m = size // 2
+    even, odd = diag[:m].copy(), diag[:m].copy()
+    even[-1] += off[m - 1]
+    odd[-1] -= off[m - 1]
+    half_off = off[: m - 1]
+    vals = np.concatenate((reference_fold(even, half_off), reference_fold(odd, half_off)))
+    return np.sort(vals)
 
 
 class TestLevelSpectra:
@@ -409,6 +432,41 @@ class TestTridiagonalFold:
         assert max(sizes) == 1 << 7 and sum(sizes) == (1 << 8) - 2
         dense = np.linalg.eigvalsh(markov_operator(schreier_graph(W, 8)).as_matrix())
         assert np.abs(vals - dense).max() < 1e-12
+
+    def test_sweep_matches_unmemoised_fold_bit_for_bit(self):
+        spectra._folded_eigvals.cache_clear()
+        sweep = spectrum_sweep(W, 12)
+        for n in range(1, 13):
+            ref = reference_fold(*_markov_tridiagonal(level_path_form(W, n)))
+            assert np.array_equal(np.array(sweep.reports[n].eigenvalues), ref), n
+        info = spectra._folded_eigvals.cache_info()
+        # one hit per level past the first: its even half is the level before
+        assert info.hits >= 11 and info.currsize <= info.maxsize
+
+    def test_each_odd_half_solved_once_per_sweep(self, monkeypatch):
+        sizes = solve_sizes(monkeypatch)
+        spectrum_sweep(W, 8)
+        # levels 2..8 solve their odd halves, of size 2..128, once each
+        assert sorted(sizes) == [1 << k for k in range(1, 8)]
+
+    def test_answers_are_fresh_arrays(self):
+        diag, off = _markov_tridiagonal(level_path_form(W, 6))
+        first = _tridiagonal_eigvals(diag, off)
+        expect = first.copy()
+        first[:] = 7.0
+        second = _tridiagonal_eigvals(diag, off)
+        assert np.array_equal(second, expect) and second is not first
+        second[0] = -7.0
+        assert np.array_equal(_tridiagonal_eigvals(diag, off), expect)
+
+    @given(st.lists(mirror_tridiagonals(), min_size=1, max_size=12))
+    @settings(max_examples=20, deadline=None)
+    def test_memo_stays_within_its_size(self, tris):
+        spectra._folded_eigvals.cache_clear()
+        for diag, off in tris + tris[::-1]:
+            assert np.array_equal(_tridiagonal_eigvals(diag, off), reference_fold(diag, off))
+            info = spectra._folded_eigvals.cache_info()
+            assert info.currsize <= info.maxsize
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_middle_exception_folds(self, n, monkeypatch):
