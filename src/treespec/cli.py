@@ -292,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return USAGE
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VERIFY_FAIL

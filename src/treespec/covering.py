@@ -80,7 +80,7 @@ def verify_covering(c: CoveringMap) -> CoveringReport:
     for v in src.vertices:
         if v not in c.vertex_map:
             return CoveringReport(False, f"vertex {v!r} unmapped")
-        if c.phi(v) not in tgt._index:
+        if c.phi(v) not in tgt:
             return CoveringReport(
                 False, f"vertex {v!r} maps to {c.phi(v)!r}, not a target vertex"
             )
@@ -125,11 +125,14 @@ def lift_weights(c: CoveringMap, weighted_target: WeightedGraph) -> WeightedGrap
     """Pull back per-endpoint weights along the covering.
 
     ``weighted_target`` must have the same vertices and edge order as the
-    covering's target.
+    covering's target; ValueError otherwise.
     """
+    w = weighted_target
+    if w.vertices != c.target.vertices or not np.array_equal(w.ends, c.target.ends):
+        raise ValueError("weighted target differs from the covering target in vertices or edges")
     edges = []
     for ei, e in enumerate(c.source.edges):
-        te = weighted_target.edges[c.edge_map[ei]]
+        te = w.edges[c.edge_map[ei]]
         pu, pv = c.phi(e.u), c.phi(e.v)
         if te.is_loop:
             wu = wv = te.wu
@@ -215,17 +218,11 @@ def _require_exact_ball(c: CoveringMap, dist: dict, k: int) -> None:
             raise WindowTooSmallError(f"radius {k}: {x!r} at distance {d} is not interior")
 
 
-def _fiber_census(c: CoveringMap, dist: dict, v, radii) -> dict[int, int]:
-    """alpha_j, the fiber points of phi(v) within distance j of v, per radius j."""
-    fiber = [d for x, d in dist.items() if c.phi(x) == c.phi(v)]
-    return {j: sum(d <= j for d in fiber) for j in sorted(set(radii))}
-
-
 def fiber_count(c: CoveringMap, v, k: int) -> int:
     """Number of fiber points of phi(v) within the radius-k source ball."""
     dist = _bfs_distances(c.source, v)
     _require_exact_ball(c, dist, k)
-    return _fiber_census(c, dist, v, [k])[k]
+    return sum(d <= k for x, d in dist.items() if c.phi(x) == c.phi(v))
 
 
 def _unit_target_vector(c: CoveringMap, f) -> np.ndarray:
@@ -235,10 +232,10 @@ def _unit_target_vector(c: CoveringMap, f) -> np.ndarray:
     return f / float(np.linalg.norm(f))
 
 
-def _lifted_markov(c: CoveringMap, x: np.ndarray) -> np.ndarray:
-    """The lifted Markov operator applied to x, with degrees read at each image."""
-    tdeg = dict(zip(c.target.vertices, _degrees(c.target)))
-    return _neighbor_sum(c.source, x) / [tdeg[c.phi(v)] for v in c.source.vertices]
+def _images(c: CoveringMap) -> tuple[np.ndarray, np.ndarray]:
+    """Each source vertex's image as a target position, and the target degree there."""
+    image = np.fromiter(map(c.target.index, map(c.phi, c.source.vertices)), np.intp, c.source.n)
+    return image, _degrees(c.target)[image]
 
 
 @dataclass(frozen=True)
@@ -257,10 +254,14 @@ EIGEN_TOL = 1e-9
 
 
 def _base_distances(c: CoveringMap) -> tuple:
-    """The base (the first source vertex) and the two searches every residual
-    record reads: source distances from it and target distances from its image."""
-    base = c.source.vertices[0]
-    return base, _bfs_distances(c.source, base), _bfs_distances(c.target, c.phi(base))
+    """What every residual record reads: source distances from the base (the
+    first source vertex) as a dict and by position (inf where unreached),
+    target distances from its image, and :func:`_images`."""
+    src, base = c.source, c.source.vertices[0]
+    dist = _bfs_distances(src, base)
+    radius = np.full(src.n, np.inf)
+    radius[list(map(src.index, dist))] = list(dist.values())
+    return dist, radius, _bfs_distances(c.target, c.phi(base)), *_images(c)
 
 
 def hulanicki_residual(
@@ -294,7 +295,7 @@ def _residual(
     if mode == "finite-target" and eps > EIGEN_TOL:
         raise NotAnEigenpairError(f"target residual {eps:.3e} > {EIGEN_TOL}")
 
-    base, dist, tdist = searches
+    dist, radius, tdist, image, degree = searches
     support = [tgt.vertices[i] for i in np.nonzero(np.abs(f) > 0)[0]]
     if mode == "finite-target":
         n_ctrl = tgt.n
@@ -305,18 +306,16 @@ def _residual(
     # B_{trunc+1} for the residual rows, B_{k+N} for the fiber counts
     _require_exact_ball(c, dist, max(trunc + 1, k + n_ctrl))
 
-    fk = np.zeros(c.source.n)
-    for v, d in dist.items():
-        if d <= trunc:
-            fk[c.source.index(v)] = f[tgt.index(c.phi(v))]
+    fk = np.where(radius <= trunc, f[image], 0.0)
     norm_fk = float(np.linalg.norm(fk))
     if norm_fk == 0:
         raise ValueError("truncated pullback vanishes; enlarge k")
-    residual = float(np.linalg.norm(_lifted_markov(c, fk) - lam * fk)) / norm_fk
+    residual = float(np.linalg.norm(_neighbor_sum(c.source, fk) / degree - lam * fk)) / norm_fk
 
     if mode == "subexp":
         needed = [k, k - n_ctrl, k + n_ctrl, k - 2 * n_ctrl]
-        alphas = _fiber_census(c, dist, base, needed)
+        fiber = radius[image == image[0]]  # distances of the base's fiber points
+        alphas = {j: int(np.count_nonzero(fiber <= j)) for j in sorted(set(needed))}
         denom = alphas[k - n_ctrl]
         if denom == 0:
             raise ValueError(f"alpha_(k-N) = 0 at k={k}, N={n_ctrl}; enlarge k")
@@ -342,10 +341,11 @@ def window_pullback_residual(c: CoveringMap, lam: float, f: np.ndarray) -> Hulan
     For an exact finite covering the residual is therefore 0.  The reported
     ``folner_ratio`` is the fraction of non-interior vertices.
     """
-    tgt = c.target
     f = _unit_target_vector(c, f)
-    fk = np.array([f[tgt.index(c.phi(v))] for v in c.source.vertices])
-    residual = float(np.linalg.norm(_lifted_markov(c, fk) - lam * fk)) / float(np.linalg.norm(fk))
+    image, degree = _images(c)
+    fk = f[image]
+    residual = float(np.linalg.norm(_neighbor_sum(c.source, fk) / degree - lam * fk))
+    residual /= float(np.linalg.norm(fk))
     rim = c.source.n - len(c.interior_vertices())
     return HulanickiRecord(
         "window", c.source.n, int(np.count_nonzero(np.abs(f) > 0)),

@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Hashable, NamedTuple, Optional, Sequence
 
@@ -49,8 +50,19 @@ def _as_edge(e: tuple) -> Edge:
     return Edge(u, v, label=rest[0] if rest else None)
 
 
+class _Slots(NamedTuple):
+    """Each (vertex, incident edge) pair once, a loop once, by vertex and edge id;
+    vertex i owns slots ptr[i]:ptr[i + 1], ``far`` is the other end's position."""
+
+    ptr: np.ndarray
+    vertex: np.ndarray
+    edge: np.ndarray
+    far: np.ndarray
+
+
 class Multigraph:
-    """Unweighted multigraph with loops; edges may carry labels."""
+    """Unweighted multigraph with loops; edges may carry labels.  ``ends`` is
+    the read-only (E, 2) table of endpoint positions, which all adjacency reads."""
 
     def __init__(self, vertices: Sequence[VertexId], edges: Sequence[tuple]):
         self.vertices = list(vertices)
@@ -60,44 +72,50 @@ class Multigraph:
         self.edges: list[Edge] = [
             e if isinstance(e, Edge) else _as_edge(e) for e in edges
         ]
-        # one set comparison checks every endpoint; the scan names the first bad edge
-        ends = set(map(itemgetter(0), self.edges))
-        ends.update(map(itemgetter(1), self.edges))
-        if not ends <= index.keys():
+        # resolving the ends checks them; the scan names the first bad edge
+        pairs = chain.from_iterable(map(itemgetter(0, 1), self.edges))
+        try:
+            flat = np.fromiter(map(index.__getitem__, pairs), np.intp, 2 * len(self.edges))
+        except KeyError:
             for i, e in enumerate(self.edges):
                 if e.u not in index or e.v not in index:
-                    raise ValueError(f"edge {i}: {e} references unknown vertex")
+                    raise ValueError(f"edge {i}: {e} references unknown vertex") from None
+        self.ends = flat.reshape(-1, 2)
+        self.ends.flags.writeable = False
 
     def index(self, v: VertexId) -> int:
         return self._index[v]
 
+    def __contains__(self, v: VertexId) -> bool:
+        return v in self._index
+
     # built on the first adjacency query: graphs that are only built,
     # serialized or canonicalised never pay for it
     @cached_property
-    def _incidence(self) -> dict[VertexId, list[int]]:
-        """Edge ids at each vertex in edge order (a loop appears once)."""
-        inc: dict[VertexId, list[int]] = {v: [] for v in self.vertices}
-        for i, e in enumerate(self.edges):
-            inc[e.u].append(i)
-            if not e.is_loop:
-                inc[e.v].append(i)
-        return inc
+    def _slots(self) -> _Slots:
+        flat = self.ends.ravel()
+        keep = np.ones(flat.size, dtype=bool)
+        keep[1::2] = flat[::2] != flat[1::2]  # a loop keeps its u-end only
+        end = np.flatnonzero(keep)
+        end = end[np.argsort(flat[end], kind="stable")]  # edge order within a vertex
+        vertex = flat[end]
+        ptr = np.searchsorted(vertex, np.arange(self.n + 1))
+        return _Slots(ptr, vertex, end >> 1, flat[end ^ 1])
+
+    def _span(self, v: VertexId) -> slice:
+        ptr, i = self._slots.ptr, self._index[v]
+        return slice(ptr[i], ptr[i + 1])
 
     def degree(self, v: VertexId) -> int:
         """Loops contribute 1."""
-        return len(self._incidence[v])
+        return len(self._slots.edge[self._span(v)])
 
     def incident(self, v: VertexId) -> list[int]:
         """Indices of edges adjacent to v (a loop appears once)."""
-        return list(self._incidence[v])
+        return self._slots.edge[self._span(v)].tolist()
 
     def neighbors(self, v: VertexId) -> list[VertexId]:
-        edges = self.edges
-        out = []
-        for i in self._incidence[v]:
-            e = edges[i]
-            out.append(e.v if e.u == v else e.u)
-        return out
+        return list(map(self.vertices.__getitem__, self._slots.far[self._span(v)].tolist()))
 
     @property
     def n(self) -> int:
@@ -111,7 +129,7 @@ class Multigraph:
 
 def _bfs_distances(g: Multigraph, v: VertexId) -> dict:
     """Edge distance from v to every vertex reachable from it."""
-    if v not in g._index:
+    if v not in g:
         raise ValueError(f"start vertex {v!r} is not in the graph")
     dist = {v: 0}
     queue = deque([v])
@@ -124,21 +142,24 @@ def _bfs_distances(g: Multigraph, v: VertexId) -> dict:
     return dist
 
 
-def _degrees(g: Multigraph) -> list[int]:
+def _degrees(g: Multigraph) -> np.ndarray:
     """Degrees in vertex order; an isolated vertex has no Markov row."""
-    deg = [len(ids) for ids in g._incidence.values()]
-    if 0 in deg:
-        raise IsolatedVertexError(f"vertex {g.vertices[deg.index(0)]!r} is isolated")
+    deg = np.diff(g._slots.ptr)
+    if not deg.all():
+        raise IsolatedVertexError(f"vertex {g.vertices[int(deg.argmin())]!r} is isolated")
     return deg
 
 
 def _neighbor_sum(g: Multigraph, x: np.ndarray) -> np.ndarray:
     """At each vertex, the sum of ``x`` (indexed like ``g.vertices``) over its
     neighbours, a loop counting once; divided by the degree, the Markov operator."""
-    index, xs = g._index, x.tolist()
-    return np.array(
-        [sum(xs[index[u]] for u in g.neighbors(v)) for v in g.vertices], dtype=float
-    )
+    s = g._slots
+    return np.bincount(s.vertex, weights=np.asarray(x)[s.far], minlength=g.n)
+
+
+def _weights(g: Multigraph) -> np.ndarray:
+    """The (E, 2) complex table of (wu, wv), edge by edge."""
+    return np.array([(e.wu, e.wv) for e in g.edges], dtype=complex).reshape(-1, 2)
 
 
 class WeightedGraph(Multigraph):
@@ -150,21 +171,14 @@ class WeightedGraph(Multigraph):
     @property
     def is_self_adjoint(self) -> bool:
         """True iff every edge weight pair is mutually conjugate."""
-        for e in self.edges:
-            if e.is_loop:
-                if abs(complex(e.wu).imag) > 0:
-                    return False
-            elif complex(e.wu) != np.conj(complex(e.wv)):
-                return False
-        return True
+        w, loop = _weights(self), self.ends[:, 0] == self.ends[:, 1]
+        return not np.where(loop, np.abs(w[:, 0].imag) > 0, w[:, 0] != w[:, 1].conj()).any()
 
 
 def markov_weights(g: Multigraph) -> WeightedGraph:
     """Weight every (vertex, edge) pair by 1/degree(vertex)."""
-    deg = dict(zip(g.vertices, _degrees(g)))
-    edges = [
-        Edge(e.u, e.v, 1.0 / deg[e.u], 1.0 / deg[e.v], e.label) for e in g.edges
-    ]
+    weights = (1.0 / _degrees(g))[g.ends].tolist()
+    edges = [Edge(e.u, e.v, wu, wv, e.label) for e, (wu, wv) in zip(g.edges, weights)]
     return WeightedGraph(g.vertices, edges)
 
 
@@ -180,9 +194,11 @@ class LinearOperator:
 
 
 def _operator_from_matrix(m: np.ndarray) -> LinearOperator:
-    norm = min(
-        float(np.abs(m).sum(axis=1).max()), float(np.linalg.norm(m, "fro"))
-    )
+    """Bound the norm of m by min(sqrt(|m|_1 |m|_inf), |m|_F); column sums are row sums
+    of a C-order transpose, so on a symmetric m the first term is its largest row sum."""
+    rows = float(np.abs(m).sum(axis=1).max())
+    cols = float(np.abs(m.T, order="C").sum(axis=1).max())
+    norm = min(float(np.sqrt(rows * cols)), float(np.linalg.norm(m, "fro")))
     return LinearOperator(matrix=m, norm_bound=norm)
 
 
@@ -191,18 +207,12 @@ def laplace_type_operator(g: WeightedGraph) -> LinearOperator:
 
     Loops contribute their weight to the diagonal once per loop.
     """
-    n = g.n
-    dtype = complex if any(
-        complex(e.wu).imag or complex(e.wv).imag for e in g.edges
-    ) else float
-    m = np.zeros((n, n), dtype=dtype)
-    for e in g.edges:
-        iu, iv = g.index(e.u), g.index(e.v)
-        if e.is_loop:
-            m[iu, iu] += e.wu if dtype is complex else complex(e.wu).real
-        else:
-            m[iu, iv] += e.wu if dtype is complex else complex(e.wu).real
-            m[iv, iu] += e.wv if dtype is complex else complex(e.wv).real
+    w, s = _weights(g), g._slots
+    dtype = complex if w.imag.any() else float
+    # each slot takes the weight at its own end: wu at the u-end, wv at the v-end
+    w = np.where(s.vertex == g.ends[s.edge, 0], w[s.edge, 0], w[s.edge, 1])
+    m = np.zeros((g.n, g.n), dtype=dtype)
+    np.add.at(m, (s.vertex, s.far), w if dtype is complex else w.real)
     return _operator_from_matrix(m)
 
 
@@ -238,11 +248,6 @@ def shift_square_transform(
     n = a.shape[0]
     shifted = a - lam * np.eye(n)
     t = np.eye(n) - (shifted @ shifted.conj().T) / radius**2
-    edges = []
-    for i in range(n):
-        if t[i, i] != 0:
-            edges.append(Edge(i, i, t[i, i], t[i, i]))
-        for j in range(i + 1, n):
-            if t[i, j] != 0 or t[j, i] != 0:
-                edges.append(Edge(i, j, t[i, j], t[j, i]))
+    rows, cols = np.nonzero(np.triu((t != 0) | (t != 0).T))
+    edges = [Edge(i, j, t[i, j], t[j, i]) for i, j in zip(rows.tolist(), cols.tolist())]
     return _operator_from_matrix(t), WeightedGraph(list(range(n)), edges)

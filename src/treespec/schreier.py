@@ -190,10 +190,7 @@ def _path_form(
 
 def path_canonical_form(g: Multigraph) -> PathForm:
     """Canonical form of a path with loops; NotAPathError otherwise."""
-    index = g._index
-    u = np.array([index[e.u] for e in g.edges], dtype=np.int64)
-    v = np.array([index[e.v] for e in g.edges], dtype=np.int64)
-    order, loops, mult = _path_order(g.n, u, v)
+    order, loops, mult = _path_order(g.n, *g.ends.T)
     # start from the end whose label sorts first as a string
     if str(g.vertices[order[-1]]) < str(g.vertices[order[0]]):
         order, loops, mult = order[::-1], loops[::-1], mult[::-1]
@@ -296,23 +293,18 @@ def cayley_ball(
     depth = max(level, comparison_depth(w, 2 * radius + 1))
     enum = _enumerate_at_depth(w, radius, depth)
     tgt = schreier_graph(w, level, config)
-    ids = _level_edges(w, level)[3].tolist()
+    ids = _level_edges(w, level)[3]
     shift = enum.depth - level
     # element i maps to image[i], its image of the level vertex 1...1
-    image = [int(p[-1]) >> shift for p in enum.perms]
+    image = np.array([int(p[-1]) >> shift for p in enum.perms])
     vertices = list(range(len(image)))
-    neighbors = enum.neighbors.tolist()  # Python ints for edge ends and map keys
-    edges = []
-    edge_map = {}
-    for i in vertices:
-        for gi, j in enumerate(neighbors[i]):
-            # j == i is a loop where a generator fixes the element
-            if j == -1 or j < i:
-                continue
-            edge_map[len(edges)] = ids[gi][image[i]]
-            edges.append(Edge(i, j, label=GENERATORS[gi]))
+    # each g-edge at its smaller end (j == i: a loop; j == -1: outside the ball)
+    u, gen = np.nonzero(enum.neighbors >= np.arange(len(image))[:, None])
+    v = enum.neighbors[u, gen]
+    edge_map = dict(enumerate(ids[gen, image[u]].tolist()))
+    edges = [Edge(i, j, label=GENERATORS[g]) for i, j, g in np.stack((u, v, gen), 1).tolist()]
     graph = Multigraph(vertices, edges)
     interior = {i for i in vertices if enum.radius_of[i] < radius}
-    vertex_map = {i: tgt.vertices[x] for i, x in enumerate(image)}
+    vertex_map = {i: tgt.vertices[x] for i, x in enumerate(image.tolist())}
     covering = CoveringMap(graph, tgt, vertex_map, edge_map, interior=interior)
     return CayleyBall(graph, covering, enum, radius, level)

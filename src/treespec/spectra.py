@@ -374,7 +374,7 @@ def spectral_moments(g: Multigraph, v, count: int) -> MomentSequence:
     """Return quantities (M^p delta_v, delta_v) for p = 0..count."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    deg = np.array(_degrees(g))
+    deg = _degrees(g)
     i = g.index(v)
     vec = np.zeros(g.n)
     vec[i] = 1.0

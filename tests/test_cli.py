@@ -125,6 +125,15 @@ class TestSubcommands:
         g = parse_graph(out_file.read_bytes())
         assert g.n == 8
 
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-dir" / "x.json"
+        code, _, err = run(
+            capsys, "schreier", "--omega", ":012", "--level", "2", "-o", str(missing)
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(missing) in err
+
     def test_schreier_dot(self, capsys):
         code, out, _ = run(capsys, "schreier", "--omega", ":012", "--level", "2", "--dot")
         assert code == 0

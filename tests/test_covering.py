@@ -137,6 +137,19 @@ class TestLifting:
         )
         assert np.allclose(m.sum(axis=1), 1.0)
 
+    def test_weights_of_another_graph_rejected(self):
+        # the identity covering of the path 0-1-2 with a loop at 0; read
+        # against the reordered target, edge (0, 1) would lift to (1.0, 0.5)
+        g = Multigraph([0, 1, 2], [(0, 1), (1, 2), (0, 0)])
+        c = identity_covering(g)
+        assert lift_weights(c, markov_weights(g)).edges[0][2:4] == (0.5, 0.5)
+        reordered = Multigraph([0, 1, 2], [(1, 2), (0, 1), (0, 0)])
+        with pytest.raises(ValueError, match="differs from the covering target"):
+            lift_weights(c, markov_weights(reordered))
+        cov = level_projection_covering(W, 4, 2)
+        with pytest.raises(ValueError, match="differs from the covering target"):
+            lift_weights(cov, markov_weights(schreier_graph(W, 3)))
+
     def test_path_lifting_unique(self):
         cov = level_projection_covering(W, 3, 2)
         tgt = cov.target

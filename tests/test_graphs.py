@@ -15,7 +15,7 @@ from treespec import (
     markov_weights,
     shift_square_transform,
 )
-from treespec.graphs import _bfs_distances
+from treespec.graphs import _bfs_distances, _neighbor_sum
 
 
 def random_multigraph(rng, n, extra_edges):
@@ -60,6 +60,64 @@ def scan_neighbors(g, v):
     return out
 
 
+# The dict incidence, per-edge operator and comprehension neighbour sum that
+# the slot index replaced; the index must agree with them in order and bit for
+# bit.
+def dict_incidence(g):
+    inc = {v: [] for v in g.vertices}
+    for i, e in enumerate(g.edges):
+        inc[e.u].append(i)
+        if not e.is_loop:
+            inc[e.v].append(i)
+    return inc
+
+
+def incidence_neighbors(g, v):
+    return [g.edges[i].v if g.edges[i].u == v else g.edges[i].u for i in dict_incidence(g)[v]]
+
+
+def per_edge_operator(g):
+    dtype = complex if any(complex(e.wu).imag or complex(e.wv).imag for e in g.edges) else float
+    m = np.zeros((g.n, g.n), dtype=dtype)
+    for e in g.edges:
+        iu, iv = g.index(e.u), g.index(e.v)
+        if e.is_loop:
+            m[iu, iu] += e.wu if dtype is complex else complex(e.wu).real
+        else:
+            m[iu, iv] += e.wu if dtype is complex else complex(e.wu).real
+            m[iv, iu] += e.wv if dtype is complex else complex(e.wv).real
+    return m
+
+
+def comprehension_neighbor_sum(g, x):
+    # one addition at a time, in incidence order, as the comprehension's sum() did
+    xs = x.tolist()
+    out = []
+    for v in g.vertices:
+        total = 0
+        for u in incidence_neighbors(g, v):
+            total += xs[g.index(u)]
+        out.append(total)
+    return np.array(out, dtype=float)
+
+
+def with_isolated(g):
+    return Multigraph(g.vertices + ["isolated"], g.edges)
+
+
+def random_weights(g, seed, complex_weights):
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return complex(*rng.normal(size=2)) if complex_weights else float(rng.normal())
+
+    edges = []
+    for e in g.edges:
+        wu = draw()
+        edges.append(Edge(e.u, e.v, wu, wu if e.is_loop else draw(), e.label))
+    return WeightedGraph(g.vertices, edges)
+
+
 def scan_distances(g, v):
     # Bellman-Ford relaxation over the edge list
     dist = {v: 0}
@@ -98,12 +156,37 @@ class TestMultigraph:
         assert Multigraph([0, 1], [(0, 1)]).is_connected()
         assert not Multigraph([0, 1, 2], [(0, 1)]).is_connected()
 
-    @given(g=GRAPHS)
+    @given(g=GRAPHS.map(with_isolated))
     def test_adjacency_matches_edge_scan(self, g):
+        inc = dict_incidence(g)
         for v in g.vertices:
-            assert g.incident(v) == scan_incident(g, v)
-            assert g.neighbors(v) == scan_neighbors(g, v)
+            assert g.incident(v) == scan_incident(g, v) == inc[v]
+            assert g.neighbors(v) == scan_neighbors(g, v) == incidence_neighbors(g, v)
             assert g.degree(v) == len(scan_incident(g, v))
+
+    @given(g=GRAPHS.map(with_isolated), seed=st.integers(0, 10_000))
+    def test_neighbor_sum_is_bit_identical(self, g, seed):
+        x = np.random.default_rng(seed).normal(size=g.n)
+        assert np.array_equal(_neighbor_sum(g, x), comprehension_neighbor_sum(g, x))
+
+    @given(g=GRAPHS.map(with_isolated), seed=st.integers(0, 10_000), cplx=st.booleans())
+    def test_dense_operator_is_bit_identical(self, g, seed, cplx):
+        wg = random_weights(g, seed, cplx)
+        m, ref = laplace_type_operator(wg).as_matrix(), per_edge_operator(wg)
+        assert m.dtype == ref.dtype and np.array_equal(m, ref)
+
+    def test_endpoint_table(self):
+        g = Multigraph(["a", "b", "c"], [("b", "c"), ("a", "a"), ("c", "a")])
+        assert g.ends.tolist() == [[1, 2], [0, 0], [2, 0]]
+        assert g.ends.dtype == np.intp and g.ends.shape == (3, 2)
+        with pytest.raises(ValueError):
+            g.ends[0, 0] = 0
+        assert Multigraph([0], []).ends.shape == (0, 2)
+        assert "a" in g and "d" not in g
+
+    def test_unhashable_endpoint_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            Multigraph([0, 1], [(0, 1), (1, [0])])
 
     @given(g=GRAPHS)
     def test_bfs_matches_edge_relaxation(self, g):
@@ -199,6 +282,27 @@ class TestLaplaceType:
         op = markov_operator(g)
         vals = np.linalg.eigvals(op.as_matrix())
         assert np.abs(vals).max() <= op.norm_bound + 1e-9
+
+    @given(g=GRAPHS)
+    def test_norm_bound_bounds_the_spectral_norm(self, g):
+        # the Markov operator of an irregular graph is not symmetric; the
+        # tolerance covers the rounding of the SVD where the bound is attained
+        op = markov_operator(g)
+        assert np.linalg.norm(op.as_matrix(), 2) <= op.norm_bound * (1 + 1e-12)
+
+    @given(g=REGULAR)
+    def test_norm_bound_of_a_symmetric_matrix_is_the_largest_row_sum(self, g):
+        m = markov_operator(g).as_matrix()
+        assert markov_operator(g).norm_bound == min(
+            float(np.abs(m).sum(axis=1).max()), float(np.linalg.norm(m, "fro"))
+        )
+
+    def test_star_transform_at_twice_the_bound_is_positive(self):
+        # on K_{1,3} the largest row sum is 1 while the norm is sqrt(3)
+        op = markov_operator(Multigraph([0, 1, 2, 3], [(0, 1), (0, 2), (0, 3)]))
+        assert op.norm_bound == pytest.approx(np.sqrt(3))
+        t, _ = shift_square_transform(op, -1.0, 2 * op.norm_bound)
+        assert np.linalg.eigvalsh(t.as_matrix()).min() >= -1e-12
 
 
 class TestShiftSquareTransform:

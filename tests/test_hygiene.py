@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no module reads the leaf tuple of a tree automorphism, and the CLI reads
-every option it defines.
+no module reads the leaf tuple of a tree automorphism, no module but
+``graphs`` reads a private attribute of a graph, and the CLI reads every
+option it defines.
 
 ``__init__`` is exempt from the import check, because its imports are the
 public re-exports.
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from treespec import Multigraph
 from treespec.cli import build_parser
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "treespec"
@@ -65,6 +67,39 @@ def test_no_leaf_tuple_reads(path):
 def test_detects_leaf_tuple_read():
     source = "def f(a):\n    return a.perm\n\ndef g(a):\n    return len(a.leaf_perm)\n"
     assert leaf_tuple_reads(source) == [5]
+
+
+def multigraph_private_names() -> set[str]:
+    """Private attributes of a graph: those of the class (methods and cached
+    indexes) and those an instance sets when it is built."""
+    names = set(vars(Multigraph)) | set(vars(Multigraph([0, 1], [(0, 1)])))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def attribute_reads(source: str, names: set[str]) -> list[int]:
+    """Lines that read an attribute named in ``names``, on any object."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in names
+    ]
+
+
+def test_multigraph_private_names_found():
+    assert {"_index", "_slots"} <= multigraph_private_names()
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "graphs.py"], ids=lambda p: p.stem
+)
+def test_graph_internals_read_only_in_graphs(path):
+    # other modules go through ends, index, membership and the adjacency methods
+    assert attribute_reads(path.read_text(), multigraph_private_names()) == []
+
+
+def test_detects_graph_internals_read():
+    source = "def f(g):\n    return g.ends\n\ndef h(g):\n    return g._index[0]\n"
+    assert attribute_reads(source, multigraph_private_names()) == [5]
 
 
 def own_dests(ap: argparse.ArgumentParser) -> list[str]:
