@@ -114,10 +114,10 @@ def cmd_cover_verify(args, config) -> int:
     w = OmegaWord.parse(args.omega)
     c = level_projection_covering(w, args.source_level, args.target_level, config)
     if args.corrupt_swap:
-        keys = sorted(c.edge_map)
-        a = keys[0]
-        b = next(k for k in keys[1:] if c.edge_map[k] != c.edge_map[a])
-        c.edge_map[a], c.edge_map[b] = c.edge_map[b], c.edge_map[a]
+        m = c.edge_map
+        a, *rest = sorted(m)
+        b = next(k for k in rest if m[k] != m[a])
+        c = cov.CoveringMap(c.source, c.target, c.vertex_map, {**m, a: m[b], b: m[a]})
     report = cov.verify_covering(c)
     fibers = {}
     for v in c.source.vertices:

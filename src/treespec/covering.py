@@ -12,9 +12,10 @@ The residual harness applies the lifted Markov operator without building it;
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,12 +37,13 @@ class NotAnEigenpairError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoveringMap:
     """Vertex and edge surjections from source onto target.
 
     ``interior`` is the set of source vertices whose full edge star is
-    present; None means the whole source is exact (finite covering).
+    present; None means the whole source is exact (finite covering).  Numeric
+    routines read tables by source position, each built once on first use.
     """
 
     source: Multigraph
@@ -53,10 +55,31 @@ class CoveringMap:
     def phi(self, v):
         return self.vertex_map[v]
 
-    def interior_vertices(self) -> list:
-        if self.interior is None:
-            return list(self.source.vertices)
-        return [v for v in self.source.vertices if v in self.interior]
+    @cached_property
+    def _image(self) -> np.ndarray:
+        """Each source vertex's image as a target position; ValueError names a
+        vertex that is unmapped or maps outside the target."""
+        image = map(self.target.index, map(self.phi, self.source.vertices))
+        try:
+            return np.fromiter(image, np.intp, self.source.n)
+        except KeyError:
+            raise ValueError(_vertex_fault(self)) from None
+
+    @cached_property
+    def _image_degree(self) -> np.ndarray:
+        return _degrees(self.target)[self._image]
+
+    @cached_property
+    def _interior(self) -> np.ndarray:
+        inside, src = self.interior, self.source
+        return np.fromiter((inside is None or v in inside for v in src.vertices), bool, src.n)
+
+    @cached_property
+    def _base(self) -> tuple[np.ndarray, np.ndarray]:
+        """Source distances from the base, the first source vertex, and target
+        distances from its image."""
+        src, tgt = self.source, self.target
+        return _distances(src, src.vertices[0]), _distances(tgt, tgt.vertices[self._image[0]])
 
 
 @dataclass(frozen=True)
@@ -68,6 +91,16 @@ class CoveringReport:
         return self.ok
 
 
+def _vertex_fault(c: CoveringMap) -> Optional[str]:
+    """The first source vertex that is unmapped or maps outside the target."""
+    for v in c.source.vertices:
+        if v not in c.vertex_map:
+            return f"vertex {v!r} unmapped"
+        if c.phi(v) not in c.target:
+            return f"vertex {v!r} maps to {c.phi(v)!r}, not a target vertex"
+    return None
+
+
 def verify_covering(c: CoveringMap) -> CoveringReport:
     """Check that vertices map into the target, surjectivity, endpoint
     compatibility and local bijectivity.
@@ -77,36 +110,36 @@ def verify_covering(c: CoveringMap) -> CoveringReport:
     certify surjectivity and :class:`WindowTooSmallError` is raised.
     """
     src, tgt = c.source, c.target
-    for v in src.vertices:
-        if v not in c.vertex_map:
-            return CoveringReport(False, f"vertex {v!r} unmapped")
-        if c.phi(v) not in tgt:
-            return CoveringReport(
-                False, f"vertex {v!r} maps to {c.phi(v)!r}, not a target vertex"
-            )
+    fault = _vertex_fault(c)
+    if fault:
+        return CoveringReport(False, fault)
     # endpoint compatibility (as multisets, so a non-loop may cover a loop)
+    edge_id = (int, np.integer)
     for ei, ti in c.edge_map.items():
+        if not (isinstance(ei, edge_id) and isinstance(ti, edge_id)):
+            return CoveringReport(False, f"edge map {ei!r} -> {ti!r} is not a pair of edge ids")
         if not (0 <= ei < len(src.edges) and 0 <= ti < len(tgt.edges)):
             return CoveringReport(False, f"edge map {ei} -> {ti} out of range")
         e, t = src.edges[ei], tgt.edges[ti]
         if Counter((c.phi(e.u), c.phi(e.v))) != Counter((t.u, t.v)):
             return CoveringReport(False, f"edge {ei} endpoints do not cover edge {ti}")
-    interior = set(c.interior_vertices())
-    for v in interior:
-        star = src.incident(v)
-        images = []
+    # endpoint compatibility puts each edge image at v in the star at phi(v), so
+    # the star maps onto it bijectively iff no image repeats and degrees agree
+    hit_v, hit_e = set(), set()
+    for v in compress(src.vertices, c._interior):
+        star, images = src.incident(v), set()
         for ei in star:
             if ei not in c.edge_map:
                 return CoveringReport(False, f"edge {ei} at vertex {v!r} unmapped")
-            images.append(c.edge_map[ei])
+            images.add(c.edge_map[ei])
         tv = c.phi(v)
-        if sorted(images) != sorted(tgt.incident(tv)):
+        if not len(images) == len(star) == tgt.degree(tv):
             return CoveringReport(
                 False, f"star at {v!r} is not bijective onto star at {tv!r}"
             )
+        hit_v.add(tv)
+        hit_e |= images
     # surjectivity onto the target, witnessed by interior vertices
-    hit_v = {c.phi(v) for v in interior}
-    hit_e = {c.edge_map[ei] for v in interior for ei in src.incident(v)}
     missing_v = [v for v in tgt.vertices if v not in hit_v]
     missing_e = [i for i in range(len(tgt.edges)) if i not in hit_e]
     if missing_v or missing_e:
@@ -190,9 +223,9 @@ def folner_balls(c: CoveringMap, v, k_max: int) -> FolnerReport:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    dist = _bfs_distances(c.source, v)
-    _require_exact_ball(c, dist, k_max + 1)
-    sizes = [sum(1 for d in dist.values() if d <= k) for k in range(k_max + 2)]
+    radius = _distances(c.source, v)
+    _require_exact_ball(c, radius, k_max + 1)
+    sizes = np.searchsorted(np.sort(radius), np.arange(k_max + 2), side="right").tolist()
     ratios = tuple(
         (sizes[k + 1] - sizes[k]) / sizes[k] for k in range(1, k_max + 1)
     )
@@ -209,20 +242,29 @@ def folner_balls(c: CoveringMap, v, k_max: int) -> FolnerReport:
 # residual harness
 
 
-def _require_exact_ball(c: CoveringMap, dist: dict, k: int) -> None:
-    """Raise unless B_k of the BFS base is exact: every vertex closer than k is interior."""
-    if c.interior is None:
-        return
-    for x, d in dist.items():
-        if d < k and x not in c.interior:
-            raise WindowTooSmallError(f"radius {k}: {x!r} at distance {d} is not interior")
+def _distances(g: Multigraph, v) -> np.ndarray:
+    """Edge distance from v by vertex position; inf where unreached."""
+    dist = _bfs_distances(g, v)
+    radius = np.full(g.n, np.inf)
+    radius[list(map(g.index, dist))] = list(dist.values())
+    return radius
+
+
+def _require_exact_ball(c: CoveringMap, radius: np.ndarray, k: int) -> None:
+    """Raise unless B_k of the search base is exact: every vertex closer than
+    k is interior.  The nearest offender is named, ties broken by position."""
+    rim = np.flatnonzero((radius < k) & ~c._interior)
+    if rim.size:
+        x = rim[radius[rim].argmin()]
+        v, d = c.source.vertices[x], int(radius[x])
+        raise WindowTooSmallError(f"radius {k}: {v!r} at distance {d} is not interior")
 
 
 def fiber_count(c: CoveringMap, v, k: int) -> int:
     """Number of fiber points of phi(v) within the radius-k source ball."""
-    dist = _bfs_distances(c.source, v)
-    _require_exact_ball(c, dist, k)
-    return sum(d <= k for x, d in dist.items() if c.phi(x) == c.phi(v))
+    radius = _distances(c.source, v)
+    _require_exact_ball(c, radius, k)
+    return int(np.count_nonzero((radius <= k) & (c._image == c._image[c.source.index(v)])))
 
 
 def _unit_target_vector(c: CoveringMap, f) -> np.ndarray:
@@ -230,12 +272,6 @@ def _unit_target_vector(c: CoveringMap, f) -> np.ndarray:
     if f.shape != (c.target.n,) or not f.any():
         raise ValueError("f must be a nonzero vector on the target vertices")
     return f / float(np.linalg.norm(f))
-
-
-def _images(c: CoveringMap) -> tuple[np.ndarray, np.ndarray]:
-    """Each source vertex's image as a target position, and the target degree there."""
-    image = np.fromiter(map(c.target.index, map(c.phi, c.source.vertices)), np.intp, c.source.n)
-    return image, _degrees(c.target)[image]
 
 
 @dataclass(frozen=True)
@@ -251,17 +287,6 @@ class HulanickiRecord:
 
 # a target residual at or below this makes (lam, f) an exact eigenpair
 EIGEN_TOL = 1e-9
-
-
-def _base_distances(c: CoveringMap) -> tuple:
-    """What every residual record reads: source distances from the base (the
-    first source vertex) as a dict and by position (inf where unreached),
-    target distances from its image, and :func:`_images`."""
-    src, base = c.source, c.source.vertices[0]
-    dist = _bfs_distances(src, base)
-    radius = np.full(src.n, np.inf)
-    radius[list(map(src.index, dist))] = list(dist.values())
-    return dist, radius, _bfs_distances(c.target, c.phi(base)), *_images(c)
 
 
 def hulanicki_residual(
@@ -280,13 +305,6 @@ def hulanicki_residual(
     eps^2 a_k / a_{k-N} + 2 |supp f| (a_{k+N} - a_{k-2N}) / a_{k-N}
     computed from the measured fiber counts a_j.
     """
-    return _residual(c, _base_distances(c), lam, f, mode, k)
-
-
-def _residual(
-    c: CoveringMap, searches: tuple, lam: float, f, mode: str, k: int
-) -> HulanickiRecord:
-    """:func:`hulanicki_residual` on the searches of :func:`_base_distances`."""
     if mode not in ("finite-target", "subexp"):
         raise ValueError(f"unknown mode {mode!r}")
     tgt = c.target
@@ -295,22 +313,28 @@ def _residual(
     if mode == "finite-target" and eps > EIGEN_TOL:
         raise NotAnEigenpairError(f"target residual {eps:.3e} > {EIGEN_TOL}")
 
-    dist, radius, tdist, image, degree = searches
-    support = [tgt.vertices[i] for i in np.nonzero(np.abs(f) > 0)[0]]
+    (radius, tdist), image = c._base, c._image
+    support = np.flatnonzero(np.abs(f) > 0)
     if mode == "finite-target":
         n_ctrl = tgt.n
         trunc = k + n_ctrl + 1
     else:
-        n_ctrl = max(tdist[s] for s in support)
+        far = support[np.isinf(tdist[support])]
+        if far.size:
+            raise ValueError(
+                f"f is supported at {tgt.vertices[far[0]]!r}, which the base's image does not reach"
+            )
+        n_ctrl = int(tdist[support].max())
         trunc = k
     # B_{trunc+1} for the residual rows, B_{k+N} for the fiber counts
-    _require_exact_ball(c, dist, max(trunc + 1, k + n_ctrl))
+    _require_exact_ball(c, radius, max(trunc + 1, k + n_ctrl))
 
     fk = np.where(radius <= trunc, f[image], 0.0)
     norm_fk = float(np.linalg.norm(fk))
     if norm_fk == 0:
         raise ValueError("truncated pullback vanishes; enlarge k")
-    residual = float(np.linalg.norm(_neighbor_sum(c.source, fk) / degree - lam * fk)) / norm_fk
+    lifted = _neighbor_sum(c.source, fk) / c._image_degree
+    residual = float(np.linalg.norm(lifted - lam * fk)) / norm_fk
 
     if mode == "subexp":
         needed = [k, k - n_ctrl, k + n_ctrl, k - 2 * n_ctrl]
@@ -323,12 +347,12 @@ def _residual(
             eps**2 * alphas[k] / denom
             + 2 * len(support) * (alphas[k + n_ctrl] - alphas[k - 2 * n_ctrl]) / denom
         )
-        return HulanickiRecord("subexp", k, len(support), residual, bound, None, alphas)
+        return HulanickiRecord("subexp", k, support.size, residual, bound, None, alphas)
 
-    ball = sum(1 for d in dist.values() if d <= k)
-    boundary = sum(1 for d in dist.values() if d == k + 1)
+    ball = int(np.count_nonzero(radius <= k))
+    boundary = int(np.count_nonzero(radius == k + 1))
     return HulanickiRecord(
-        "finite-target", k, len(support), residual, None, boundary / ball, {}
+        "finite-target", k, support.size, residual, None, boundary / ball, {}
     )
 
 
@@ -342,11 +366,10 @@ def window_pullback_residual(c: CoveringMap, lam: float, f: np.ndarray) -> Hulan
     ``folner_ratio`` is the fraction of non-interior vertices.
     """
     f = _unit_target_vector(c, f)
-    image, degree = _images(c)
-    fk = f[image]
-    residual = float(np.linalg.norm(_neighbor_sum(c.source, fk) / degree - lam * fk))
+    fk = f[c._image]
+    residual = float(np.linalg.norm(_neighbor_sum(c.source, fk) / c._image_degree - lam * fk))
     residual /= float(np.linalg.norm(fk))
-    rim = c.source.n - len(c.interior_vertices())
+    rim = c.source.n - int(np.count_nonzero(c._interior))
     return HulanickiRecord(
         "window", c.source.n, int(np.count_nonzero(np.abs(f) > 0)),
         residual, None, rim / c.source.n, {},
@@ -369,22 +392,19 @@ def spectral_inclusion_report(
     """Best residual per target eigenvalue over a schedule of radii.
 
     The target must be finite; its Markov operator is fully diagonalized and
-    each eigenpair is pushed through :func:`hulanicki_residual`, all on one
-    pair of searches.
+    each eigenpair is pushed through :func:`hulanicki_residual`, all on the
+    covering's one pair of base searches.
     """
+    if len(k_schedule) == 0:
+        raise ValueError("k_schedule must hold at least one radius")
     if c.target.n > config.max_vertices:
         raise ResourceLimitError(f"target exceeds max_vertices {config.max_vertices}")
     vals, vecs = _markov_eigh(c.target)
     # eigenvectors of the symmetric form, mapped to eigenvectors of D^-1 A
     vecs = vecs / np.sqrt(_degrees(c.target))[:, None]
-    searches = _base_distances(c)
-    records = []
-    best = []
-    for i in range(len(vals)):
-        best_res = math.inf
-        for k in k_schedule:
-            rec = _residual(c, searches, float(vals[i]), vecs[:, i], mode, k)
-            records.append(rec)
-            best_res = min(best_res, rec.residual)
-        best.append(best_res)
-    return InclusionReport(tuple(map(float, vals)), tuple(best), tuple(records))
+    by_value = [
+        [hulanicki_residual(c, float(lam), vecs[:, i], mode, k) for k in k_schedule]
+        for i, lam in enumerate(vals)
+    ]
+    best = tuple(min(rec.residual for rec in recs) for recs in by_value)
+    return InclusionReport(tuple(map(float, vals)), best, tuple(chain.from_iterable(by_value)))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +37,14 @@ from treespec import (
 from treespec.graphs import _bfs_distances
 
 W = OmegaWord.parse(":012")
+SRC = Path(__file__).resolve().parents[1] / "src"
+WITNESS_RUN = """
+import treespec as ts
+c = ts.level_projection_covering(ts.OmegaWord.parse(":012"), 4, 2)
+assert c.edge_map[8] != c.edge_map[18]
+edge_map = {**c.edge_map, 18: c.edge_map[8]}
+print(ts.verify_covering(ts.CoveringMap(c.source, c.target, c.vertex_map, edge_map)).witness)
+"""
 OMEGAS = st.sampled_from([":012", ":01", "0:12", "2:21"]).map(OmegaWord.parse)
 
 
@@ -111,15 +124,32 @@ class TestVerifyCovering:
             ({"a": "x", "b": "x"}, {0: 0, 1: 5}, "5"),
             ({"a": "x", "b": "x"}, {0: 0, 1: -1}, "-1"),
             ({"a": "x", "b": "x"}, {0: 0, 1: 0, 7: 0}, "7"),
+            ({"a": "x", "b": "x"}, {0: 0, 1: 0.0}, "0.0"),
+            ({"a": "x", "b": "x"}, {0: 0, "1": 0}, "'1'"),
         ],
     )
     def test_malformed_maps_answered(self, vertex_map, edge_map, named):
-        # a map that misses a vertex or indexes past an edge list is a
-        # failed covering, not a KeyError or IndexError
+        # a map that misses a vertex, indexes past an edge list or holds a
+        # non-integer edge id is a failed covering, not a KeyError,
+        # IndexError or TypeError
         src = Multigraph(["a", "b"], [("a", "a"), ("b", "b")])
         tgt = Multigraph(["x"], [("x", "x")])
         rep = verify_covering(CoveringMap(src, tgt, vertex_map, edge_map))
         assert not rep and named in rep.witness
+
+    def test_witness_independent_of_hash_seed(self):
+        # edges 8 and 18 both join '0000' and '0100'; once both map to edge 2
+        # of the target, the stars at both ends repeat an image, and the
+        # witness is the first of them in source order
+        witnesses = {
+            subprocess.run(
+                [sys.executable, "-c", WITNESS_RUN],
+                env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(SRC)),
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout.strip()
+            for seed in range(1, 7)
+        }
+        assert witnesses == {"star at '0000' is not bijective onto star at '00'"}
 
     def test_window_too_small_raises(self):
         # a radius-1 ball cannot certify surjectivity onto the level-3 graph
@@ -259,6 +289,16 @@ class TestFolner:
         with pytest.raises(WindowTooSmallError):
             folner_balls(window, "", 7)
 
+    def test_window_too_small_names_the_nearest_rim_vertex(self):
+        # the depth-3 vertices are the nearest outside the interior; listed
+        # in reverse, '111' comes first among them, though a search from the
+        # root reaches '000' first
+        g = binary_tree(6)
+        g = Multigraph(g.vertices[::-1], g.edges)
+        window = identity_covering(g, {v for v in g.vertices if len(v) <= 2})
+        with pytest.raises(WindowTooSmallError, match="'111' at distance 3 "):
+            folner_balls(window, "", 5)
+
     def test_window_of_radius_k_max_plus_one_suffices(self):
         assert folner_balls(tree_window(6, 5), "", 5).sizes[-1] == 63
         with pytest.raises(WindowTooSmallError):
@@ -358,6 +398,34 @@ class TestResiduals:
             hulanicki_residual(cov, 1.0, [1.0, 0.0], "subexp", 1)
         with pytest.raises(IsolatedVertexError):
             window_pullback_residual(cov, 1.0, [1.0, 0.0])
+
+    @pytest.mark.parametrize(
+        "vertex_map, named",
+        [({0: 0, 1: 1}, "vertex 'x' unmapped"), ({0: 0, 1: 1, "x": "nope"}, "'nope'")],
+    )
+    def test_vertex_map_faults_named(self, vertex_map, named):
+        tgt = Multigraph([0, 1], [(0, 0), (0, 1), (1, 1)])
+        src = Multigraph([0, 1, "x"], [(0, 0), (0, 1), (1, 1)])
+        cov = CoveringMap(src, tgt, vertex_map, {0: 0, 1: 1, 2: 2})
+        with pytest.raises(ValueError, match=named):
+            hulanicki_residual(cov, 1.0, [1.0, 1.0], "subexp", 1)
+        with pytest.raises(ValueError, match=named):
+            window_pullback_residual(cov, 1.0, [1.0, 1.0])
+        # the Folner data never read the vertex map
+        assert folner_balls(cov, 0, 1).sizes == (1, 2)
+
+    def test_support_out_of_reach_of_the_base_named(self):
+        # two looped vertices: the base's image 0 never reaches vertex 1
+        cov = identity_covering(Multigraph([0, 1], [(0, 0), (1, 1)]))
+        with pytest.raises(ValueError, match="supported at 1,"):
+            hulanicki_residual(cov, 1.0, [0.0, 1.0], "subexp", 1)
+        with pytest.raises(ValueError, match="supported at 1,"):
+            spectral_inclusion_report(cov, [1])
+
+    def test_inclusion_report_refuses_empty_schedule(self):
+        # no radius, no record: every best residual would read inf
+        with pytest.raises(ValueError, match="at least one radius"):
+            spectral_inclusion_report(level_projection_covering(W, 4, 2), [])
 
     def test_inclusion_report_refuses_target_above_cap(self):
         cov = level_projection_covering(W, 4, 3)

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module reads the leaf tuple of a tree automorphism, no module but
-``graphs`` reads a private attribute of a graph, and the CLI reads every
-option it defines.
+``graphs`` reads a private attribute of a graph, no module but ``covering``
+reads the cached tables of a covering, and the CLI reads every option it
+defines.
 
 ``__init__`` is exempt from the import check, because its imports are the
 public re-exports.
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from treespec import Multigraph
+from treespec import CoveringMap, Multigraph
 from treespec.cli import build_parser
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "treespec"
@@ -69,11 +70,15 @@ def test_detects_leaf_tuple_read():
     assert leaf_tuple_reads(source) == [5]
 
 
-def multigraph_private_names() -> set[str]:
-    """Private attributes of a graph: those of the class (methods and cached
-    indexes) and those an instance sets when it is built."""
-    names = set(vars(Multigraph)) | set(vars(Multigraph([0, 1], [(0, 1)])))
+def private_names(cls, *instances) -> set[str]:
+    """Private attributes of a class (methods and cached tables) and those
+    its instances set when they are built."""
+    names = set(vars(cls)).union(*map(vars, instances))
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def multigraph_private_names() -> set[str]:
+    return private_names(Multigraph, Multigraph([0, 1], [(0, 1)]))
 
 
 def attribute_reads(source: str, names: set[str]) -> list[int]:
@@ -100,6 +105,23 @@ def test_graph_internals_read_only_in_graphs(path):
 def test_detects_graph_internals_read():
     source = "def f(g):\n    return g.ends\n\ndef h(g):\n    return g._index[0]\n"
     assert attribute_reads(source, multigraph_private_names()) == [5]
+
+
+def test_covering_private_names_found():
+    assert {"_image", "_image_degree", "_interior", "_base"} <= private_names(CoveringMap)
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "covering.py"], ids=lambda p: p.stem
+)
+def test_covering_tables_read_only_in_covering(path):
+    # a cached table is built from the maps once; elsewhere the maps are read
+    assert attribute_reads(path.read_text(), private_names(CoveringMap)) == []
+
+
+def test_detects_covering_tables_read():
+    source = "def f(c):\n    return c.phi(0)\n\ndef h(c):\n    return c._image[0]\n"
+    assert attribute_reads(source, private_names(CoveringMap)) == [5]
 
 
 def own_dests(ap: argparse.ArgumentParser) -> list[str]:

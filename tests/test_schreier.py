@@ -278,7 +278,7 @@ class TestCayleyBall:
     def test_interior_has_full_stars(self):
         w = OmegaWord.parse(":01")
         ball = cayley_ball(w, 4, 1)
-        for v in ball.covering.interior_vertices():
+        for v in ball.covering.interior:
             assert ball.graph.degree(v) == 4
 
     def test_identity_maps_to_all_ones(self):
