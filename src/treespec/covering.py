@@ -12,17 +12,19 @@ The residual harness applies the lifted Markov operator without building it;
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
 from .graphs import Edge, Multigraph, WeightedGraph
-from .graphs import _bfs_distances, _degrees, _markov_eigh, _neighbor_sum
+from .graphs import _bfs_distances, _degrees, _markov_eigh, _neighbor_sum, _stars
+
+# the types an edge-map entry or a lifted target edge may hold as an edge id
+_EDGE_ID = (int, np.integer)
 
 
 class WindowTooSmallError(RuntimeError):
@@ -59,11 +61,29 @@ class CoveringMap:
     def _image(self) -> np.ndarray:
         """Each source vertex's image as a target position; ValueError names a
         vertex that is unmapped or maps outside the target."""
-        image = map(self.target.index, map(self.phi, self.source.vertices))
+        image = map(self.target.index, map(self.vertex_map.__getitem__, self.source.vertices))
         try:
             return np.fromiter(image, np.intp, self.source.n)
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable image
             raise ValueError(_vertex_fault(self)) from None
+
+    @cached_property
+    def _edge_image(self) -> np.ndarray:
+        """The target edge id of each source edge, -1 where unmapped; ValueError
+        names the first edge-map entry that is not a pair of edge ids in range."""
+        m, bounds = self.edge_map, (len(self.source.edges), len(self.target.edges))
+        if all(map(isinstance, chain(m.keys(), m.values()), repeat(_EDGE_ID))):
+            try:
+                keys, values = (np.fromiter(ids, np.intp, len(m)) for ids in (m.keys(), m.values()))
+            except OverflowError:  # an id past the range of intp
+                pass
+            else:
+                outside = (keys < 0) | (keys >= bounds[0]) | (values < 0) | (values >= bounds[1])
+                if not np.count_nonzero(outside):
+                    table = np.full(bounds[0], -1, np.intp)
+                    table[keys] = values
+                    return table
+        raise ValueError(_edge_fault(self))
 
     @cached_property
     def _image_degree(self) -> np.ndarray:
@@ -96,9 +116,71 @@ def _vertex_fault(c: CoveringMap) -> Optional[str]:
     for v in c.source.vertices:
         if v not in c.vertex_map:
             return f"vertex {v!r} unmapped"
-        if c.phi(v) not in c.target:
+        try:
+            inside = c.phi(v) in c.target
+        except TypeError:  # an unhashable image
+            inside = False
+        if not inside:
             return f"vertex {v!r} maps to {c.phi(v)!r}, not a target vertex"
     return None
+
+
+def _edge_fault(c: CoveringMap, image: Optional[np.ndarray] = None) -> Optional[str]:
+    """The first edge-map entry, in map order, that is not a pair of edge ids in
+    range or, given the vertex image, whose ends do not cover its image's."""
+    src, tgt = c.source, c.target
+    for ei, ti in c.edge_map.items():
+        if not (isinstance(ei, _EDGE_ID) and isinstance(ti, _EDGE_ID)):
+            return f"edge map {ei!r} -> {ti!r} is not a pair of edge ids"
+        if not (0 <= ei < len(src.edges) and 0 <= ti < len(tgt.edges)):
+            return f"edge map {ei} -> {ti} out of range"
+        if image is None:
+            continue
+        # int(): numpy would read a bool id as a mask, not as an edge position
+        if sorted(image[src.ends[int(ei)]]) != sorted(tgt.ends[int(ti)]):
+            return f"edge {ei} endpoints do not cover edge {ti}"
+    return None
+
+
+def _endpoint_fault(c: CoveringMap, image: np.ndarray, table: np.ndarray) -> Optional[str]:
+    """The first edge-map entry, in map order, whose ends do not cover its
+    image's (as multisets, so a non-loop may cover a loop)."""
+    mapped = np.flatnonzero(table >= 0)
+    (a, b), (u, w) = image[c.source.ends[mapped]].T, c.target.ends[table[mapped]].T
+    mismatch = set(mapped[~((a == u) & (b == w) | (a == w) & (b == u))].tolist())
+    if not mismatch:
+        return None
+    ei = next(ei for ei in c.edge_map if ei in mismatch)
+    return f"edge {ei} endpoints do not cover edge {c.edge_map[ei]}"
+
+
+def _star_fault(c: CoveringMap, image: np.ndarray, slot_image: np.ndarray) -> Optional[str]:
+    """The first interior vertex, in source order, whose star does not map
+    bijectively onto the star at its image; an unmapped star edge is named
+    first.  With endpoints compatible each edge image at v lies in the star at
+    phi(v), so the star maps onto it bijectively iff every edge is mapped, no
+    image repeats and degrees agree.
+
+    A repeat is a run in the sorted (vertex, image + 1) keys; the shift keeps
+    unmapped (-1) images apart.  The stable argsort is the sort the slot index
+    is built with, so it pages in no numpy code of its own."""
+    s, t = _stars(c.source), _stars(c.target)
+    unmapped = slot_image < 0
+    width = len(c.target.edges) + 1
+    keys = s.vertex * width + slot_image + 1
+    keys = keys[np.argsort(keys, kind="stable")]
+    bad = np.diff(s.ptr) != np.diff(t.ptr)[image]
+    bad[s.vertex[unmapped]] = True
+    bad[keys[1:][keys[1:] == keys[:-1]] // width] = True
+    faulty = np.flatnonzero(bad & c._interior)
+    if not faulty.size:
+        return None
+    x = int(faulty[0])
+    v, star = c.source.vertices[x], slice(s.ptr[x], s.ptr[x + 1])
+    gap = np.flatnonzero(unmapped[star])
+    if gap.size:
+        return f"edge {s.edge[star][gap[0]]} at vertex {v!r} unmapped"
+    return f"star at {v!r} is not bijective onto star at {c.phi(v)!r}"
 
 
 def verify_covering(c: CoveringMap) -> CoveringReport:
@@ -107,50 +189,37 @@ def verify_covering(c: CoveringMap) -> CoveringReport:
 
     On windowed sources local bijectivity is checked at interior vertices
     only; if the window image misses part of the target the window cannot
-    certify surjectivity and :class:`WindowTooSmallError` is raised.
+    certify surjectivity and :class:`WindowTooSmallError` is raised.  The
+    checks read the covering's position tables in numpy; the witness is the
+    first fault in a fixed order: a source vertex, then an edge-map entry in
+    map order, then an interior vertex in source order, then the first
+    missing target vertices and edges.
     """
     src, tgt = c.source, c.target
-    fault = _vertex_fault(c)
+    try:
+        image = c._image
+    except ValueError as fault:
+        return CoveringReport(False, str(fault))
+    try:
+        table = c._edge_image
+    except ValueError:  # the scan names the malformed entry or an earlier mismatch
+        return CoveringReport(False, _edge_fault(c, image))
+    s = _stars(src)
+    fault = _endpoint_fault(c, image, table) or _star_fault(c, image, table[s.edge])
     if fault:
         return CoveringReport(False, fault)
-    # endpoint compatibility (as multisets, so a non-loop may cover a loop)
-    edge_id = (int, np.integer)
-    for ei, ti in c.edge_map.items():
-        if not (isinstance(ei, edge_id) and isinstance(ti, edge_id)):
-            return CoveringReport(False, f"edge map {ei!r} -> {ti!r} is not a pair of edge ids")
-        if not (0 <= ei < len(src.edges) and 0 <= ti < len(tgt.edges)):
-            return CoveringReport(False, f"edge map {ei} -> {ti} out of range")
-        e, t = src.edges[ei], tgt.edges[ti]
-        if Counter((c.phi(e.u), c.phi(e.v))) != Counter((t.u, t.v)):
-            return CoveringReport(False, f"edge {ei} endpoints do not cover edge {ti}")
-    # endpoint compatibility puts each edge image at v in the star at phi(v), so
-    # the star maps onto it bijectively iff no image repeats and degrees agree
-    hit_v, hit_e = set(), set()
-    for v in compress(src.vertices, c._interior):
-        star, images = src.incident(v), set()
-        for ei in star:
-            if ei not in c.edge_map:
-                return CoveringReport(False, f"edge {ei} at vertex {v!r} unmapped")
-            images.add(c.edge_map[ei])
-        tv = c.phi(v)
-        if not len(images) == len(star) == tgt.degree(tv):
-            return CoveringReport(
-                False, f"star at {v!r} is not bijective onto star at {tv!r}"
-            )
-        hit_v.add(tv)
-        hit_e |= images
     # surjectivity onto the target, witnessed by interior vertices
-    missing_v = [v for v in tgt.vertices if v not in hit_v]
-    missing_e = [i for i in range(len(tgt.edges)) if i not in hit_e]
+    hit_v, hit_e = np.zeros(tgt.n, bool), np.zeros(len(tgt.edges), bool)
+    hit_v[image[c._interior]] = True
+    hit_e[table[s.edge[c._interior[s.vertex]]]] = True
+    missing_v = [tgt.vertices[i] for i in np.flatnonzero(~hit_v)[:3].tolist()]
+    missing_e = np.flatnonzero(~hit_e)[:3].tolist()
     if missing_v or missing_e:
         if c.interior is not None:
             raise WindowTooSmallError(
-                f"window image misses target vertices {missing_v[:3]} "
-                f"or edges {missing_e[:3]}"
+                f"window image misses target vertices {missing_v} or edges {missing_e}"
             )
-        return CoveringReport(
-            False, f"not surjective: missing vertices {missing_v[:3]}"
-        )
+        return CoveringReport(False, f"not surjective: missing vertices {missing_v}")
     return CoveringReport(True)
 
 
@@ -179,23 +248,29 @@ def lift_weights(c: CoveringMap, weighted_target: WeightedGraph) -> WeightedGrap
 def lift_path(
     c: CoveringMap, origin, edge_indices: Sequence[int], start
 ) -> list:
-    """Unique lift of a target path; returns the source vertex sequence."""
+    """Unique lift of a target path; returns the source vertex sequence.
+
+    ValueError names a step whose target edge id is not an int in range, or
+    not incident to the walk, or does not lift to exactly one source edge.
+    """
     if c.phi(start) != origin:
         raise BadStartError(f"{start!r} is not in the fiber of {origin!r}")
+    table, n_edges = c._edge_image, len(c.target.edges)
     path = [start]
     cur_t, cur_s = origin, start
     for ti in edge_indices:
+        if not (isinstance(ti, _EDGE_ID) and 0 <= ti < n_edges):
+            raise ValueError(f"target edge {ti!r} is not an edge id in range({n_edges})")
         te = c.target.edges[ti]
         if cur_t not in (te.u, te.v):
             raise ValueError(f"target edge {ti} not incident to {cur_t!r}")
-        lifted = [
-            ei for ei in c.source.incident(cur_s) if c.edge_map.get(ei) == ti
-        ]
-        if len(lifted) != 1:
+        star = c.source.incident(cur_s)
+        lifted = np.flatnonzero(table[star] == ti)
+        if lifted.size != 1:
             raise ValueError(
-                f"lift not unique at {cur_s!r}: {len(lifted)} candidate edges"
+                f"lift not unique at {cur_s!r}: {lifted.size} candidate edges"
             )
-        e = c.source.edges[lifted[0]]
+        e = c.source.edges[star[lifted[0]]]
         cur_s = e.v if e.u == cur_s else e.u
         cur_t = te.v if te.u == cur_t else te.u
         path.append(cur_s)

@@ -142,6 +142,13 @@ def _bfs_distances(g: Multigraph, v: VertexId) -> dict:
     return dist
 
 
+def _stars(g: Multigraph) -> _Slots:
+    """The slot table for readers outside this module: vertex i's star is
+    ``edge[ptr[i]:ptr[i + 1]]``, in the order of :meth:`Multigraph.incident`,
+    and ``np.diff(ptr)`` is every degree, an isolated vertex's 0 among them."""
+    return g._slots
+
+
 def _degrees(g: Multigraph) -> np.ndarray:
     """Degrees in vertex order; an isolated vertex has no Markov row."""
     deg = np.diff(g._slots.ptr)

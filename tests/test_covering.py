@@ -1,15 +1,19 @@
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treespec import (
     BadStartError,
     CoveringMap,
+    CoveringReport,
     IsolatedVertexError,
     Multigraph,
     NotAnEigenpairError,
@@ -80,6 +84,144 @@ def dense_residual(c, lam, f, radius=None):
     return float(np.linalg.norm(h @ fk - lam * fk)) / float(np.linalg.norm(fk))
 
 
+def reference_verify(c):
+    """Reference route: the per-entry scan over the public maps and adjacency
+    methods that ``verify_covering`` ran before its position tables."""
+    src, tgt = c.source, c.target
+    for v in src.vertices:
+        if v not in c.vertex_map:
+            return CoveringReport(False, f"vertex {v!r} unmapped")
+        try:
+            inside = c.phi(v) in tgt
+        except TypeError:
+            inside = False
+        if not inside:
+            return CoveringReport(
+                False, f"vertex {v!r} maps to {c.phi(v)!r}, not a target vertex"
+            )
+    edge_id = (int, np.integer)
+    for ei, ti in c.edge_map.items():
+        if not (isinstance(ei, edge_id) and isinstance(ti, edge_id)):
+            return CoveringReport(False, f"edge map {ei!r} -> {ti!r} is not a pair of edge ids")
+        if not (0 <= ei < len(src.edges) and 0 <= ti < len(tgt.edges)):
+            return CoveringReport(False, f"edge map {ei} -> {ti} out of range")
+        e, t = src.edges[ei], tgt.edges[ti]
+        if Counter((c.phi(e.u), c.phi(e.v))) != Counter((t.u, t.v)):
+            return CoveringReport(False, f"edge {ei} endpoints do not cover edge {ti}")
+    hit_v, hit_e = set(), set()
+    for v in src.vertices:
+        if c.interior is not None and v not in c.interior:
+            continue
+        star, images = src.incident(v), set()
+        for ei in star:
+            if ei not in c.edge_map:
+                return CoveringReport(False, f"edge {ei} at vertex {v!r} unmapped")
+            images.add(c.edge_map[ei])
+        tv = c.phi(v)
+        if not len(images) == len(star) == tgt.degree(tv):
+            return CoveringReport(False, f"star at {v!r} is not bijective onto star at {tv!r}")
+        hit_v.add(tv)
+        hit_e |= images
+    missing_v = [v for v in tgt.vertices if v not in hit_v]
+    missing_e = [i for i in range(len(tgt.edges)) if i not in hit_e]
+    if missing_v or missing_e:
+        if c.interior is not None:
+            raise WindowTooSmallError(
+                f"window image misses target vertices {missing_v[:3]} "
+                f"or edges {missing_e[:3]}"
+            )
+        return CoveringReport(False, f"not surjective: missing vertices {missing_v[:3]}")
+    return CoveringReport(True)
+
+
+@lru_cache(maxsize=None)
+def base_covering(kind, *args):
+    """Coverings the corruptions start from; their maps are copied per use."""
+    if kind == "level":
+        return level_projection_covering(OmegaWord.parse(args[0]), *args[1:])
+    if kind == "ball":
+        return cayley_ball(OmegaWord.parse(args[0]), *args[1:]).covering
+    if kind == "ray":
+        return ray_window(*args)
+    if kind == "cut":
+        # the last source edge removed: the stars at its ends fall short
+        c = base_covering("level", *args)
+        src, last = c.source, len(c.source.edges) - 1
+        edge_map = {ei: ti for ei, ti in c.edge_map.items() if ei != last}
+        cut = Multigraph(src.vertices, src.edges[:last])
+        return CoveringMap(cut, c.target, c.vertex_map, edge_map)
+    if kind == "loops":
+        # 1 and "1" print alike; the rim loop at c must not cover the loop at "1"
+        tgt = Multigraph([1, "1"], [(1, 1), ("1", "1")])
+        src = Multigraph(["a", "b", "c"], [("a", "a"), ("b", "b"), ("c", "c")])
+        return CoveringMap(
+            src, tgt, {"a": 1, "b": "1", "c": 1}, {0: 0, 1: 1, 2: 1}, interior={"a", "b"}
+        )
+    # a target with an isolated vertex, covered by an isolated source vertex
+    tgt = Multigraph(["x", "y"], [("x", "x")])
+    src = Multigraph(["a", "b"], [("a", "a")])
+    return CoveringMap(src, tgt, {"a": "x", "b": "y"}, {0: 0})
+
+
+BASES = st.sampled_from([
+    ("level", ":012", 4, 2), ("level", ":01", 5, 2), ("level", "0:12", 3, 1),
+    ("level", ":012", 6, 3), ("ball", ":012", 3, 2), ("ball", ":012", 5, 1),
+    ("ball", "2:21", 4, 2), ("ray", 4), ("cut", ":012", 4, 2), ("loops",), ("isolated",),
+])
+# malformed and unusual edge ids as well as well-formed ones
+EDGE_IDS = st.one_of(
+    st.integers(-3, 60),
+    st.integers(0, 40).map(np.int64),
+    st.sampled_from([-12, 2**70, 0.0, 1.0, "1", None, True]),
+)
+CORRUPTIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["swap", "remap", "delete", "strip", "add", "reverse", "unmap", "revert"]),
+        st.integers(0, 1 << 16),
+        st.integers(0, 1 << 16),
+        EDGE_IDS,
+    ),
+    max_size=3,
+)
+
+
+def corrupt(c, ops):
+    """A copy of c with the given swaps, remaps and deletions applied; a strip
+    deletes the whole edge star at a vertex, a reverse reverses the map order."""
+    vmap, emap = dict(c.vertex_map), dict(c.edge_map)
+    for op, a, b, ident in ops:
+        keys, verts = list(emap), list(vmap)
+        if op == "swap" and keys:
+            x, y = keys[a % len(keys)], keys[b % len(keys)]
+            emap[x], emap[y] = emap[y], emap[x]
+        elif op == "remap" and keys:
+            emap[keys[a % len(keys)]] = ident
+        elif op == "delete" and keys:
+            del emap[keys[a % len(keys)]]
+        elif op == "strip" and verts:
+            for ei in c.source.incident(verts[a % len(verts)]):
+                emap.pop(ei, None)
+        elif op == "add":
+            emap[ident if ident is not None else a] = b % max(1, len(c.target.edges))
+        elif op == "reverse":
+            emap = dict(reversed(emap.items()))
+        elif op == "unmap" and verts:
+            del vmap[verts[a % len(verts)]]
+        elif op == "revert" and verts:
+            images = [*c.target.vertices, "nope", ["x"]]
+            vmap[verts[a % len(verts)]] = images[b % len(images)]
+    return CoveringMap(c.source, c.target, vmap, emap, c.interior)
+
+
+def outcome(route, c):
+    """A report as (ok, witness), or the message of a too-small window."""
+    try:
+        rep = route(c)
+    except WindowTooSmallError as err:
+        return "window too small", str(err)
+    return rep.ok, rep.witness
+
+
 class TestVerifyCovering:
     def test_level_projection_verifies(self):
         assert verify_covering(level_projection_covering(W, 4, 2))
@@ -99,14 +241,7 @@ class TestVerifyCovering:
         assert verify_covering(identity_covering(schreier_graph(W, 3)))
 
     def test_endpoints_compared_by_value(self):
-        # 1 and "1" print alike; the rim loop at c must not cover the loop at "1"
-        tgt = Multigraph([1, "1"], [(1, 1), ("1", "1")])
-        src = Multigraph(["a", "b", "c"], [("a", "a"), ("b", "b"), ("c", "c")])
-        cov = CoveringMap(
-            src, tgt, {"a": 1, "b": "1", "c": 1}, {0: 0, 1: 1, 2: 1},
-            interior={"a", "b"},
-        )
-        rep = verify_covering(cov)
+        rep = verify_covering(base_covering("loops"))
         assert not rep and "edge 2" in rep.witness
 
     def test_vertex_mapped_outside_the_target_detected(self):
@@ -126,6 +261,7 @@ class TestVerifyCovering:
             ({"a": "x", "b": "x"}, {0: 0, 1: 0, 7: 0}, "7"),
             ({"a": "x", "b": "x"}, {0: 0, 1: 0.0}, "0.0"),
             ({"a": "x", "b": "x"}, {0: 0, "1": 0}, "'1'"),
+            ({"a": "x", "b": ["x"]}, {0: 0, 1: 0}, "'b' maps to ['x']"),
         ],
     )
     def test_malformed_maps_answered(self, vertex_map, edge_map, named):
@@ -156,6 +292,27 @@ class TestVerifyCovering:
         ball = cayley_ball(W, 1, 3)
         with pytest.raises(WindowTooSmallError):
             verify_covering(ball.covering)
+
+    def test_isolated_target_vertex_covered(self):
+        # an isolated source vertex covers it; no Markov degree table is read
+        c = base_covering("isolated")
+        assert verify_covering(c) and reference_verify(c)
+
+    @given(base=BASES, ops=CORRUPTIONS)
+    @example(base=("level", ":012", 4, 2), ops=[("remap", 3, 0, True)])
+    @example(
+        base=("level", ":012", 4, 2),
+        ops=[("delete", 1, 0, 0), ("add", 0, 0, True), ("add", 0, 0, "1")],
+    )
+    @example(base=("level", ":012", 4, 2), ops=[("swap", 0, 9, 0), ("reverse", 0, 0, 0)])
+    @example(base=("level", ":012", 4, 2), ops=[("remap", 3, 0, np.int64(40))])
+    @example(base=("ball", ":012", 5, 1), ops=[("strip", 0, 0, 0)])
+    @example(base=("cut", ":012", 4, 2), ops=[])
+    @example(base=("ray", 4), ops=[])
+    @settings(max_examples=300, deadline=None)
+    def test_array_route_matches_reference_scan(self, base, ops):
+        c = corrupt(base_covering(*base), ops)
+        assert outcome(verify_covering, c) == outcome(reference_verify, c)
 
 
 class TestLifting:
@@ -234,6 +391,21 @@ class TestLifting:
         # lifts from distinct starts never meet: each step permutes the fiber
         for step in zip(*lifts):
             assert len(set(step)) == len(fiber)
+
+    @pytest.mark.parametrize("ti", [12, 17, -1, -12, 1.0, "0", None])
+    def test_bad_target_edge_id_named(self, ti):
+        # the level-2 target has edges 0..11; a bad id is named, not read as
+        # a list index or compared with the edge map
+        cov = level_projection_covering(W, 3, 2)
+        start = next(v for v in cov.source.vertices if cov.phi(v) == "11")
+        with pytest.raises(ValueError, match=re.escape(f"target edge {ti!r} is not an edge id")):
+            lift_path(cov, "11", [ti], start)
+
+    def test_numpy_target_edge_id_accepted(self):
+        cov = level_projection_covering(W, 3, 2)
+        start = next(v for v in cov.source.vertices if cov.phi(v) == "11")
+        ti = cov.target.incident("11")[0]
+        assert lift_path(cov, "11", [np.int64(ti)], start) == lift_path(cov, "11", [ti], start)
 
     def test_bad_start_rejected(self):
         cov = level_projection_covering(W, 3, 2)
@@ -401,7 +573,11 @@ class TestResiduals:
 
     @pytest.mark.parametrize(
         "vertex_map, named",
-        [({0: 0, 1: 1}, "vertex 'x' unmapped"), ({0: 0, 1: 1, "x": "nope"}, "'nope'")],
+        [
+            ({0: 0, 1: 1}, "vertex 'x' unmapped"),
+            ({0: 0, 1: 1, "x": "nope"}, "'nope'"),
+            ({0: 0, 1: 1, "x": ["x"]}, re.escape("vertex 'x' maps to ['x']")),
+        ],
     )
     def test_vertex_map_faults_named(self, vertex_map, named):
         tgt = Multigraph([0, 1], [(0, 0), (0, 1), (1, 1)])
