@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,8 +23,8 @@ from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
 from .graphs import Edge, Multigraph, WeightedGraph
 from .graphs import _bfs_distances, _degrees, _markov_eigh, _neighbor_sum, _stars
 
-# the types an edge-map entry or a lifted target edge may hold as an edge id
-_EDGE_ID = (int, np.integer)
+# the types an edge id or a radius may hold
+_INT = (int, np.integer)
 
 
 class WindowTooSmallError(RuntimeError):
@@ -68,11 +68,11 @@ class CoveringMap:
             raise ValueError(_vertex_fault(self)) from None
 
     @cached_property
-    def _edge_image(self) -> np.ndarray:
-        """The target edge id of each source edge, -1 where unmapped; ValueError
-        names the first edge-map entry that is not a pair of edge ids in range."""
+    def _edge_entries(self) -> tuple[np.ndarray, np.ndarray, Optional[str]]:
+        """The edge map's keys and values as id arrays, in map order up to the first
+        entry that is not a pair of edge ids in range, and the text naming it or None."""
         m, bounds = self.edge_map, (len(self.source.edges), len(self.target.edges))
-        if all(map(isinstance, chain(m.keys(), m.values()), repeat(_EDGE_ID))):
+        if all(map(isinstance, chain(m.keys(), m.values()), repeat(_INT))):
             try:
                 keys, values = (np.fromiter(ids, np.intp, len(m)) for ids in (m.keys(), m.values()))
             except OverflowError:  # an id past the range of intp
@@ -80,10 +80,28 @@ class CoveringMap:
             else:
                 outside = (keys < 0) | (keys >= bounds[0]) | (values < 0) | (values >= bounds[1])
                 if not np.count_nonzero(outside):
-                    table = np.full(bounds[0], -1, np.intp)
-                    table[keys] = values
-                    return table
-        raise ValueError(_edge_fault(self))
+                    return keys, values, None
+        # some entry is malformed: the scan names the first
+        for count, (ei, ti) in enumerate(m.items()):
+            if not (isinstance(ei, _INT) and isinstance(ti, _INT)):
+                fault = f"edge map {ei!r} -> {ti!r} is not a pair of edge ids"
+            elif not (0 <= ei < bounds[0] and 0 <= ti < bounds[1]):
+                fault = f"edge map {ei} -> {ti} out of range"
+            else:
+                continue
+            keys, values = (np.fromiter(ids, np.intp, count) for ids in (m.keys(), m.values()))
+            return keys, values, fault
+
+    @cached_property
+    def _edge_image(self) -> np.ndarray:
+        """The target edge id of each source edge, -1 where unmapped; ValueError
+        names the first edge-map entry that is not a pair of edge ids in range."""
+        keys, values, fault = self._edge_entries
+        if fault:
+            raise ValueError(fault)
+        table = np.full(len(self.source.edges), -1, np.intp)
+        table[keys] = values
+        return table
 
     @cached_property
     def _image_degree(self) -> np.ndarray:
@@ -125,36 +143,19 @@ def _vertex_fault(c: CoveringMap) -> Optional[str]:
     return None
 
 
-def _edge_fault(c: CoveringMap, image: Optional[np.ndarray] = None) -> Optional[str]:
-    """The first edge-map entry, in map order, that is not a pair of edge ids in
-    range or, given the vertex image, whose ends do not cover its image's."""
-    src, tgt = c.source, c.target
-    for ei, ti in c.edge_map.items():
-        if not (isinstance(ei, _EDGE_ID) and isinstance(ti, _EDGE_ID)):
-            return f"edge map {ei!r} -> {ti!r} is not a pair of edge ids"
-        if not (0 <= ei < len(src.edges) and 0 <= ti < len(tgt.edges)):
-            return f"edge map {ei} -> {ti} out of range"
-        if image is None:
-            continue
-        # int(): numpy would read a bool id as a mask, not as an edge position
-        if sorted(image[src.ends[int(ei)]]) != sorted(tgt.ends[int(ti)]):
-            return f"edge {ei} endpoints do not cover edge {ti}"
-    return None
-
-
-def _endpoint_fault(c: CoveringMap, image: np.ndarray, table: np.ndarray) -> Optional[str]:
-    """The first edge-map entry, in map order, whose ends do not cover its
-    image's (as multisets, so a non-loop may cover a loop)."""
-    mapped = np.flatnonzero(table >= 0)
-    (a, b), (u, w) = image[c.source.ends[mapped]].T, c.target.ends[table[mapped]].T
-    mismatch = set(mapped[~((a == u) & (b == w) | (a == w) & (b == u))].tolist())
-    if not mismatch:
+def _endpoint_fault(c: CoveringMap, image: np.ndarray) -> Optional[str]:
+    """The first well-formed edge-map entry, in map order, whose ends do not
+    cover its image's (as multisets, so a non-loop may cover a loop)."""
+    keys, values, _ = c._edge_entries
+    (a, b), (u, w) = image[c.source.ends[keys]].T, c.target.ends[values].T
+    mismatch = np.flatnonzero(~((a == u) & (b == w) | (a == w) & (b == u)))
+    if not mismatch.size:
         return None
-    ei = next(ei for ei in c.edge_map if ei in mismatch)
-    return f"edge {ei} endpoints do not cover edge {c.edge_map[ei]}"
+    ei, ti = next(islice(c.edge_map.items(), int(mismatch[0]), None))
+    return f"edge {ei} endpoints do not cover edge {ti}"
 
 
-def _star_fault(c: CoveringMap, image: np.ndarray, slot_image: np.ndarray) -> Optional[str]:
+def _star_fault(c: CoveringMap, image: np.ndarray) -> Optional[str]:
     """The first interior vertex, in source order, whose star does not map
     bijectively onto the star at its image; an unmapped star edge is named
     first.  With endpoints compatible each edge image at v lies in the star at
@@ -165,6 +166,7 @@ def _star_fault(c: CoveringMap, image: np.ndarray, slot_image: np.ndarray) -> Op
     unmapped (-1) images apart.  The stable argsort is the sort the slot index
     is built with, so it pages in no numpy code of its own."""
     s, t = _stars(c.source), _stars(c.target)
+    slot_image = c._edge_image[s.edge]
     unmapped = slot_image < 0
     width = len(c.target.edges) + 1
     keys = s.vertex * width + slot_image + 1
@@ -190,25 +192,21 @@ def verify_covering(c: CoveringMap) -> CoveringReport:
     On windowed sources local bijectivity is checked at interior vertices
     only; if the window image misses part of the target the window cannot
     certify surjectivity and :class:`WindowTooSmallError` is raised.  The
-    checks read the covering's position tables in numpy; the witness is the
-    first fault in a fixed order: a source vertex, then an edge-map entry in
-    map order, then an interior vertex in source order, then the first
-    missing target vertices and edges.
+    checks run in numpy on one read of the edge map; the witness is the first
+    fault in a fixed order: a source vertex, then an endpoint mismatch in map
+    order before the first malformed edge-map entry, then that entry, then an
+    interior vertex in source order, then the first missing target vertices and edges.
     """
     src, tgt = c.source, c.target
     try:
         image = c._image
     except ValueError as fault:
         return CoveringReport(False, str(fault))
-    try:
-        table = c._edge_image
-    except ValueError:  # the scan names the malformed entry or an earlier mismatch
-        return CoveringReport(False, _edge_fault(c, image))
-    s = _stars(src)
-    fault = _endpoint_fault(c, image, table) or _star_fault(c, image, table[s.edge])
+    fault = _endpoint_fault(c, image) or c._edge_entries[2] or _star_fault(c, image)
     if fault:
         return CoveringReport(False, fault)
     # surjectivity onto the target, witnessed by interior vertices
+    table, s = c._edge_image, _stars(src)
     hit_v, hit_e = np.zeros(tgt.n, bool), np.zeros(len(tgt.edges), bool)
     hit_v[image[c._interior]] = True
     hit_e[table[s.edge[c._interior[s.vertex]]]] = True
@@ -227,11 +225,16 @@ def lift_weights(c: CoveringMap, weighted_target: WeightedGraph) -> WeightedGrap
     """Pull back per-endpoint weights along the covering.
 
     ``weighted_target`` must have the same vertices and edge order as the
-    covering's target; ValueError otherwise.
+    covering's target, and every source vertex and edge must be mapped into
+    it; ValueError otherwise.
     """
     w = weighted_target
     if w.vertices != c.target.vertices or not np.array_equal(w.ends, c.target.ends):
         raise ValueError("weighted target differs from the covering target in vertices or edges")
+    c._image  # ValueError names a vertex that is unmapped or maps outside the target
+    unmapped = np.flatnonzero(c._edge_image < 0)  # ValueError names a malformed entry
+    if unmapped.size:
+        raise ValueError(f"source edge {unmapped[0]} unmapped")
     edges = []
     for ei, e in enumerate(c.source.edges):
         te = w.edges[c.edge_map[ei]]
@@ -250,16 +253,22 @@ def lift_path(
 ) -> list:
     """Unique lift of a target path; returns the source vertex sequence.
 
-    ValueError names a step whose target edge id is not an int in range, or
-    not incident to the walk, or does not lift to exactly one source edge.
+    BadStartError names a start that is not a source vertex in the fiber of
+    ``origin``.  ValueError names a step whose target edge id is not an int in
+    range, or not incident to the walk, or does not lift to exactly one source
+    edge.
     """
-    if c.phi(start) != origin:
+    try:
+        inside = start in c.source and c.phi(start) == origin
+    except (KeyError, TypeError):  # an unmapped or an unhashable start
+        inside = False
+    if not inside:
         raise BadStartError(f"{start!r} is not in the fiber of {origin!r}")
     table, n_edges = c._edge_image, len(c.target.edges)
     path = [start]
     cur_t, cur_s = origin, start
     for ti in edge_indices:
-        if not (isinstance(ti, _EDGE_ID) and 0 <= ti < n_edges):
+        if not (isinstance(ti, _INT) and 0 <= ti < n_edges):
             raise ValueError(f"target edge {ti!r} is not an edge id in range({n_edges})")
         te = c.target.edges[ti]
         if cur_t not in (te.u, te.v):
@@ -296,6 +305,7 @@ def folner_balls(c: CoveringMap, v, k_max: int) -> FolnerReport:
     set; the outer boundary of F_{k_max} is exact only if B_{k_max + 1}(v) is,
     and :class:`WindowTooSmallError` is raised otherwise.
     """
+    _require_int_radii([k_max])
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     radius = _distances(c.source, v)
@@ -315,6 +325,13 @@ def folner_balls(c: CoveringMap, v, k_max: int) -> FolnerReport:
 
 # ---------------------------------------------------------------------------
 # residual harness
+
+
+def _require_int_radii(radii: Sequence) -> None:
+    """ValueError names the first radius that is not an int; numpy ints are."""
+    for k in radii:
+        if not isinstance(k, _INT):
+            raise ValueError(f"radius {k!r} is not an int")
 
 
 def _distances(g: Multigraph, v) -> np.ndarray:
@@ -337,6 +354,7 @@ def _require_exact_ball(c: CoveringMap, radius: np.ndarray, k: int) -> None:
 
 def fiber_count(c: CoveringMap, v, k: int) -> int:
     """Number of fiber points of phi(v) within the radius-k source ball."""
+    _require_int_radii([k])
     radius = _distances(c.source, v)
     _require_exact_ball(c, radius, k)
     return int(np.count_nonzero((radius <= k) & (c._image == c._image[c.source.index(v)])))
@@ -382,6 +400,7 @@ def hulanicki_residual(
     """
     if mode not in ("finite-target", "subexp"):
         raise ValueError(f"unknown mode {mode!r}")
+    _require_int_radii([k])
     tgt = c.target
     f = _unit_target_vector(c, f)
     eps = float(np.linalg.norm(_neighbor_sum(tgt, f) / _degrees(tgt) - lam * f))
@@ -472,6 +491,7 @@ def spectral_inclusion_report(
     """
     if len(k_schedule) == 0:
         raise ValueError("k_schedule must hold at least one radius")
+    _require_int_radii(k_schedule)
     if c.target.n > config.max_vertices:
         raise ResourceLimitError(f"target exceeds max_vertices {config.max_vertices}")
     vals, vecs = _markov_eigh(c.target)

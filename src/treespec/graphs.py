@@ -60,6 +60,18 @@ class _Slots(NamedTuple):
     far: np.ndarray
 
 
+def _slot_index(ends: np.ndarray, n: int) -> _Slots:
+    """The slot index of the (E, 2) endpoint table ``ends`` on vertices 0..n-1."""
+    flat = ends.ravel()
+    keep = np.ones(flat.size, dtype=bool)
+    keep[1::2] = flat[::2] != flat[1::2]  # a loop keeps its u-end only
+    end = np.flatnonzero(keep)
+    end = end[np.argsort(flat[end], kind="stable")]  # edge order within a vertex
+    vertex = flat[end]
+    ptr = np.searchsorted(vertex, np.arange(n + 1))
+    return _Slots(ptr, vertex, end >> 1, flat[end ^ 1])
+
+
 class Multigraph:
     """Unweighted multigraph with loops; edges may carry labels.  ``ends`` is
     the read-only (E, 2) table of endpoint positions, which all adjacency reads."""
@@ -93,14 +105,7 @@ class Multigraph:
     # serialized or canonicalised never pay for it
     @cached_property
     def _slots(self) -> _Slots:
-        flat = self.ends.ravel()
-        keep = np.ones(flat.size, dtype=bool)
-        keep[1::2] = flat[::2] != flat[1::2]  # a loop keeps its u-end only
-        end = np.flatnonzero(keep)
-        end = end[np.argsort(flat[end], kind="stable")]  # edge order within a vertex
-        vertex = flat[end]
-        ptr = np.searchsorted(vertex, np.arange(self.n + 1))
-        return _Slots(ptr, vertex, end >> 1, flat[end ^ 1])
+        return _slot_index(self.ends, self.n)
 
     def _span(self, v: VertexId) -> slice:
         ptr, i = self._slots.ptr, self._index[v]

@@ -17,7 +17,7 @@ import numpy as np
 from .actions import GENERATORS, generator_action
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
 from .covering import CoveringMap
-from .graphs import Edge, Multigraph
+from .graphs import Edge, Multigraph, _slot_index
 from .growth import BallEnumeration, _enumerate_at_depth, comparison_depth
 from .omega import OmegaWord
 
@@ -142,7 +142,7 @@ def _path_order(
     starts at the end with the smaller index; loop counts are listed along
     it, and multiplicities between consecutive vertices.  Raises
     NotAPathError unless the non-loop edges form one simple path through
-    every vertex.
+    every vertex.  It reads the graphs' slot index of the distinct non-loop pairs.
     """
     loop = u == v
     loops = np.bincount(u[loop], minlength=size)
@@ -151,19 +151,14 @@ def _path_order(
     pairs, mult = np.unique(lo * size + hi, return_counts=True)
     if size == 1:
         return np.zeros(1, dtype=np.intp), loops, mult
-    a, b = np.divmod(pairs, size)
-    deg = np.bincount(a, minlength=size) + np.bincount(b, minlength=size)
+    s = _slot_index(np.column_stack(np.divmod(pairs, size)), size)
+    deg = np.diff(s.ptr)
     ends = np.flatnonzero(deg == 1)
     if len(ends) != 2 or deg.max() > 2:
         raise NotAPathError("non-loop edges do not form a simple path")
-    # the distinct neighbours of each vertex, -1 where it has only one
-    src, dst = np.concatenate((a, b)), np.concatenate((b, a))
-    by_src = np.argsort(src, kind="stable")
-    src, dst = src[by_src], dst[by_src]
-    slot = np.arange(len(src)) - np.searchsorted(src, src)
-    nb = np.full((size, 2), -1, dtype=np.int64)
-    nb[src, slot] = dst
-    first, second = nb[:, 0].tolist(), nb[:, 1].tolist()
+    # each reachable vertex's first and last distinct neighbour, the last -1 if it has one
+    first = np.take(s.far, s.ptr[:-1], mode="clip").tolist()
+    second = np.where(deg == 2, s.far[s.ptr[1:] - 1], -1).tolist()
     # every inner vertex has two neighbours, so the walk never turns back;
     # it stops early only at the far end of a path that misses a vertex
     prev, cur = -1, int(ends[0])

@@ -41,10 +41,10 @@ class IntervalUnion:
         parts = text.replace(" ", "").split("u")
         intervals = []
         for p in parts:
-            if not (p.startswith("[") and p.endswith("]")):
+            ends = p[1:-1].split(",")
+            if not (p.startswith("[") and p.endswith("]")) or len(ends) != 2:
                 raise ValueError(f"bad interval {p!r}")
-            lo, hi = p[1:-1].split(",")
-            intervals.append((float(lo), float(hi)))
+            intervals.append((float(ends[0]), float(ends[1])))
         return IntervalUnion(tuple(sorted(intervals)))
 
     def __str__(self) -> str:

@@ -164,6 +164,15 @@ class TestSubcommands:
         assert err == "error: interval [nan, 1.0] is empty or has a NaN end\n"
         assert "value" not in out
 
+    @pytest.mark.parametrize("sub, level", [("spectrum", "--level"), ("sweep", "--max-level")])
+    def test_target_without_two_ends_refused(self, capsys, sub, level):
+        code, out, err = run(
+            capsys, sub, "--omega", ":012", level, "3", "--target", "[1,2,3]"
+        )
+        assert code == 1
+        assert err == "error: bad interval '[1,2,3]'\n"
+        assert "value" not in out
+
     def test_sweep(self, capsys):
         code, out, _ = run(capsys, "sweep", "--omega", ":01", "--max-level", "4")
         assert code == 0

@@ -306,6 +306,11 @@ class TestVerifyCovering:
     )
     @example(base=("level", ":012", 4, 2), ops=[("swap", 0, 9, 0), ("reverse", 0, 0, 0)])
     @example(base=("level", ":012", 4, 2), ops=[("remap", 3, 0, np.int64(40))])
+    # an endpoint mismatch at edge 5 named before a malformed entry at edge 40,
+    # a malformed entry at edge 2 before a mismatch, and a True key mismatched
+    @example(base=("level", ":012", 4, 2), ops=[("swap", 5, 9, 0), ("remap", 40, 0, 1.0)])
+    @example(base=("level", ":012", 4, 2), ops=[("remap", 2, 0, 2**70), ("swap", 5, 9, 0)])
+    @example(base=("level", ":012", 4, 2), ops=[("delete", 1, 0, 0), ("add", 0, 5, True)])
     @example(base=("ball", ":012", 5, 1), ops=[("strip", 0, 0, 0)])
     @example(base=("cut", ":012", 4, 2), ops=[])
     @example(base=("ray", 4), ops=[])
@@ -413,6 +418,37 @@ class TestLifting:
         with pytest.raises(BadStartError):
             lift_path(cov, "11", [], start)
 
+    @pytest.mark.parametrize("start", ["nope", ["000"]])
+    def test_start_outside_the_source_rejected(self, start):
+        # neither a KeyError from the vertex map nor a TypeError from hashing
+        cov = level_projection_covering(W, 3, 2)
+        with pytest.raises(BadStartError, match=re.escape(f"{start!r} is not in the fiber")):
+            lift_path(cov, "11", [], start)
+
+    @pytest.mark.parametrize(
+        "vertex, edge, named",
+        [
+            ("000", None, "vertex '000' unmapped"),
+            ("000", "zz", "vertex '000' maps to 'zz', not a target vertex"),
+            (3, None, "source edge 3 unmapped"),
+            (3, 99, "edge map 3 -> 99 out of range"),
+            (3, 1.0, "edge map 3 -> 1.0 is not a pair of edge ids"),
+        ],
+    )
+    def test_weights_of_a_malformed_covering_rejected(self, vertex, edge, named):
+        # an unmapped vertex or edge was a KeyError, edge id 99 an IndexError,
+        # 1.0 a TypeError, and a vertex mapped outside the target passed
+        cov = level_projection_covering(W, 3, 2)
+        vmap, emap = dict(cov.vertex_map), dict(cov.edge_map)
+        maps = vmap if isinstance(vertex, str) else emap
+        if edge is None:
+            del maps[vertex]
+        else:
+            maps[vertex] = edge
+        bad = CoveringMap(cov.source, cov.target, vmap, emap)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            lift_weights(bad, markov_weights(cov.target))
+
 
 def ray_window(size):
     """The ray segment 0..size; its last vertex lacks the edge onward."""
@@ -427,6 +463,11 @@ def tree_window(depth, interior_depth):
 
 class TestFolner:
     # the infinite graphs are read through windows of radius k_max + 1
+    def test_radius_not_an_int_named(self):
+        with pytest.raises(ValueError, match="radius 2.5 is not an int"):
+            folner_balls(ray_window(13), 0, 2.5)
+        assert folner_balls(ray_window(13), 0, np.int64(12)) == folner_balls(ray_window(13), 0, 12)
+
     def test_ray_is_folner(self):
         rep = folner_balls(ray_window(13), 0, 12)
         assert rep.subexp_evidence
@@ -487,6 +528,13 @@ class TestFiberCount:
         ball = cayley_ball(W, 4, 2)
         with pytest.raises(WindowTooSmallError):
             fiber_count(ball.covering, 0, 9)
+
+    def test_radius_not_an_int_named(self):
+        # 2.5 counted the fiber points within radius 2
+        ball = cayley_ball(W, 6, 2)
+        with pytest.raises(ValueError, match="radius 2.5 is not an int"):
+            fiber_count(ball.covering, 0, 2.5)
+        assert fiber_count(ball.covering, 0, np.int64(2)) == fiber_count(ball.covering, 0, 2)
 
     def test_monotone_in_radius(self):
         ball = cayley_ball(W, 6, 2)
@@ -597,6 +645,22 @@ class TestResiduals:
             hulanicki_residual(cov, 1.0, [0.0, 1.0], "subexp", 1)
         with pytest.raises(ValueError, match="supported at 1,"):
             spectral_inclusion_report(cov, [1])
+
+    @pytest.mark.parametrize("k", [4.5, 4.0, "4", None])
+    def test_radius_not_an_int_named(self, k):
+        # k = 4.5 gave records labelled 4.5 whose alphas were taken at radii
+        # -1.5, 1.5, 4.5 and 7.5 and whose residuals were those of k = 4
+        ball = cayley_ball(W, 12, 2)
+        with pytest.raises(ValueError, match=re.escape(f"radius {k!r} is not an int")):
+            spectral_inclusion_report(ball.covering, [4, k])
+        with pytest.raises(ValueError, match=re.escape(f"radius {k!r} is not an int")):
+            hulanicki_residual(ball.covering, 1.0, np.ones(4), "subexp", k)
+
+    def test_numpy_radius_accepted(self):
+        ball = cayley_ball(W, 12, 2)
+        assert spectral_inclusion_report(ball.covering, [np.int64(4)]) == (
+            spectral_inclusion_report(ball.covering, [4])
+        )
 
     def test_inclusion_report_refuses_empty_schedule(self):
         # no radius, no record: every best residual would read inf

@@ -1,6 +1,7 @@
 import bisect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -237,6 +238,13 @@ class TestIntervalUnion:
     def test_parse_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
             IntervalUnion.parse("[nan,1]")
+
+    @pytest.mark.parametrize("text", ["[1,2,3]", "[1]", "[]", "[0,1]u[1,2,3]"])
+    def test_parse_names_an_interval_without_two_ends(self, text):
+        # these raised "too many values to unpack" or "not enough values"
+        bad = text.split("u")[-1]
+        with pytest.raises(ValueError, match=re.escape(f"bad interval {bad!r}")):
+            IntervalUnion.parse(text)
 
     def test_hausdorff_exact_on_gaps(self):
         u = IntervalUnion(((0.0, 1.0),))
