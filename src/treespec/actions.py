@@ -144,6 +144,11 @@ def generator_action(g: str, w: OmegaWord, depth: int) -> TreeAutomorphism:
     return TreeAutomorphism._trusted(depth, perm)
 
 
+def _generator_table(w: OmegaWord, depth: int) -> np.ndarray:
+    """The generators' leaf permutations at ``depth``, one row each."""
+    return np.stack([generator_action(g, w, depth).perm for g in GENERATORS])
+
+
 def word_action(word: str, w: OmegaWord, depth: int) -> TreeAutomorphism:
     """Action of a word over {a,b,c,d}; the leftmost letter acts last."""
     gens = {g: generator_action(g, w, depth).perm for g in set(word)}

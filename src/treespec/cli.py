@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import covering as cov
 from .config import FormatError, ResourceLimitError, RunConfig
@@ -119,10 +120,7 @@ def cmd_cover_verify(args, config) -> int:
         b = next(k for k in rest if m[k] != m[a])
         c = cov.CoveringMap(c.source, c.target, c.vertex_map, {**m, a: m[b], b: m[a]})
     report = cov.verify_covering(c)
-    fibers = {}
-    for v in c.source.vertices:
-        fibers.setdefault(c.phi(v), 0)
-        fibers[c.phi(v)] += 1
+    fibers = Counter(map(c.phi, c.source.vertices))
     print(f"fiber sizes: {sorted(set(fibers.values()))}")
     if report.ok:
         print("covering verified")

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import ClassVar
+from typing import ClassVar, Sequence
+
+import numpy as np
+
+# the types an edge id or a radius may hold
+_INT = (int, np.integer)
 
 
 class ResourceLimitError(RuntimeError):
@@ -12,6 +17,13 @@ class ResourceLimitError(RuntimeError):
 
 class FormatError(ValueError):
     """A serialized document is malformed."""
+
+
+def _require_int_radii(radii: Sequence) -> None:
+    """ValueError names the first radius that is not an int; numpy ints are."""
+    for k in radii:
+        if not isinstance(k, _INT):
+            raise ValueError(f"radius {k!r} is not an int")
 
 
 @dataclass

@@ -19,12 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
+from .config import _INT, DEFAULT_CONFIG, ResourceLimitError, RunConfig, _require_int_radii
 from .graphs import Edge, Multigraph, WeightedGraph
 from .graphs import _bfs_distances, _degrees, _markov_eigh, _neighbor_sum, _stars
-
-# the types an edge id or a radius may hold
-_INT = (int, np.integer)
 
 
 class WindowTooSmallError(RuntimeError):
@@ -325,13 +322,6 @@ def folner_balls(c: CoveringMap, v, k_max: int) -> FolnerReport:
 
 # ---------------------------------------------------------------------------
 # residual harness
-
-
-def _require_int_radii(radii: Sequence) -> None:
-    """ValueError names the first radius that is not an int; numpy ints are."""
-    for k in radii:
-        if not isinstance(k, _INT):
-            raise ValueError(f"radius {k!r} is not an int")
 
 
 def _distances(g: Multigraph, v) -> np.ndarray:

@@ -9,18 +9,21 @@ inverse leaf permutations of its elements, on which a generator (a product
 of branch swaps) acts by swapping column blocks.  Each candidate is looked
 up once in a dict keyed on the exact bytes of its even-leaf columns, which
 holds only the last three shells: a generator moves an element by at most
-one shell.
+one shell.  A ball keeps only its neighbour table and its census; leaf
+images (the leaf permutations, a Cayley ball's level images) are derived
+from the BFS parents that the neighbour table records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
-from .actions import GENERATORS, generator_action
-from .config import ResourceLimitError
+from .actions import GENERATORS, _generator_table
+from .config import ResourceLimitError, _require_int_radii
 from .omega import ACTIVE, OmegaWord
 
 # the most elements one ball enumeration may hold
@@ -33,28 +36,45 @@ class BallEnumeration:
 
     Elements are numbered in BFS order (index 0 = identity; each shell in
     the order its elements are first reached from the one before, element by
-    element and generator by generator).
+    element and generator by generator).  The ball holds two tables:
 
-    - ``perms``: list of the leaf permutations, ``perms[i]`` that of element
-      i, as read-only row views of one array per shell, in the narrowest
-      unsigned dtype that holds a leaf (uint8 up to depth 8).
-    - ``radius_of``: list of ints, the word length of each element.
     - ``neighbors``: (N, 4) int32 array; ``neighbors[i, j]`` is the index of
       generator j * element i, or -1 on the outer shell where that product
       lies outside the ball.
-    - ``sizes``: list of ints, ``sizes[r]`` the census of the radius-r ball.
+    - ``sizes``: list of ints, ``sizes[r]`` the census of the radius-r ball,
+      so element i has word length r where ``sizes[r - 1] <= i < sizes[r]``.
 
     ``stable`` is always True: distinct elements of the ball and its outer
     shell act differently at ``depth``, so the census is proven.
     """
 
+    omega: OmegaWord
     depth: int
-    radius: int
-    perms: list[np.ndarray]
-    radius_of: list[int]
     neighbors: np.ndarray
     sizes: list[int]
     stable: ClassVar[bool] = True
+
+    @cached_property
+    def perms(self) -> np.ndarray:
+        """Read-only leaf permutations by element, derived on first read, in the
+        narrowest unsigned dtype that holds a leaf (uint8 up to depth 8)."""
+        n = 1 << self.depth
+        return _leaf_images(self, self.depth, np.arange(n, dtype=np.min_scalar_type(n - 1)))
+
+
+def _leaf_images(enum: BallEnumeration, depth: int, start: np.ndarray) -> np.ndarray:
+    """Read-only images of the level-``depth`` vertices ``start`` by element, in
+    their dtype.  Ids are handed out in (element, generator) order, so the first
+    neighbour cell that holds i > 0 names the parent and generator that reached i."""
+    ids, first = np.unique(enum.neighbors.ravel(), return_index=True)
+    parent, gen = np.divmod(first[ids > 0], len(GENERATORS))
+    gens = _generator_table(enum.omega, depth).astype(start.dtype)
+    rows = np.empty((enum.sizes[-1], len(start)), start.dtype)
+    rows[0] = start
+    for lo, hi in zip(enum.sizes, enum.sizes[1:]):  # a shell from the one before
+        rows[lo:hi] = gens[gen[lo - 1 : hi - 1, None], rows[parent[lo - 1 : hi - 1]]]
+    rows.flags.writeable = False
+    return rows
 
 
 def comparison_depth(w: OmegaWord, length: int) -> int:
@@ -110,37 +130,15 @@ def _row_chunks(pieces: list[np.ndarray], step: int):
             yield piece[lo : lo + step]
 
 
-def _forward(pieces: list[np.ndarray], n: int, dtype, step: int) -> np.ndarray:
-    """The rows of the stacked ``pieces`` inverted, as one read-only array.
-    Where x^-1 sends leaf 2i to e, x sends e to 2i and e ^ 1 to 2i + 1, so
-    the even columns of x come from one scatter of the even columns of x^-1."""
-    fwd = np.empty((sum(map(len, pieces)), n), dtype)
-    half = n // 2
-    leaves = np.arange(0, n, 2, dtype=dtype)
-    lo = 0
-    for inv in _row_chunks(pieces, step):
-        src = inv[:, ::2]
-        even = np.empty(src.shape, dtype)
-        even.reshape(-1)[(src >> 1) + np.arange(0, src.size, half)[:, None]] = leaves | (src & 1)
-        fwd[lo : lo + len(inv), ::2] = even
-        fwd[lo : lo + len(inv), 1::2] = even ^ 1
-        lo += len(inv)
-    fwd.flags.writeable = False
-    return fwd
-
-
 def _enumerate_at_depth(w: OmegaWord, radius: int, depth: int) -> BallEnumeration:
-    n = 1 << depth
-    # the narrowest unsigned type that holds a leaf index (uint8 at depth 8)
-    dtype = np.min_scalar_type(n - 1)
-    blocks = [_column_blocks(generator_action(g, w, depth).perm) for g in GENERATORS]
+    blocks = [_column_blocks(perm) for perm in _generator_table(w, depth)]
     # rows per numpy step: 1024, and at most 2^18 leaves, so that the
     # temporaries of a step stay a few MiB at any depth
     step = max(1, min(1024, (1 << 18) >> depth))
     # the current shell in pieces, each element stored as its inverse permutation
-    shell = [np.arange(n, dtype=dtype)[None]]
-    perms = list(_forward(shell, n, dtype, step))
-    radius_of = [0]
+    # in the narrowest unsigned type that holds a leaf index (uint8 at depth 8)
+    n = 1 << depth
+    shell = [np.arange(n, dtype=np.min_scalar_type(n - 1))[None]]
     sizes = [1]
     neighbor_rows = []
     # keys of the last two finished shells; older keys leave the index, since
@@ -148,7 +146,7 @@ def _enumerate_at_depth(w: OmegaWord, radius: int, depth: int) -> BallEnumeratio
     older, old = [], _keys(shell[0])
     index = {old[0]: 0}
     count = 1
-    for r in range(1, radius + 1):
+    for _ in range(radius):
         found, keys_found = [], []
         for inv in _row_chunks(shell, step):
             cand = _products(inv, blocks)
@@ -170,8 +168,6 @@ def _enumerate_at_depth(w: OmegaWord, radius: int, depth: int) -> BallEnumeratio
             neighbor_rows.append(np.array(ids, dtype=np.int32).reshape(-1, len(GENERATORS)))
             found.append(cand[fresh])
         shell = found
-        perms.extend(_forward(shell, n, dtype, step))
-        radius_of.extend([r] * len(keys_found))
         sizes.append(count)
         for key in older:
             del index[key]
@@ -180,8 +176,7 @@ def _enumerate_at_depth(w: OmegaWord, radius: int, depth: int) -> BallEnumeratio
     for inv in _row_chunks(shell, step):
         ids = [index.get(key, -1) for key in _keys(_products(inv, blocks))]
         neighbor_rows.append(np.array(ids, dtype=np.int32).reshape(-1, len(GENERATORS)))
-    neighbors = np.concatenate(neighbor_rows)
-    return BallEnumeration(depth, radius, perms, radius_of, neighbors, sizes)
+    return BallEnumeration(w, depth, np.concatenate(neighbor_rows), sizes)
 
 
 def enumerate_ball(w: OmegaWord, radius: int) -> BallEnumeration:
@@ -190,6 +185,7 @@ def enumerate_ball(w: OmegaWord, radius: int) -> BallEnumeration:
     Two elements of the ball differ by a word of length at most 2 * radius;
     the neighbour rows of the outer shell compare words one letter longer.
     """
+    _require_int_radii([radius])
     if radius < 0:
         raise ValueError("radius must be >= 0")
     return _enumerate_at_depth(w, radius, comparison_depth(w, 2 * radius + 1))

@@ -14,11 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .actions import GENERATORS, generator_action
-from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
+from .actions import GENERATORS, _generator_table
+from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig, _require_int_radii
 from .covering import CoveringMap
 from .graphs import Edge, Multigraph, _slot_index
-from .growth import BallEnumeration, _enumerate_at_depth, comparison_depth
+from .growth import BallEnumeration, _enumerate_at_depth, _leaf_images, comparison_depth
 from .omega import OmegaWord
 
 
@@ -46,7 +46,7 @@ def _level_edges(w: OmegaWord, n: int) -> tuple[np.ndarray, ...]:
     one per orbit {i, g i} at its smaller end, generator by generator (the
     order of ``schreier_graph``), and ``ids[g, i]``, the g-edge at vertex i.
     """
-    perms = np.stack([generator_action(g, w, n).perm for g in GENERATORS])
+    perms = _generator_table(w, n)
     gen, u = np.nonzero(perms >= np.arange(1 << n))
     v = perms[gen, u]
     ids = np.empty_like(perms)
@@ -280,26 +280,24 @@ def cayley_ball(
     Interior vertices (word length < radius) carry their full degree-4 star;
     the covering map is a local isomorphism there.
     """
+    _require_int_radii([radius])
     if radius < 1 or level < 1:
         raise ValueError("radius and level must be >= 1")
     # refuse a level over the cap before the enumeration, which costs more
     _check_level(level, config)
-    # the image is a leaf image truncated to ``level``, so enumerate that deep
+    # at least ``level`` deep, so that the enumeration's perms hold the level images
     depth = max(level, comparison_depth(w, 2 * radius + 1))
     enum = _enumerate_at_depth(w, radius, depth)
     tgt = schreier_graph(w, level, config)
     ids = _level_edges(w, level)[3]
-    shift = enum.depth - level
     # element i maps to image[i], its image of the level vertex 1...1
-    image = np.array([int(p[-1]) >> shift for p in enum.perms])
-    vertices = list(range(len(image)))
+    image = _leaf_images(enum, level, np.array([(1 << level) - 1]))[:, 0]
     # each g-edge at its smaller end (j == i: a loop; j == -1: outside the ball)
     u, gen = np.nonzero(enum.neighbors >= np.arange(len(image))[:, None])
     v = enum.neighbors[u, gen]
     edge_map = dict(enumerate(ids[gen, image[u]].tolist()))
     edges = [Edge(i, j, label=GENERATORS[g]) for i, j, g in np.stack((u, v, gen), 1).tolist()]
-    graph = Multigraph(vertices, edges)
-    interior = {i for i in vertices if enum.radius_of[i] < radius}
+    graph = Multigraph(list(range(len(image))), edges)
     vertex_map = {i: tgt.vertices[x] for i, x in enumerate(image.tolist())}
-    covering = CoveringMap(graph, tgt, vertex_map, edge_map, interior=interior)
+    covering = CoveringMap(graph, tgt, vertex_map, edge_map, set(range(enum.sizes[radius - 1])))
     return CayleyBall(graph, covering, enum, radius, level)

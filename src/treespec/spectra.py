@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .actions import generator_action
+from .actions import _generator_table
 from .config import DEFAULT_CONFIG, RunConfig
 from .graphs import IsolatedVertexError, Multigraph
 from .graphs import _degrees, _markov_eigh, _neighbor_sum
@@ -41,10 +41,11 @@ class IntervalUnion:
         parts = text.replace(" ", "").split("u")
         intervals = []
         for p in parts:
-            ends = p[1:-1].split(",")
-            if not (p.startswith("[") and p.endswith("]")) or len(ends) != 2:
-                raise ValueError(f"bad interval {p!r}")
-            intervals.append((float(ends[0]), float(ends[1])))
+            try:  # two numbers in brackets
+                lo, hi = map(float, p[1:-1].split(",") if p[:1] + p[-1:] == "[]" else ())
+            except ValueError:
+                raise ValueError(f"bad interval {p!r}") from None
+            intervals.append((lo, hi))
         return IntervalUnion(tuple(sorted(intervals)))
 
     def __str__(self) -> str:
@@ -344,7 +345,7 @@ def dihedral_reduction_check(
     ``config.max_vertices`` caps.
     """
     _check_level(depth, config)
-    a, b, c, d = (generator_action(g, w, depth).perm for g in ("a", "b", "c", "d"))
+    a, b, c, d = _generator_table(w, depth)
     eye = np.arange(1 << depth)
     two_t = [(1, b), (1, c), (1, d), (-1, eye)]
     four_m = [(1, a), (1, b), (1, c), (1, d)]

@@ -166,12 +166,13 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("sub, level", [("spectrum", "--level"), ("sweep", "--max-level")])
     def test_target_without_two_ends_refused(self, capsys, sub, level):
-        code, out, err = run(
-            capsys, sub, "--omega", ":012", level, "3", "--target", "[1,2,3]"
-        )
-        assert code == 1
-        assert err == "error: bad interval '[1,2,3]'\n"
-        assert "value" not in out
+        for target, bad in [("[1,2,3]", "[1,2,3]"), ("[1,2]u[x,3]", "[x,3]")]:
+            code, out, err = run(
+                capsys, sub, "--omega", ":012", level, "3", "--target", target
+            )
+            assert code == 1
+            assert err == f"error: bad interval {bad!r}\n"
+            assert "value" not in out
 
     def test_sweep(self, capsys):
         code, out, _ = run(capsys, "sweep", "--omega", ":01", "--max-level", "4")

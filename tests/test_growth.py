@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,6 +8,7 @@ from treespec import (
     OmegaWord,
     ResourceLimitError,
     ball_sizes,
+    cayley_ball,
     enumerate_ball,
     generator_action,
 )
@@ -75,12 +78,17 @@ def reference_enumeration(w, radius, depth):
     return perms, radius_of, neighbors, sizes
 
 
+def word_lengths(sizes):
+    """Word length of each element: r for the ids from sizes[r - 1] up to sizes[r]."""
+    return np.repeat(np.arange(len(sizes)), np.diff(sizes, prepend=0)).tolist()
+
+
 def assert_matches_reference(enum, w, radius, depth):
     perms, radius_of, neighbors, sizes = reference_enumeration(w, radius, depth)
     assert len(enum.perms) == len(perms)
     for got, ref in zip(enum.perms, perms):
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
-    assert enum.radius_of == radius_of
+    assert word_lengths(enum.sizes) == radius_of
     assert enum.neighbors.dtype == np.int32 and enum.neighbors.shape == (len(perms), 4)
     assert enum.neighbors.tolist() == neighbors
     assert enum.sizes == sizes
@@ -154,13 +162,14 @@ class TestEnumeration:
         w = OmegaWord.parse(":01")
         enum = enumerate_ball(w, 4)
         inside = enum.sizes[-1]
+        radius_of = word_lengths(enum.sizes)
         for i in range(inside):
             for j in range(4):
                 n = enum.neighbors[i][j]
-                if enum.radius_of[i] < 4:
+                if radius_of[i] < 4:
                     assert n >= 0  # every product stays enumerated
                 if n >= 0:
-                    assert abs(enum.radius_of[n] - enum.radius_of[i]) <= 1
+                    assert abs(radius_of[n] - radius_of[i]) <= 1
 
     def test_generators_pairwise_distinct(self):
         w = OmegaWord.parse(":012")
@@ -170,14 +179,39 @@ class TestEnumeration:
 
     def test_identity_is_index_zero(self):
         enum = enumerate_ball(OmegaWord.parse(":012"), 3)
-        assert enum.radius_of[0] == 0
+        assert word_lengths(enum.sizes)[:2] == [0, 1]
         assert list(enum.perms[0]) == list(range(1 << enum.depth))
 
     def test_perms_are_read_only(self):
         enum = enumerate_ball(OmegaWord.parse(":012"), 3)
+        assert enum.perms.shape == (enum.sizes[-1], 1 << enum.depth)
+        with pytest.raises(ValueError, match="read-only"):
+            enum.perms[0, 0] = 1
         for i in (0, 4, len(enum.perms) - 1):
             with pytest.raises(ValueError, match="read-only"):
                 enum.perms[i][0] = 1
+
+    def test_perms_built_once_on_first_read(self):
+        enum = enumerate_ball(OmegaWord.parse(":012"), 3)
+        assert "perms" not in vars(enum)
+        assert enum.perms is enum.perms
+
+    @pytest.mark.parametrize("radius", [2.5, 3.0, "3", None])
+    def test_radius_not_an_int_named(self, radius):
+        # 2.5 raised "'float' object cannot be interpreted as an integer" and
+        # "3" raised "'<' not supported between instances of 'str' and 'int'"
+        w = OmegaWord.parse(":012")
+        for build in (enumerate_ball, ball_sizes):
+            with pytest.raises(ValueError, match=re.escape(f"radius {radius!r} is not an int")):
+                build(w, radius)
+        with pytest.raises(ValueError, match=re.escape(f"radius {radius!r} is not an int")):
+            cayley_ball(w, radius, 2)
+
+    def test_numpy_radius_accepted(self):
+        w = OmegaWord.parse(":012")
+        assert enumerate_ball(w, np.int64(3)).sizes == enumerate_ball(w, 3).sizes
+        assert ball_sizes(w, np.int32(3)).sizes == (1, 5, 11, 23)
+        assert cayley_ball(w, np.int64(3), 2).graph.n == 23
 
     @pytest.mark.parametrize("radius, raises", [(5, False), (6, True)])
     def test_element_cap(self, radius, raises, monkeypatch):

@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no module reads the leaf tuple of a tree automorphism, no module but
-``graphs`` reads a private attribute of a graph, no module but ``covering``
-reads the cached tables of a covering, and the CLI reads every option it
-defines.
+no module reads the leaf tuple of a tree automorphism or the leaf
+permutations of a ball, no module but ``graphs`` reads a private attribute
+of a graph, no module but ``covering`` reads the cached tables of a
+covering, and the CLI reads every option it defines.
 
 ``__init__`` is exempt from the import check, because its imports are the
 public re-exports.
@@ -122,6 +122,18 @@ def test_covering_tables_read_only_in_covering(path):
 def test_detects_covering_tables_read():
     source = "def f(c):\n    return c.phi(0)\n\ndef h(c):\n    return c._image[0]\n"
     assert attribute_reads(source, private_names(CoveringMap)) == [5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_ball_perms_reads(path):
+    # a ball's leaf permutations are derived on first read, for callers
+    # outside the package; the package reads the neighbour table
+    assert attribute_reads(path.read_text(), {"perms"}) == []
+
+
+def test_detects_ball_perms_read():
+    source = "def f(a, enum):\n    return a.perm, enum.sizes\n\ndef g(e):\n    return e.perms[0]\n"
+    assert attribute_reads(source, {"perms"}) == [5]
 
 
 def own_dests(ap: argparse.ArgumentParser) -> list[str]:

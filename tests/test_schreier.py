@@ -27,6 +27,8 @@ from treespec import (
 from treespec import schreier
 from treespec.schreier import _level_edges
 
+from test_growth import reference_enumeration
+
 OMEGAS = st.builds(
     OmegaWord,
     st.lists(st.integers(0, 2), max_size=1).map(tuple),
@@ -331,13 +333,15 @@ def edge_lookup(g):
 
 
 def reference_cayley_maps(w, ball):
-    """Vertex map, edges and edge map of a Cayley ball, rebuilt from its
-    enumeration through bit-string labels and the label lookup."""
+    """Vertex map, edges and edge map of a Cayley ball, rebuilt from the
+    reference enumeration's leaf permutations through bit-string labels and
+    the label lookup."""
     enum, level = ball.enumeration, ball.level
+    perms = reference_enumeration(w, ball.radius, enum.depth)[0]
     lookup = edge_lookup(schreier_graph(w, level))
 
     def phi(i):
-        top = int(enum.perms[i][(1 << enum.depth) - 1])
+        top = int(perms[i][(1 << enum.depth) - 1])
         return format(top >> (enum.depth - level), f"0{level}b")
 
     edges, edge_map = [], {}
@@ -346,7 +350,7 @@ def reference_cayley_maps(w, ball):
             if j != -1 and j >= i:  # j == i: a loop where g fixes element i
                 edge_map[len(edges)] = lookup[(phi(i), g)]
                 edges.append((i, j, g))
-    return {i: phi(i) for i in range(len(enum.perms))}, edges, edge_map
+    return {i: phi(i) for i in range(len(perms))}, edges, edge_map
 
 
 class TestEdgeTable:

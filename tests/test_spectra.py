@@ -239,9 +239,12 @@ class TestIntervalUnion:
         with pytest.raises(ValueError, match="NaN"):
             IntervalUnion.parse("[nan,1]")
 
-    @pytest.mark.parametrize("text", ["[1,2,3]", "[1]", "[]", "[0,1]u[1,2,3]"])
+    @pytest.mark.parametrize(
+        "text", ["[1,2,3]", "[1]", "[]", "[0,1]u[1,2,3]", "[a,1]", "[1,2]u[x,3]"]
+    )
     def test_parse_names_an_interval_without_two_ends(self, text):
-        # these raised "too many values to unpack" or "not enough values"
+        # these raised "too many values to unpack", "not enough values" or
+        # "could not convert string to float"
         bad = text.split("u")[-1]
         with pytest.raises(ValueError, match=re.escape(f"bad interval {bad!r}")):
             IntervalUnion.parse(text)
