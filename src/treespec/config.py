@@ -7,7 +7,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-# the types an edge id or a radius may hold
+# the types an edge id, a radius or a level may hold
 _INT = (int, np.integer)
 
 
@@ -19,11 +19,16 @@ class FormatError(ValueError):
     """A serialized document is malformed."""
 
 
+def _require_int(what: str, k) -> None:
+    """ValueError names ``k`` when it is not an int; numpy ints are."""
+    if not isinstance(k, _INT):
+        raise ValueError(f"{what} {k!r} is not an int")
+
+
 def _require_int_radii(radii: Sequence) -> None:
-    """ValueError names the first radius that is not an int; numpy ints are."""
+    """ValueError names the first radius that is not an int."""
     for k in radii:
-        if not isinstance(k, _INT):
-            raise ValueError(f"radius {k!r} is not an int")
+        _require_int("radius", k)
 
 
 @dataclass

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .actions import GENERATORS, _generator_table
-from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig, _require_int_radii
+from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
+from .config import _require_int, _require_int_radii
 from .covering import CoveringMap
 from .graphs import Edge, Multigraph, _slot_index
 from .growth import BallEnumeration, _enumerate_at_depth, _leaf_images, comparison_depth
@@ -33,6 +34,7 @@ def _level_vertices(n: int) -> list[str]:
 
 
 def _check_level(n: int, config: RunConfig) -> None:
+    _require_int("level", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if 1 << n > config.max_vertices:
@@ -86,6 +88,7 @@ class UpsilonSpec:
     def __post_init__(self):
         if self.kind not in ("finite", "ray", "line"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        _require_int("level", self.size)
         if self.size < 1:
             raise ValueError("size must be >= 1")
 
@@ -103,7 +106,7 @@ def upsilon_graph(spec: UpsilonSpec) -> Multigraph:
     boundary vertices keep their interior degree deficit; no wrap-around
     edges are added.
     """
-    n = spec.size
+    n = int(spec.size)  # -n of an unsigned numpy int would wrap
     lo, hi, ends = {
         "finite": (0, (1 << n) - 1, (0, (1 << n) - 1)),
         "ray": (0, n, (0,)),

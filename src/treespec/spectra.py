@@ -1,18 +1,19 @@
 """Eigensolvers, interval-union targets, spectral sweeps, the infinite
-dihedral reduction, and spectral-measure moments."""
+dihedral reduction, and spectral-measure moments.  A level graph's spectrum
+is read off a closed form; every other tridiagonal is solved dense by numpy,
+up to ``DEFAULT_CONFIG.max_vertices``."""
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .actions import _generator_table
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig, _INT, _require_int
 from .graphs import IsolatedVertexError, Multigraph
 from .graphs import _degrees, _markov_eigh, _neighbor_sum
 from .omega import OmegaWord
@@ -114,18 +115,12 @@ class SpectrumReport:
 
 
 def _report(
-    eigenvalues: np.ndarray,
-    target: IntervalUnion,
-    cumulative: Sequence[float],
-    tol: float,
+    vals: np.ndarray, target: IntervalUnion, cumulative: Sequence[float], tol: float
 ) -> SpectrumReport:
-    vals = np.sort(eigenvalues)
-    return SpectrumReport(
-        tuple(vals.tolist()),
-        target,
-        tuple(target.contains(vals, tol).tolist()),
-        target.hausdorff_to_points(cumulative),
-    )
+    vals = np.sort(vals)
+    in_target = tuple(target.contains(vals, tol).tolist())
+    hausdorff = target.hausdorff_to_points(cumulative)
+    return SpectrumReport(tuple(vals.tolist()), target, in_target, hausdorff)
 
 
 def markov_eigenvalues_banded(g: Multigraph | PathForm) -> np.ndarray:
@@ -160,46 +155,55 @@ def _tridiagonal_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 
     Couplings of at most eps times the largest entry are dropped first:
     that moves no eigenvalue by more than 2 eps times that entry (Weyl), and
-    keeps the QR solves accurate where a squared coupling would underflow.
+    keeps the dense solve accurate where a squared coupling would underflow.
     A matrix of even size that equals its own reversal commutes with the
     flip J, so the similarity by (I ± J)/sqrt(2) splits it exactly into two
     tridiagonals of half the size, the mirror-even and the mirror-odd half,
     which differ only in the last diagonal entry diag[m-1] ± off[m-1].  Each
-    half is split again while it is mirror-symmetric; on the level graphs
+    half is split again while it is mirror-symmetric.  On the level graphs
     the even half is the previous level (a covering contains the spectrum
-    of the graph it covers).  Every other matrix is solved unfolded.
-
-    Answers come from a memo of the last few inputs, keyed by their exact
-    float64 bytes.  The level entries are dyadic, so the even half of level
-    n is the tridiagonal of level n-1 bit for bit, and a sweep over the
-    levels solves each odd half once.  Every answer is a fresh array.
+    of the graph it covers) and four times the odd half is A_k, whose roots
+    are known in closed form; every other matrix is solved dense.
     """
-    key = np.asarray(diag, dtype=float).tobytes(), np.asarray(off, dtype=float).tobytes()
-    return _folded_eigvals(*key).copy()
-
-
-# a sweep reads back only the level before; a few entries hold it
-@functools.lru_cache(maxsize=4)
-def _folded_eigvals(diag_bytes: bytes, off_bytes: bytes) -> np.ndarray:
-    diag, off = np.frombuffer(diag_bytes), np.frombuffer(off_bytes)
+    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
     size = len(diag)
     if size == 1:
         return diag.copy()
     scale = max(np.abs(diag).max(), np.abs(off).max())
     off = np.where(np.abs(off) > _EPS * scale, off, 0.0)
-    if size % 2 or not (
-        np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
-    ):
-        return eigh_tridiagonal(diag, off, eigvals_only=True)
-    m = size // 2
-    even, odd = diag[:m].copy(), diag[:m].copy()
-    even[-1] += off[m - 1]
-    odd[-1] -= off[m - 1]
-    half_off = off[: m - 1].tobytes()
-    vals = np.concatenate(
-        (_folded_eigvals(even.tobytes(), half_off), _folded_eigvals(odd.tobytes(), half_off))
-    )
-    return np.sort(vals)
+    if size % 2 == 0 and np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1]):
+        m = size // 2
+        even, odd = diag[:m].copy(), diag[:m].copy()
+        even[-1] += off[m - 1]
+        odd[-1] -= off[m - 1]
+        halves = _tridiagonal_eigvals(even, off[: m - 1]), _tridiagonal_eigvals(odd, off[: m - 1])
+        return np.sort(np.concatenate(halves))
+    if _is_level_odd_half(diag, off):
+        # det(x - A_k) = 2^(k+1) T_k(((x-1)^2 - 5)/4) (Bartholdi-Grigorchuk
+        # 2000): (1 ± sqrt(5 + 4 cos((2j+1) pi / 2k)))/4 for j < k, sorted
+        root = np.sqrt(5 + 4 * np.cos((2 * np.arange(size // 2) + 1) * math.pi / size))
+        return np.concatenate(((1 - root) / 4, (1 + root[::-1]) / 4))
+    return _dense_eigvals(diag, off)
+
+
+def _is_level_odd_half(diag: np.ndarray, off: np.ndarray) -> bool:
+    """Whether 4 (diag, off) is A_k: size 2k, diagonal (3, 1, ..., 1, -1) and
+    couplings (1, 2, 1, ..., 2, 1).  Dyadic level entries compare exactly."""
+    a_diag, a_off = np.ones(len(diag)), np.ones(len(off))
+    a_diag[0], a_diag[-1], a_off[1::2] = 3.0, -1.0, 2.0
+    even = len(diag) % 2 == 0
+    return even and np.array_equal(4 * diag, a_diag) and np.array_equal(4 * off, a_off)
+
+
+def _dense_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of the dense tridiagonal, capped in size."""
+    size, cap = len(diag), DEFAULT_CONFIG.max_vertices
+    if size > cap:
+        raise ResourceLimitError(f"a tridiagonal of size {size} exceeds the dense cap {cap}")
+    dense = np.diag(diag)
+    np.fill_diagonal(dense[1:], off)
+    np.fill_diagonal(dense[:, 1:], off)
+    return np.linalg.eigvalsh(dense)
 
 
 @dataclass(frozen=True)
@@ -226,18 +230,16 @@ def spectrum_sweep(
     eigenvalue union is reported per level.  Each level's path form is read
     off the generator permutations; no graph is built.
     """
+    _require_int("level", n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     reports = {}
-    hausdorff = {}
     cumulative: list[float] = []
     for n in range(1, n_max + 1):
         vals = markov_eigenvalues_banded(level_path_form(w, n, config))
         cumulative.extend(vals.tolist())
-        rep = _report(vals, target, cumulative, config.membership_tol)
-        reports[n] = rep
-        hausdorff[n] = rep.hausdorff
-    return SweepResult(str(w), reports, hausdorff)
+        reports[n] = _report(vals, target, cumulative, config.membership_tol)
+    return SweepResult(str(w), reports, {n: rep.hausdorff for n, rep in reports.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +259,8 @@ class DihedralSpectrum:
 _CLOSED_GAP = 1e-12
 
 
-def _dihedral_exact(x: float, y: float) -> IntervalUnion:
-    lo, hi = abs(x - y), x + y
+def _bands(lo: float, hi: float) -> IntervalUnion:
+    """The symmetric bands +-[lo, hi], or [-hi, hi] when the gap is closed."""
     if lo < _CLOSED_GAP:
         return IntervalUnion(((-hi, hi),))
     return IntervalUnion(((-hi, -lo), (lo, hi)))
@@ -272,10 +274,7 @@ def _dihedral_fourier_oracle(x: float, y: float) -> IntervalUnion:
     """Band endpoints from the dispersion |x + y e^(i theta)|, sampled."""
     theta = np.linspace(0.0, math.pi, _FOURIER_SAMPLES)
     vals = np.abs(x + y * np.exp(1j * theta))
-    lo, hi = float(vals.min()), float(vals.max())
-    if lo < _CLOSED_GAP:
-        return IntervalUnion(((-hi, hi),))
-    return IntervalUnion(((-hi, -lo), (lo, hi)))
+    return _bands(float(vals.min()), float(vals.max()))
 
 
 def dihedral_weighted_spectrum(
@@ -290,12 +289,15 @@ def dihedral_weighted_spectrum(
     truncations of the line are reported with their measured distance into
     the exact set.
     """
-    if x <= 0 or y <= 0:
-        raise ValueError("weights must be positive")
-    exact = _dihedral_exact(x, y)
+    for name, weight in (("x", x), ("y", y)):
+        if not (isinstance(weight, numbers.Real) and 0 < weight < math.inf):
+            raise ValueError(f"weight {name}={weight!r} is not finite and positive")
+    for length in lengths:
+        if not (isinstance(length, _INT) and length >= 1):
+            raise ValueError(f"truncation length {length!r} is not an int >= 1")
+    exact = _bands(abs(x - y), x + y)
     oracle = _dihedral_fourier_oracle(x, y)
-    trunc_vals = {}
-    errors = {}
+    trunc_vals, errors = {}, {}
     for length in lengths:
         off = np.array([x if i % 2 == 0 else y for i in range(length - 1)])
         vals = _tridiagonal_eigvals(np.zeros(length), off)
@@ -365,9 +367,7 @@ class MomentSequence:
     def hankel_min_eigenvalue(self) -> float:
         p = len(self.moments) - 1
         size = p // 2 + 1
-        h = np.array(
-            [[self.moments[i + j] for j in range(size)] for i in range(size)]
-        )
+        h = np.array(self.moments)[np.add.outer(np.arange(size), np.arange(size))]
         return float(np.linalg.eigvalsh(h).min())
 
 

@@ -15,6 +15,9 @@ from treespec import (
     schreier_graph,
     spectrum_sweep,
 )
+from treespec.spectra import _markov_tridiagonal
+
+from test_spectra import bisected, edge_windows
 
 
 def closed_form_spectrum(n):
@@ -35,6 +38,12 @@ def test_level_14_matches_closed_form():
     vals = markov_eigenvalues_banded(g)
     assert vals.shape == (1 << n,)
     assert np.abs(vals - closed_form_spectrum(n)).max() < 1e-10
+    # bisection on the level's own tridiagonal, at both ends of both bands
+    # (on a 2-core Xeon all 16384 take 93 s by bisection, these 256 about 1 s)
+    diag, off = _markov_tridiagonal(g)
+    windows = edge_windows(vals, 64)
+    got = np.concatenate([vals[lo : hi + 1] for lo, hi in windows])
+    assert np.abs(got - bisected(diag, off, windows)).max() < 1e-12
 
 
 def test_level_14_sweep_matches_graph_route():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from treespec import (
     WindowTooSmallError,
     cayley_ball,
     check_isomorphic,
+    dihedral_reduction_check,
     level_path_form,
     level_projection_covering,
     path_canonical_form,
     schreier_graph,
+    spectrum_sweep,
     upsilon_graph,
     verify_covering,
     word_action,
@@ -73,6 +76,39 @@ class TestSchreierGraph:
         # a joins them; b, c, d are loops at both
         non_loops = [e for e in g.edges if not e.is_loop]
         assert len(non_loops) == 1 and non_loops[0].label == "a"
+
+
+class TestLevelArgument:
+    """A level that is not an int raised a bare TypeError from ``1 << n``, and
+    a ray of length 2.5 was accepted until ``upsilon_graph`` ran."""
+
+    W = OmegaWord.parse(":012")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            spectrum_sweep,
+            level_path_form,
+            schreier_graph,
+            dihedral_reduction_check,
+            lambda w, n: UpsilonSpec("ray", n),
+            lambda w, n: UpsilonSpec("finite", n),
+        ],
+        ids=["sweep", "path_form", "schreier_graph", "dihedral", "ray", "finite"],
+    )
+    @pytest.mark.parametrize("level", [2.5, 3.0, "3", None])
+    def test_level_not_an_int_named(self, call, level):
+        with pytest.raises(ValueError, match=re.escape(f"level {level!r} is not an int")):
+            call(self.W, level)
+
+    @pytest.mark.parametrize("level", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_levels_accepted(self, level):
+        assert schreier_graph(self.W, level).edges == schreier_graph(self.W, 3).edges
+        assert level_path_form(self.W, level) == level_path_form(self.W, 3)
+        assert spectrum_sweep(self.W, level) == spectrum_sweep(self.W, 3)
+        assert dihedral_reduction_check(self.W, level).t_squared_is_identity
+        assert upsilon_graph(UpsilonSpec("ray", level)).n == 4
+        assert upsilon_graph(UpsilonSpec("line", level)).n == 7
 
 
 class TestUpsilonModel:

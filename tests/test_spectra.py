@@ -1,6 +1,7 @@
 import bisect
 import math
 import os
+from fractions import Fraction
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from treespec import (
+    DEFAULT_CONFIG,
     GRIG_TARGET,
     IntervalUnion,
     IsolatedVertexError,
@@ -135,17 +137,67 @@ def without_negligible_couplings(diag, off):
 
 
 def solve_sizes(monkeypatch):
-    """Sizes of the tridiagonals the fold hands to eigh_tridiagonal, from an
-    empty memo, so that no earlier answer is read back."""
-    spectra._folded_eigvals.cache_clear()
+    """Sizes of the tridiagonals the fold hands to its dense route."""
     sizes = []
+    dense = spectra._dense_eigvals
 
-    def recording(diag, off, **kwargs):
+    def recording(diag, off):
         sizes.append(len(diag))
-        return eigh_tridiagonal(diag, off, **kwargs)
+        return dense(diag, off)
 
-    monkeypatch.setattr(spectra, "eigh_tridiagonal", recording)
+    monkeypatch.setattr(spectra, "_dense_eigvals", recording)
     return sizes
+
+
+def bisected(diag, off, windows):
+    """Reference: LAPACK bisection (stebz) for the eigenvalues of the index
+    windows [lo, hi], which shares no code with the closed form or the fold.
+    On a 2-core Xeon, all 8192 of a level-14 odd half take 24 s by
+    bisection and a window of 128 takes 0.3 s."""
+    return np.concatenate(
+        [
+            eigh_tridiagonal(
+                diag, off, eigvals_only=True, select="i", select_range=w, lapack_driver="stebz"
+            )
+            for w in windows
+        ]
+    )
+
+
+def edge_windows(vals, width):
+    """Index windows of the given width at both ends of each band of the
+    sorted eigenvalues vals, whose one gap holds 1/4."""
+    gap = int(np.searchsorted(vals, 0.25))
+    last = len(vals) - 1
+    return [(0, width - 1), (gap - width, gap + width - 1), (last - width + 1, last)]
+
+
+def odd_half(diag, off):
+    """The mirror-odd half of a mirror-symmetric tridiagonal of even size."""
+    m = len(diag) // 2
+    odd = diag[:m].copy()
+    odd[-1] -= off[m - 1]
+    return odd, off[: m - 1]
+
+
+def a_k_pattern(k):
+    """The diagonal (3, 1, ..., 1, -1) and couplings (1, 2, 1, ..., 2, 1) of A_k."""
+    return np.array([3] + [1] * (2 * k - 2) + [-1]), np.array([1, 2] * k)[: 2 * k - 1]
+
+
+def negative_pivots(diag, off, shifts):
+    """Eigenvalues below each shift: the negative pivots of the LDL^T
+    factorisation of (diag, off) - shift (Sylvester's law of inertia), a
+    pivot of size at most pivmin taken as -pivmin, as LAPACK's bisection
+    does."""
+    pivmin = np.finfo(float).tiny * max(1.0, float((off**2).max(initial=0.0)))
+    count = np.zeros(len(shifts), dtype=int)
+    pivot = np.ones(len(shifts))
+    for i, a in enumerate(diag):
+        pivot = a - shifts - (off[i - 1] ** 2 / pivot if i else 0.0)
+        pivot = np.where(np.abs(pivot) <= pivmin, -pivmin, pivot)
+        count += pivot < 0
+    return count
 
 
 class TestIntervalUnion:
@@ -280,26 +332,6 @@ class TestIntervalUnion:
         assert u.hausdorff_to_points(np.array(pts)) == hausdorff_by_loop(u, pts)
 
 
-def reference_fold(diag, off):
-    """Reference: the fold as it was before its memo, solving every half of
-    every level it meets; the same arithmetic in the same order."""
-    size = len(diag)
-    if size == 1:
-        return diag.copy()
-    off = without_negligible_couplings(diag, off)
-    if size % 2 or not (
-        np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
-    ):
-        return eigh_tridiagonal(diag, off, eigvals_only=True)
-    m = size // 2
-    even, odd = diag[:m].copy(), diag[:m].copy()
-    even[-1] += off[m - 1]
-    odd[-1] -= off[m - 1]
-    half_off = off[: m - 1]
-    vals = np.concatenate((reference_fold(even, half_off), reference_fold(odd, half_off)))
-    return np.sort(vals)
-
-
 class TestLevelSpectra:
     def test_level1(self):
         vals = markov_eigenvalues_banded(schreier_graph(W, 1))
@@ -388,8 +420,8 @@ class TestTridiagonalFold:
         expect = np.array([(1 - root) / 2] * 2 + [0.0] * 14 + [(1 + root) / 2] * 2)
         assert np.abs(folded - expect).max() < 1e-15
 
-    # solved unfolded, without the negligible couplings that put the default
-    # eigh_tridiagonal up to 3e-4 off on these examples; bisection is the reference
+    # solved dense, without the negligible couplings that put the QR solvers
+    # up to 3e-4 off on these examples; bisection is the reference
     @given(tridiagonals(st.integers(0, 31).map(lambda k: 2 * k + 1)))
     @example(
         (
@@ -402,7 +434,7 @@ class TestTridiagonalFold:
         diag, off = tri
         vals = _tridiagonal_eigvals(diag, off)
         kept = without_negligible_couplings(diag, off)
-        assert np.array_equal(vals, eigh_tridiagonal(diag, kept, eigvals_only=True))
+        assert np.array_equal(vals, np.linalg.eigvalsh(dense_tridiagonal(diag, kept)))
         expect = eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="stebz")
         assert np.abs(vals - expect).max() < 1e-12
 
@@ -419,7 +451,7 @@ class TestTridiagonalFold:
         diag[0] = diag[-1] + 1.0
         vals = _tridiagonal_eigvals(diag, off)
         kept = without_negligible_couplings(diag, off)
-        assert np.array_equal(vals, eigh_tridiagonal(diag, kept, eigvals_only=True))
+        assert np.array_equal(vals, np.linalg.eigvalsh(dense_tridiagonal(diag, kept)))
         expect = eigh_tridiagonal(diag, off, eigvals_only=True, lapack_driver="stebz")
         assert np.abs(vals - expect).max() < 1e-12
 
@@ -438,27 +470,12 @@ class TestTridiagonalFold:
             prev = diag, off
 
     def test_level_solves_are_half_size(self, monkeypatch):
+        # every half of a level is the level before or A_k / 4: no dense solve
         sizes = solve_sizes(monkeypatch)
         vals = markov_eigenvalues_banded(schreier_graph(W, 8))
-        assert max(sizes) == 1 << 7 and sum(sizes) == (1 << 8) - 2
+        assert sizes == []
         dense = np.linalg.eigvalsh(markov_operator(schreier_graph(W, 8)).as_matrix())
         assert np.abs(vals - dense).max() < 1e-12
-
-    def test_sweep_matches_unmemoised_fold_bit_for_bit(self):
-        spectra._folded_eigvals.cache_clear()
-        sweep = spectrum_sweep(W, 12)
-        for n in range(1, 13):
-            ref = reference_fold(*_markov_tridiagonal(level_path_form(W, n)))
-            assert np.array_equal(np.array(sweep.reports[n].eigenvalues), ref), n
-        info = spectra._folded_eigvals.cache_info()
-        # one hit per level past the first: its even half is the level before
-        assert info.hits >= 11 and info.currsize <= info.maxsize
-
-    def test_each_odd_half_solved_once_per_sweep(self, monkeypatch):
-        sizes = solve_sizes(monkeypatch)
-        spectrum_sweep(W, 8)
-        # levels 2..8 solve their odd halves, of size 2..128, once each
-        assert sorted(sizes) == [1 << k for k in range(1, 8)]
 
     def test_answers_are_fresh_arrays(self):
         diag, off = _markov_tridiagonal(level_path_form(W, 6))
@@ -470,15 +487,6 @@ class TestTridiagonalFold:
         second[0] = -7.0
         assert np.array_equal(_tridiagonal_eigvals(diag, off), expect)
 
-    @given(st.lists(mirror_tridiagonals(), min_size=1, max_size=12))
-    @settings(max_examples=20, deadline=None)
-    def test_memo_stays_within_its_size(self, tris):
-        spectra._folded_eigvals.cache_clear()
-        for diag, off in tris + tris[::-1]:
-            assert np.array_equal(_tridiagonal_eigvals(diag, off), reference_fold(diag, off))
-            info = spectra._folded_eigvals.cache_info()
-            assert info.currsize <= info.maxsize
-
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_middle_exception_folds(self, n, monkeypatch):
         # one connecting edge at the centre: degree 3 there, still a mirror image
@@ -487,6 +495,103 @@ class TestTridiagonalFold:
         vals = markov_eigenvalues_banded(g)
         assert max(sizes) == 1 << (n - 1)
         assert np.abs(vals - _markov_eigh(g)[0]).max() < 1e-12
+
+    def test_dense_route_is_capped(self):
+        # a path with loops that is no level: one end of a ray has three loops
+        cap = DEFAULT_CONFIG.max_vertices
+        g = upsilon_graph(UpsilonSpec("ray", cap))
+        with pytest.raises(ResourceLimitError, match=f"size {cap + 1} exceeds the dense cap {cap}"):
+            markov_eigenvalues_banded(g)
+        diag, off = np.arange(cap + 1.0), np.ones(cap)
+        with pytest.raises(ResourceLimitError, match=f"size {cap + 1}"):
+            _tridiagonal_eigvals(diag, off)
+
+
+class TestLevelClosedForm:
+    """The mirror-odd half of level L is A_k / 4, k = 2^(L-2), and the fold
+    reads its eigenvalues off det(x - A_k) = 2^(k+1) T_k(((x-1)^2 - 5)/4)."""
+
+    @staticmethod
+    def continuant(x, k):
+        """det(x - A_k) by the three-term recurrence, in ints."""
+        diag, off = a_k_pattern(k)
+        prev, cur = 1, x - int(diag[0])
+        for a, b in zip(diag[1:].tolist(), off.tolist()):
+            prev, cur = cur, (x - a) * cur - b * b * prev
+        return cur
+
+    @staticmethod
+    def chebyshev(k, y):
+        """T_k(y) by T_(j+1) = 2y T_j - T_(j-1), exact on a Fraction."""
+        prev, cur = Fraction(1), y
+        for _ in range(k - 1):
+            prev, cur = cur, 2 * y * cur - prev
+        return cur
+
+    @pytest.mark.parametrize("k", range(1, 40))
+    def test_continuant_is_scaled_chebyshev(self, k):
+        for x in range(-7, 8):
+            y = Fraction((x - 1) ** 2 - 5, 4)
+            assert self.continuant(x, k) == 2 ** (k + 1) * self.chebyshev(k, y), x
+
+    @pytest.mark.parametrize("omega", [":012", ":01", "0:01", "21:0102", "2:1", "012:20"])
+    def test_level_odd_half_is_a_k(self, omega):
+        w = OmegaWord.parse(omega)
+        config = RunConfig(max_vertices=1 << 14)
+        for n in range(2, 15):
+            diag, off = _markov_tridiagonal(level_path_form(w, n, config))
+            assert np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1])
+            odd, half_off = odd_half(diag, off)
+            a_diag, a_off = a_k_pattern(1 << (n - 2))
+            assert np.array_equal(4 * odd, a_diag) and np.array_equal(4 * half_off, a_off), n
+            assert spectra._is_level_odd_half(odd, half_off)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13, 64])
+    def test_closed_form_for_every_k(self, k, monkeypatch):
+        # the pattern, not the level, selects the closed form: any k >= 1
+        a_diag, a_off = a_k_pattern(k)
+        sizes = solve_sizes(monkeypatch)
+        vals = _tridiagonal_eigvals(a_diag / 4, a_off / 4)
+        assert sizes == [] and np.all(np.diff(vals) > 0)
+        dense = np.linalg.eigvalsh(dense_tridiagonal(a_diag / 4, a_off / 4))
+        assert np.abs(vals - dense).max() < 1e-12
+
+    @pytest.mark.parametrize("change", [(0, 0.5), (-1, 0.0), (1, 0.5)])
+    def test_other_diagonals_solved_dense(self, change, monkeypatch):
+        # one changed diagonal entry and the matrix is no A_k / 4
+        a_diag, a_off = a_k_pattern(8)
+        diag = a_diag / 4
+        diag[change[0]] = change[1]
+        sizes = solve_sizes(monkeypatch)
+        vals = _tridiagonal_eigvals(diag, a_off / 4)
+        assert sizes == [16]
+        assert np.array_equal(vals, np.linalg.eigvalsh(dense_tridiagonal(diag, a_off / 4)))
+
+    def test_level_14_odd_half_matches_bisection(self, monkeypatch):
+        diag, off = _markov_tridiagonal(level_path_form(W, 14, RunConfig(max_vertices=1 << 14)))
+        odd, half_off = odd_half(diag, off)
+        sizes = solve_sizes(monkeypatch)
+        vals = _tridiagonal_eigvals(odd, half_off)
+        assert sizes == [] and vals.shape == (1 << 13,)
+        windows = edge_windows(vals, 128)
+        got = np.concatenate([vals[lo : hi + 1] for lo, hi in windows])
+        assert np.abs(got - bisected(odd, half_off, windows)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_inertia_counts_bracket_closed_form(self, n):
+        # the i-th eigenvalue lies in [mu_i - 1e-9, mu_i + 1e-9)
+        diag, off = _markov_tridiagonal(level_path_form(W, n))
+        vals = markov_eigenvalues_banded(level_path_form(W, n))
+        i = np.arange(len(vals))
+        assert np.all(negative_pivots(diag, off, vals - 1e-9) <= i)
+        assert np.all(negative_pivots(diag, off, vals + 1e-9) > i)
+
+    def test_inertia_count_sees_a_moved_eigenvalue(self):
+        # the bracket fails once one closed-form value moves by 1e-8
+        diag, off = _markov_tridiagonal(level_path_form(W, 6))
+        vals = markov_eigenvalues_banded(level_path_form(W, 6))
+        vals[20] += 1e-8
+        assert negative_pivots(diag, off, vals[20:21] - 1e-9)[0] > 20
 
 
 class TestDihedral:
@@ -517,19 +622,66 @@ class TestDihedral:
         assert spectra._t_squared_is_identity(a, c, d) is False
         assert t_squared_by_sparse(a, c, d) is False
 
-    def test_import_does_not_load_scipy_sparse(self):
-        # neither the package nor the dihedral check loads scipy.sparse
+    def test_no_path_imports_scipy(self):
+        # the package, the sweep, a non-level banded solve, both dihedral
+        # routes and the sweep command run on numpy alone
         import treespec
 
         src = str(Path(treespec.__file__).resolve().parents[1])
-        code = (
-            "import sys, treespec\n"
-            "rep = treespec.dihedral_reduction_check(treespec.OmegaWord.parse(':012'), 6)\n"
-            "assert rep.t_squared_is_identity and rep.markov_identity_holds\n"
-            "sys.exit('scipy.sparse' in sys.modules)"
+        code = """
+import sys
+import treespec as ts
+from treespec.cli import main
+
+w = ts.OmegaWord.parse(':012')
+steps = {
+    'import treespec': lambda: None,
+    'spectrum_sweep': lambda: ts.spectrum_sweep(w, 8),
+    'banded ray': lambda: ts.markov_eigenvalues_banded(ts.upsilon_graph(ts.UpsilonSpec('ray', 20))),
+    'dihedral_weighted_spectrum': lambda: ts.dihedral_weighted_spectrum(1.0, 2.0),
+    'dihedral_reduction_check': lambda: ts.dihedral_reduction_check(w, 6),
+    'treespec sweep': lambda: main(['sweep', '--omega', ':012', '--max-level', '6']),
+}
+for name, step in steps.items():
+    step()
+    if 'scipy' in sys.modules:
+        sys.exit(f'scipy loaded by {name}')
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
         )
-        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "x, y, bad",
+        [
+            (0.0, 1.0, "x=0.0"),
+            (1.0, -2.0, "y=-2.0"),
+            (math.inf, 1.0, "x=inf"),
+            (1.0, math.nan, "y=nan"),
+            ("1", 1.0, "x='1'"),
+        ],
+    )
+    def test_weights_must_be_finite_and_positive(self, x, y, bad):
+        # inf gave the bands +-[inf, inf]; nan raised "interval [nan, nan] is empty"
+        with pytest.raises(ValueError, match=re.escape(f"weight {bad} is not finite and positive")):
+            dihedral_weighted_spectrum(x, y)
+
+    @pytest.mark.parametrize("lengths", [(0,), (2.5,), (50, -1), ("8",)])
+    def test_lengths_must_be_positive_ints(self, lengths):
+        # 0 raised numpy's "zero-size array to reduction operation", 2.5 a bare TypeError
+        bad = lengths[-1]
+        with pytest.raises(ValueError, match=re.escape(f"length {bad!r} is not an int >= 1")):
+            dihedral_weighted_spectrum(1.0, 2.0, lengths)
+
+    def test_numpy_lengths_accepted(self):
+        spec = dihedral_weighted_spectrum(2.0, 1.0, (np.int64(1), np.int32(8)))
+        assert spec.truncation_eigenvalues[1] == (0.0,)
+        expect = dihedral_weighted_spectrum(2.0, 1.0, (1, 8))
+        assert spec.truncation_eigenvalues == expect.truncation_eigenvalues
 
     def test_weighted_line_spectrum(self):
         spec = dihedral_weighted_spectrum(1.0, 2.0)
