@@ -18,6 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .config import _require_int
 from .omega import ACTIVE, OmegaWord
 
 GENERATORS = ("a", "b", "c", "d")
@@ -151,6 +152,9 @@ def _generator_table(w: OmegaWord, depth: int) -> np.ndarray:
 
 def word_action(word: str, w: OmegaWord, depth: int) -> TreeAutomorphism:
     """Action of a word over {a,b,c,d}; the leftmost letter acts last."""
+    _require_int("depth", depth)
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     gens = {g: generator_action(g, w, depth).perm for g in set(word)}
     perm = np.arange(1 << depth, dtype=np.intp)
     for letter in word:

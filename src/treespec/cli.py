@@ -1,9 +1,9 @@
 """Command-line surface binding the modules into reproducible runs.
 
 Exit status contract: 0 = success, 1 = a verification failed (containment
-violated, covering witness found, identity broken), 2 = usage or format
-errors.  Every run echoes its resolved configuration so artifacts are
-self-describing.
+violated, covering witness found, identity broken) or an input was refused,
+2 = a usage error or an output path that cannot be written.  Every run echoes
+its resolved configuration so artifacts are self-describing.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 
 from . import covering as cov
-from .config import FormatError, ResourceLimitError, RunConfig
+from .config import ResourceLimitError, RunConfig
 from .growth import ball_sizes, comparison_depth
 from .omega import OmegaWord
 from .presentation import abelianization_class, relators_U
@@ -22,6 +22,7 @@ from .actions import verify_trivial
 from .schreier import (
     UpsilonSpec,
     _check_level,
+    _upsilon_span,
     cayley_ball,
     level_path_form,
     level_projection_covering,
@@ -78,9 +79,9 @@ def cmd_upsilon(args, config) -> int:
     if spec.kind == "finite":
         _check_level(spec.size, config)  # 2^size vertices
     else:
-        count = {"ray": spec.size + 1, "line": 2 * spec.size + 1}[spec.kind]
-        if count > config.max_vertices:
-            raise ResourceLimitError(f"{count} vertices exceed cap {config.max_vertices}")
+        lo, hi, _ = _upsilon_span(spec)
+        if hi - lo + 1 > config.max_vertices:
+            raise ResourceLimitError(f"{hi - lo + 1} vertices exceed cap {config.max_vertices}")
     return _write_graph(args, upsilon_graph(spec), {"kind": args.kind, "size": args.size})
 
 
@@ -287,9 +288,6 @@ def main(argv: list[str] | None = None) -> int:
     _echo_config(config)
     try:
         return args.func(args, config)
-    except FormatError as exc:
-        print(f"format error: {exc}", file=sys.stderr)
-        return USAGE
     except OSError as exc:  # an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE

@@ -48,6 +48,9 @@ class OmegaWord:
         pre, per = text.split(":", 1)
         if not per:
             raise ValueError("period part must be nonempty")
+        bad = next((c for c in pre + per if c not in "012"), None)
+        if bad is not None:
+            raise ValueError(f"symbol {bad!r} in omega {text!r} not in {{0,1,2}}")
         return OmegaWord(tuple(int(c) for c in pre), tuple(int(c) for c in per))
 
     def __str__(self) -> str:

@@ -56,13 +56,9 @@ def _level_edges(w: OmegaWord, n: int) -> tuple[np.ndarray, ...]:
     return u, v, gen, ids
 
 
-def schreier_graph(
-    w: OmegaWord, n: int, config: RunConfig = DEFAULT_CONFIG
-) -> Multigraph:
-    """Level-n Schreier graph: one labeled edge {v, g v} per generator."""
-    _check_level(n, config)
-    vertices = _level_vertices(n)
-    u, v, gen = _level_edges(w, n)[:3]
+def _labelled_graph(vertices: list, u: np.ndarray, v: np.ndarray, gen: np.ndarray) -> Multigraph:
+    """The graph on ``vertices`` whose edge i joins positions u[i] and v[i]
+    and is labelled by generator gen[i]."""
     edges = [
         Edge(vertices[i], vertices[j], label=GENERATORS[g])
         for i, j, g in zip(u.tolist(), v.tolist(), gen.tolist())
@@ -70,15 +66,23 @@ def schreier_graph(
     return Multigraph(vertices, edges)
 
 
+def schreier_graph(
+    w: OmegaWord, n: int, config: RunConfig = DEFAULT_CONFIG
+) -> Multigraph:
+    """Level-n Schreier graph: one labeled edge {v, g v} per generator."""
+    _check_level(n, config)
+    return _labelled_graph(_level_vertices(n), *_level_edges(w, n)[:3])
+
+
 @dataclass(frozen=True)
 class UpsilonSpec:
     """Model-graph descriptor: a finite level, a one-ended ray, or a
     two-sided line segment.
 
-    ``middle_exception`` reproduces the variant with a single edge at
-    position 2^(n-1) - 1 instead of a double one; it is off by default
-    because directly computed level graphs contradict it (the discrepancy is
-    surfaced, not hidden).
+    ``middle_exception`` reproduces the variant of a finite level with a
+    single edge at position 2^(n-1) - 1 instead of a double one; it is off by
+    default because directly computed level graphs contradict it (the
+    discrepancy is surfaced, not hidden).
     """
 
     kind: str  # "finite" | "ray" | "line"
@@ -91,38 +95,37 @@ class UpsilonSpec:
         _require_int("level", self.size)
         if self.size < 1:
             raise ValueError("size must be >= 1")
+        if self.middle_exception and self.kind != "finite":
+            raise ValueError(f"a {self.kind} has no middle exception")
 
 
-def _mult(i: int) -> int:
-    """Connecting-edge multiplicity between positions i and i+1."""
-    return 2 if i % 2 == 1 else 1
+def _upsilon_span(spec: UpsilonSpec) -> tuple[int, int, tuple[int, ...]]:
+    """First and last vertex of a model graph, and the ends that carry three loops."""
+    n = int(spec.size)  # -n of an unsigned numpy int would wrap
+    if spec.kind == "finite":  # only here 2^n: a ray or line of any size is capped cheaply
+        return 0, (1 << n) - 1, (0, (1 << n) - 1)
+    return (0, n, (0,)) if spec.kind == "ray" else (-n, n, ())
 
 
 def upsilon_graph(spec: UpsilonSpec) -> Multigraph:
     """Materialize a model graph or a finite segment of an infinite one.
 
-    The vertices lo..hi form a path; each carries one loop, except the ends
-    of a finite level and the end of a ray, which carry three.  Segment
-    boundary vertices keep their interior degree deficit; no wrap-around
-    edges are added.
+    The vertices lo..hi form a path with two edges i -- i+1 at odd i and one
+    at even i; each carries one loop, except the ends of a finite level and
+    the end of a ray, which carry three.  Segment boundary vertices keep
+    their interior degree deficit; no wrap-around edges are added.
     """
-    n = int(spec.size)  # -n of an unsigned numpy int would wrap
-    lo, hi, ends = {
-        "finite": (0, (1 << n) - 1, (0, (1 << n) - 1)),
-        "ray": (0, n, (0,)),
-        "line": (-n, n, ()),
-    }[spec.kind]
-    exception_at = None
-    if spec.kind == "finite" and spec.middle_exception:
-        exception_at = (1 << (n - 1)) - 1
-    edges: list[Edge] = []
-    for v in ends:
-        edges += [Edge(v, v)] * 3
-    edges += [Edge(v, v) for v in range(lo, hi + 1) if v not in ends]
-    for i in range(lo, hi):
-        mult = 1 if i == exception_at and i % 2 == 1 else _mult(i)
-        edges += [Edge(i, i + 1)] * mult
-    return Multigraph(list(range(lo, hi + 1)), edges)
+    lo, hi, ends = _upsilon_span(spec)
+    vertices = list(range(lo, hi + 1))
+    # one loop per vertex and one edge per step, each listed as often as it occurs
+    once = [Edge(x, x) for x in vertices] + [Edge(x, y) for x, y in zip(vertices, vertices[1:])]
+    ends = np.array(ends, dtype=np.intp) - lo
+    loops = np.concatenate((np.repeat(ends, 3), np.delete(np.arange(len(vertices)), ends)))
+    mult = 1 + np.arange(lo, hi) % 2
+    if spec.middle_exception:
+        mult[hi // 2] = 1  # position 2^(n-1) - 1 of a finite level
+    order = np.concatenate((loops, len(vertices) + np.repeat(np.arange(hi - lo), mult)))
+    return Multigraph(vertices, list(map(once.__getitem__, order.tolist())))
 
 
 @dataclass(frozen=True)
@@ -136,24 +139,24 @@ class PathForm:
     multiplicities: tuple[int, ...]
 
 
-def _path_order(
-    size: int, u: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Path order, loop counts and multiplicities of a path with loops.
+def _canonical_path(labels: list, u: np.ndarray, v: np.ndarray) -> PathForm:
+    """Path form of the path with loops on the vertices ``labels``, edge i
+    joining positions u[i] and v[i].
 
-    The vertices are 0..size-1 and edge i joins u[i] to v[i].  The order
-    starts at the end with the smaller index; loop counts are listed along
-    it, and multiplicities between consecutive vertices.  Raises
-    NotAPathError unless the non-loop edges form one simple path through
-    every vertex.  It reads the graphs' slot index of the distinct non-loop pairs.
+    The order starts at the end whose label sorts first as a string, at the
+    end with the smaller position on a tie; loop counts are listed along it,
+    and multiplicities between consecutive vertices.  Raises NotAPathError
+    unless the non-loop edges form one simple path through every vertex.  It
+    reads the graphs' slot index of the distinct non-loop pairs.
     """
+    size = len(labels)
     loop = u == v
     loops = np.bincount(u[loop], minlength=size)
     lo = np.minimum(u[~loop], v[~loop])
     hi = np.maximum(u[~loop], v[~loop])
     pairs, mult = np.unique(lo * size + hi, return_counts=True)
     if size == 1:
-        return np.zeros(1, dtype=np.intp), loops, mult
+        return PathForm(tuple(labels), tuple(loops.tolist()), ())
     s = _slot_index(np.column_stack(np.divmod(pairs, size)), size)
     deg = np.diff(s.ptr)
     ends = np.flatnonzero(deg == 1)
@@ -173,26 +176,19 @@ def _path_order(
         order.append(cur)
     path = np.array(order)
     steps = np.minimum(path[:-1], path[1:]) * size + np.maximum(path[:-1], path[1:])
-    return path, loops[path], mult[np.searchsorted(pairs, steps)]
-
-
-def _path_form(
-    labels, order: np.ndarray, loops: np.ndarray, mult: np.ndarray
-) -> PathForm:
+    mult = mult[np.searchsorted(pairs, steps)]
+    if str(labels[order[-1]]) < str(labels[order[0]]):
+        path, mult = path[::-1], mult[::-1]
     return PathForm(
-        tuple(labels[i] for i in order.tolist()),
-        tuple(loops.tolist()),
+        tuple(labels[i] for i in path.tolist()),
+        tuple(loops[path].tolist()),
         tuple(mult.tolist()),
     )
 
 
 def path_canonical_form(g: Multigraph) -> PathForm:
     """Canonical form of a path with loops; NotAPathError otherwise."""
-    order, loops, mult = _path_order(g.n, *g.ends.T)
-    # start from the end whose label sorts first as a string
-    if str(g.vertices[order[-1]]) < str(g.vertices[order[0]]):
-        order, loops, mult = order[::-1], loops[::-1], mult[::-1]
-    return _path_form(g.vertices, order, loops, mult)
+    return _canonical_path(g.vertices, *g.ends.T)
 
 
 def level_path_form(
@@ -201,10 +197,7 @@ def level_path_form(
     """``path_canonical_form(schreier_graph(w, n, config))``, read off the
     generator permutations without building the graph."""
     _check_level(n, config)
-    u, v = _level_edges(w, n)[:2]
-    order, loops, mult = _path_order(1 << n, u, v)
-    # equal-length bit strings sort as their integers: order[0] starts
-    return _path_form(_level_vertices(n), order, loops, mult)
+    return _canonical_path(_level_vertices(n), *_level_edges(w, n)[:2])
 
 
 @dataclass(frozen=True)
@@ -232,7 +225,7 @@ def check_isomorphic(g: Multigraph, u: Multigraph) -> IsomorphismResult:
         order = fu.order[::-1] if flip else fu.order
         if fg.loops == loops and fg.multiplicities == mults:
             return IsomorphismResult(True, dict(zip(fg.order, order)))
-    # report the first mismatch against the unflipped orientation
+    # report the first mismatch against the unflipped orientation, which has one
     for i in range(g.n):
         if fg.loops[i] != fu.loops[i]:
             return IsomorphismResult(
@@ -244,7 +237,21 @@ def check_isomorphic(g: Multigraph, u: Multigraph) -> IsomorphismResult:
                 False, witness=f"edge multiplicity mismatch at position {i}: "
                 f"{fg.multiplicities[i]} != {fu.multiplicities[i]}"
             )
-    return IsomorphismResult(False, witness="orientation mismatch")
+
+
+def _onto_level(
+    w: OmegaWord, level: int, source: Multigraph, u: np.ndarray, gen: np.ndarray,
+    image: np.ndarray, interior: Optional[set],
+) -> CoveringMap:
+    """The covering of ``source`` onto the level graph, whose edge table it
+    reads once: source vertex i lies over level vertex image[i], and source
+    edge k, the gen[k]-edge at u[k], over the gen[k]-edge at image[u[k]]."""
+    lu, lv, lgen, ids = _level_edges(w, level)
+    vertices = _level_vertices(level)
+    target = _labelled_graph(vertices, lu, lv, lgen)
+    vertex_map = dict(zip(source.vertices, map(vertices.__getitem__, image.tolist())))
+    edge_map = dict(enumerate(ids[gen, image[u]].tolist()))
+    return CoveringMap(source, target, vertex_map, edge_map, interior)
 
 
 def level_projection_covering(
@@ -253,14 +260,12 @@ def level_projection_covering(
     """Prefix covering from the level-m graph onto the level-n graph."""
     if not m > n >= 1:
         raise ValueError("need m > n >= 1")
-    src = schreier_graph(w, m, config)
-    tgt = schreier_graph(w, n, config)
-    u, _, gen, _ = _level_edges(w, m)
-    ids = _level_edges(w, n)[3]
-    vertex_map = {v: v[:n] for v in src.vertices}
-    # the g-edge at u lies over the g-edge at u's length-n prefix
-    edge_map = dict(enumerate(ids[gen, u >> (m - n)].tolist()))
-    return CoveringMap(src, tgt, vertex_map, edge_map)
+    _check_level(m, config)
+    _check_level(n, config)
+    u, v, gen, _ = _level_edges(w, m)
+    source = _labelled_graph(_level_vertices(m), u, v, gen)
+    # each vertex lies over its length-n prefix
+    return _onto_level(w, n, source, u, gen, np.arange(1 << m) >> (m - n), None)
 
 
 @dataclass
@@ -291,16 +296,10 @@ def cayley_ball(
     # at least ``level`` deep, so that the enumeration's perms hold the level images
     depth = max(level, comparison_depth(w, 2 * radius + 1))
     enum = _enumerate_at_depth(w, radius, depth)
-    tgt = schreier_graph(w, level, config)
-    ids = _level_edges(w, level)[3]
     # element i maps to image[i], its image of the level vertex 1...1
     image = _leaf_images(enum, level, np.array([(1 << level) - 1]))[:, 0]
     # each g-edge at its smaller end (j == i: a loop; j == -1: outside the ball)
     u, gen = np.nonzero(enum.neighbors >= np.arange(len(image))[:, None])
-    v = enum.neighbors[u, gen]
-    edge_map = dict(enumerate(ids[gen, image[u]].tolist()))
-    edges = [Edge(i, j, label=GENERATORS[g]) for i, j, g in np.stack((u, v, gen), 1).tolist()]
-    graph = Multigraph(list(range(len(image))), edges)
-    vertex_map = {i: tgt.vertices[x] for i, x in enumerate(image.tolist())}
-    covering = CoveringMap(graph, tgt, vertex_map, edge_map, set(range(enum.sizes[radius - 1])))
+    graph = _labelled_graph(list(range(len(image))), u, enum.neighbors[u, gen], gen)
+    covering = _onto_level(w, level, graph, u, gen, image, set(range(enum.sizes[radius - 1])))
     return CayleyBall(graph, covering, enum, radius, level)

@@ -111,21 +111,26 @@ def parse_graph(data: bytes) -> Multigraph:
         raise FormatError(str(exc)) from exc
 
 
+def _dot_quoted(x) -> str:
+    """str(x) as a DOT quoted string, its backslashes and quotes escaped."""
+    return '"' + str(x).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(g: Multigraph, name: str = "G") -> str:
     """DOT text; multi-edges and loops appear as separate edge statements."""
     lines = [f"graph {name} {{"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_quoted(v)};")
     for e in g.edges:
         attrs = []
         if e.label is not None:
-            attrs.append(f'label="{e.label}"')
+            attrs.append(f"label={_dot_quoted(e.label)}")
         if isinstance(g, WeightedGraph):
             attrs.append(f'wu="{_weight_to_str(e.wu)}"')
             if not e.is_loop:
                 attrs.append(f'wv="{_weight_to_str(e.wv)}"')
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{e.u}" -- "{e.v}"{suffix};')
+        lines.append(f"  {_dot_quoted(e.u)} -- {_dot_quoted(e.v)}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

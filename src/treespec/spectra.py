@@ -163,12 +163,14 @@ def _tridiagonal_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     half is split again while it is mirror-symmetric.  On the level graphs
     the even half is the previous level (a covering contains the spectrum
     of the graph it covers) and four times the odd half is A_k, whose roots
-    are known in closed form; every other matrix is solved dense.
+    are known in closed form; every other matrix is solved dense.  Adding
+    0.0 to the diagonal turns a -0.0 into 0.0, which the dense solve would
+    otherwise keep, and which can move its tiny eigenvalues between slots.
     """
-    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+    diag, off = np.asarray(diag, dtype=float) + 0.0, np.asarray(off, dtype=float)
     size = len(diag)
     if size == 1:
-        return diag.copy()
+        return diag
     scale = max(np.abs(diag).max(), np.abs(off).max())
     off = np.where(np.abs(off) > _EPS * scale, off, 0.0)
     if size % 2 == 0 and np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1]):
@@ -392,6 +394,8 @@ def moments_via_eigendecomposition(g: Multigraph, v, count: int) -> MomentSequen
     The diagonal entries of M^p and of its symmetric form agree, so the
     weights w_i are read off the symmetric eigenvectors as they are.
     """
+    if count < 0:
+        raise ValueError("count must be >= 0")
     vals, vecs = _markov_eigh(g)
     i = g.index(v)
     weights = vecs[i, :] ** 2

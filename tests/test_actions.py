@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +146,22 @@ class TestWordAction:
         deep = word_action(word, w, depth)
         shallow = word_action(word, w, depth - 1)
         assert np.array_equal(deep.level_perm(depth - 1), shallow.perm)
+
+    @pytest.mark.parametrize("word", ["", "a", "bcd"])
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_refused(self, word, depth):
+        # the empty word built TreeAutomorphism(depth=0, perm=[0]), which the
+        # constructor refuses, and verify_trivial called it trivial
+        w = OmegaWord.parse(":012")
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            word_action(word, w, depth)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            verify_trivial(word, w, depth)
+
+    @pytest.mark.parametrize("depth", [2.5, 3.0, "3", None])
+    def test_depth_not_an_int_named(self, depth):
+        with pytest.raises(ValueError, match=re.escape(f"depth {depth!r} is not an int")):
+            word_action("ab", OmegaWord.parse(":012"), depth)
 
     @given(w=OMEGAS, depth=DEPTHS, word=WORDS)
     def test_inverse(self, w, depth, word):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from treespec import cli, parse_graph
+from treespec import UpsilonSpec, cli, parse_graph, upsilon_graph
 from treespec.cli import main
 
 
@@ -104,6 +104,17 @@ class TestConfigEcho:
     def test_upsilon_within_cap(self, capsys):
         code, out, _ = run(capsys, "--max-vertices", "5", "upsilon", "--kind", "ray", "--size", "4")
         assert code == 0 and '"vertices":[0,1,2,3,4]' in out
+
+    @pytest.mark.parametrize("kind", ["ray", "line"])
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    def test_upsilon_cap_counts_the_vertices_built(self, capsys, kind, size):
+        # the cap and the builder read one span table: a cap of exactly the
+        # segment's vertex count passes, one less refuses it
+        count = upsilon_graph(UpsilonSpec(kind, size)).n
+        argv = ["upsilon", "--kind", kind, "--size", str(size)]
+        assert run(capsys, "--max-vertices", str(count), *argv)[0] == 0
+        code, _, err = run(capsys, "--max-vertices", str(count - 1), *argv)
+        assert code == 1 and err == f"error: {count} vertices exceed cap {count - 1}\n"
 
     def test_dihedral_resource_cap_enforced(self, capsys):
         code, out, err = run(

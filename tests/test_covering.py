@@ -293,6 +293,13 @@ class TestVerifyCovering:
         with pytest.raises(WindowTooSmallError):
             verify_covering(ball.covering)
 
+    def test_finite_cover_missing_a_target_vertex_not_surjective(self):
+        # every local check passes; the exact source cannot reach vertex 1
+        src = Multigraph(["a"], [("a", "a")])
+        tgt = Multigraph([0, 1], [(0, 0), (1, 1)])
+        rep = verify_covering(CoveringMap(src, tgt, {"a": 0}, {0: 0}))
+        assert not rep and rep.witness == "not surjective: missing vertices [1]"
+
     def test_isolated_target_vertex_covered(self):
         # an isolated source vertex covers it; no Markov degree table is read
         c = base_covering("isolated")
@@ -411,6 +418,21 @@ class TestLifting:
         start = next(v for v in cov.source.vertices if cov.phi(v) == "11")
         ti = cov.target.incident("11")[0]
         assert lift_path(cov, "11", [np.int64(ti)], start) == lift_path(cov, "11", [ti], start)
+
+    def test_edge_not_at_the_walk_named(self):
+        cov = level_projection_covering(W, 3, 2)
+        start = next(v for v in cov.source.vertices if cov.phi(v) == "11")
+        ti = next(i for i, e in enumerate(cov.target.edges) if "11" not in (e.u, e.v))
+        with pytest.raises(ValueError, match=f"target edge {ti} not incident to '11'"):
+            lift_path(cov, "11", [ti], start)
+
+    def test_lift_not_unique_named(self):
+        # two source loops over the one target loop: no unique lift
+        src = Multigraph(["a"], [("a", "a"), ("a", "a")])
+        tgt = Multigraph(["x"], [("x", "x")])
+        cov = CoveringMap(src, tgt, {"a": "x"}, {0: 0, 1: 0})
+        with pytest.raises(ValueError, match="lift not unique at 'a': 2 candidate edges"):
+            lift_path(cov, "x", [0], "a")
 
     def test_bad_start_rejected(self):
         cov = level_projection_covering(W, 3, 2)
@@ -563,6 +585,28 @@ class TestResiduals:
         for i, lam in enumerate(vals):
             rec = window_pullback_residual(cov, float(lam), vecs[:, i])
             assert rec.residual < 1e-12
+
+    def test_vanishing_truncated_pullback_refused(self):
+        # B_0 of the base holds only the base, and f is zero at its image
+        cov = level_projection_covering(W, 4, 2)
+        f = np.zeros(4)
+        f[cov.target.index("11")] = 1.0
+        assert cov.phi(cov.source.vertices[0]) != "11"
+        with pytest.raises(ValueError, match="truncated pullback vanishes; enlarge k"):
+            hulanicki_residual(cov, 1.0, f, "subexp", 0)
+
+    def test_empty_fiber_ball_refused(self):
+        # f reaches target distance N = 2 from the base's image, so the
+        # bound divides by alpha_(k-N), the fiber count within radius -1
+        cov = level_projection_covering(W, 4, 2)
+        base = cov.phi(cov.source.vertices[0])
+        dist = _bfs_distances(cov.target, base)
+        far = max(dist, key=dist.get)
+        assert dist[far] == 2
+        f = np.zeros(4)
+        f[[cov.target.index(base), cov.target.index(far)]] = 1.0
+        with pytest.raises(ValueError, match=re.escape("alpha_(k-N) = 0 at k=1, N=2; enlarge k")):
+            hulanicki_residual(cov, 1.0, f, "subexp", 1)
 
     def test_non_eigenpair_rejected(self):
         cov = level_projection_covering(W, 4, 2)

@@ -23,6 +23,12 @@ class TestParse:
         with pytest.raises(ValueError):
             OmegaWord.parse(":013")
 
+    @pytest.mark.parametrize("text, bad", [(":0a", "a"), ("x:0", "x"), (":0 1", " "), (":-1", "-")])
+    def test_bad_symbol_and_word_named(self, text, bad):
+        # a letter raised int()'s "invalid literal for int() with base 10"
+        with pytest.raises(ValueError, match=f"symbol {bad!r} in omega {text!r} not in"):
+            OmegaWord.parse(text)
+
     def test_empty_period(self):
         with pytest.raises(ValueError):
             OmegaWord.parse("0:")

@@ -1,5 +1,10 @@
+import ast
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +135,50 @@ class TestUpsilonModel:
         assert not got
         assert "multiplicity mismatch" in got.witness
 
+    @pytest.mark.parametrize(
+        "spec",
+        [UpsilonSpec("finite", n, e) for n in range(1, 9) for e in (False, True)]
+        + [UpsilonSpec(k, n) for k in ("ray", "line") for n in range(1, 12)],
+        ids=lambda s: f"{s.kind}-{s.size}" + "-exception" * s.middle_exception,
+    )
+    def test_matches_reference_loop(self, spec):
+        g = upsilon_graph(spec)
+        vertices, edges = reference_upsilon(spec)
+        assert g.vertices == vertices and g.edges == edges
+        assert all(type(x) is int for e in g.edges for x in e[:2])
+
+    def test_models_load_no_masked_arrays(self):
+        # np.setdiff1d imports numpy.ma, about 0.9 MiB that a run then holds
+        code = (
+            "import sys, treespec as ts\n"
+            "for kind in ('finite', 'ray', 'line'):\n"
+            "    ts.upsilon_graph(ts.UpsilonSpec(kind, 3))\n"
+            "sys.exit('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(schreier.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), timeout=120
+        )
+        assert proc.returncode == 0
+
+    @pytest.mark.parametrize("kind", ["ray", "line"])
+    def test_middle_exception_only_on_finite_levels(self, kind):
+        # a ray or line with the exception was accepted and built plain
+        with pytest.raises(ValueError, match=f"a {kind} has no middle exception"):
+            UpsilonSpec(kind, 4, middle_exception=True)
+
+    @pytest.mark.parametrize(
+        "g, u, witness",
+        [
+            (("finite", 2), ("finite", 3), "vertex counts 4 != 8"),
+            # loops (3, 1, 1, 1) against (3, 1, 1, 3), multiplicities (1, 2, 1) both
+            (("ray", 3), ("finite", 2), "loop count mismatch at path position 3: 1 != 3"),
+        ],
+    )
+    def test_mismatch_witness(self, g, u, witness):
+        got = check_isomorphic(upsilon_graph(UpsilonSpec(*g)), upsilon_graph(UpsilonSpec(*u)))
+        assert not got and got.witness == witness
+
     def test_ray_and_line_segments(self):
         ray = upsilon_graph(UpsilonSpec("ray", 6))
         assert ray.degree(0) == 4  # three loops + single edge
@@ -151,6 +200,25 @@ class TestUpsilonModel:
         form = path_canonical_form(g)
         assert len(form.order) == 8
         assert form.loops[0] == 3 and form.loops[-1] == 3
+
+
+def reference_upsilon(spec):
+    """Vertices and edges of a model graph by the per-position loop that
+    ``upsilon_graph`` replaced, kept as the reference route."""
+    n = int(spec.size)
+    lo, hi, ends = {
+        "finite": (0, (1 << n) - 1, (0, (1 << n) - 1)),
+        "ray": (0, n, (0,)),
+        "line": (-n, n, ()),
+    }[spec.kind]
+    edges = []
+    for v in ends:
+        edges += [Edge(v, v)] * 3
+    edges += [Edge(v, v) for v in range(lo, hi + 1) if v not in ends]
+    for i in range(lo, hi):
+        single = i % 2 == 0 or spec.middle_exception and i == (1 << (n - 1)) - 1
+        edges += [Edge(i, i + 1)] * (1 if single else 2)
+    return list(range(lo, hi + 1)), edges
 
 
 def reference_path_form(g):
@@ -426,3 +494,54 @@ class TestEdgeTable:
         assert [(e.u, e.v, e.label) for e in ball.graph.edges] == edges
         assert ball.covering.edge_map == edge_map
         assert all(type(t) is int for t in ball.covering.edge_map.values())
+
+
+class TestOneRuleEach:
+    """Each level object is built by one rule: a covering reads its target
+    level's edge table once, and each level is checked once per call."""
+
+    W = OmegaWord.parse(":012")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The levels that ``_level_edges`` and ``_check_level`` were called on."""
+        seen = {"edges": [], "checked": []}
+
+        def record(name, key, level_arg):
+            original = getattr(schreier, name)
+
+            def wrapper(*args):
+                seen[key].append(args[level_arg])
+                return original(*args)
+
+            monkeypatch.setattr(schreier, name, wrapper)
+
+        record("_level_edges", "edges", 1)  # (w, n)
+        record("_check_level", "checked", 0)  # (n, config)
+        return seen
+
+    def test_projection_reads_each_level_once(self, calls):
+        level_projection_covering(self.W, 5, 2)
+        assert calls == {"edges": [5, 2], "checked": [5, 2]}
+
+    def test_cayley_ball_reads_its_level_once(self, calls):
+        cayley_ball(self.W, 3, 4)
+        assert calls == {"edges": [4], "checked": [4]}
+
+    @pytest.mark.parametrize("build", [schreier_graph, level_path_form])
+    def test_level_builders_read_their_level_once(self, calls, build):
+        build(self.W, 3)
+        assert calls == {"edges": [3], "checked": [3]}
+
+    def test_one_labelled_edge_constructor(self):
+        # level graphs, projection sources, Cayley balls and covering targets
+        # all label their edges in one place
+        tree = ast.parse(Path(schreier.__file__).read_text())
+        labelled = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "Edge"
+            and any(k.arg == "label" for k in node.keywords)
+        ]
+        assert len(labelled) == 1

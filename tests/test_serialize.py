@@ -190,6 +190,15 @@ class TestExports:
         for gen in "abcd":
             assert f'label="{gen}"' in dot
 
+    def test_dot_escapes_quotes_and_backslashes(self):
+        # unescaped, the quote in 'a"b' closed the id early: "a"b" -- "c"
+        g = Multigraph(['a"b', "c\\d"], [('a"b', "c\\d", 'x"y')])
+        assert export_dot(g).splitlines()[1:4] == [
+            '  "a\\"b";',
+            '  "c\\\\d";',
+            '  "a\\"b" -- "c\\\\d" [label="x\\"y"];',
+        ]
+
     def test_dot_weighted_attributes(self):
         w = markov_weights(schreier_graph(OmegaWord.parse(":012"), 1))
         dot = export_dot(w, name="lvl1")

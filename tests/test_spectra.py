@@ -127,6 +127,15 @@ UNDERFLOWING_COUPLINGS = (
 )
 
 
+def signed_zero_tridiagonal():
+    """Size 45, zero but for a -0.0 on the diagonal and two unit couplings.
+    Kept as -0.0, the dense solve put its +-8e-17 eigenvalues in other slots
+    than the solve of ``dense_tridiagonal``, whose sum makes it 0.0."""
+    diag, off = np.zeros(45), np.zeros(44)
+    diag[9], off[8:10] = -0.0, 1.0
+    return diag, off
+
+
 def dense_tridiagonal(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
@@ -239,6 +248,8 @@ class TestIntervalUnion:
         assert u.affine(2.0, 0.0).intervals == ((0.0, 2.0), (4.0, 6.0))
         # a negative scale flips the order
         assert u.affine(-1.0, 0.0).intervals == ((-3.0, -2.0), (-1.0, 0.0))
+        # a zero scale maps both onto one point: the overlapping images merge
+        assert u.affine(0.0, 0.5).intervals == ((0.5, 0.5),)
 
     @pytest.mark.parametrize(
         "target", [GRIG_TARGET, IntervalUnion(((-3.0, -1.5), (0.1, 0.2), (2.0, 2.0)))]
@@ -429,6 +440,7 @@ class TestTridiagonalFold:
             np.array([1e-154, 0.0, 0.75, 7e-81, 0.75, 1e-154]),
         )
     )
+    @example(signed_zero_tridiagonal())
     @settings(deadline=None)
     def test_odd_sizes_solved_as_they_are(self, tri):
         diag, off = tri
@@ -445,6 +457,7 @@ class TestTridiagonalFold:
             np.array([1e-154, 0.0, 7e-81, 0.75, 0.75]),
         )
     )
+    @example(signed_zero_tridiagonal())
     @settings(deadline=None)
     def test_non_mirror_inputs_solved_as_they_are(self, tri):
         diag, off = tri
@@ -770,6 +783,14 @@ class TestMoments:
     def test_isolated_vertex_raises(self):
         with pytest.raises(IsolatedVertexError):
             spectral_moments(Multigraph([0, 1], [(0, 0)]), 0, 3)
+
+    @pytest.mark.parametrize("route", [spectral_moments, moments_via_eigendecomposition])
+    def test_negative_count_refused(self, route):
+        # the eigendecomposition route returned moments=() for count -1
+        g = schreier_graph(W, 2)
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            route(g, g.vertices[0], -1)
+        assert len(route(g, g.vertices[0], 0).moments) == 1
 
     def test_moment_normalization(self):
         g = schreier_graph(W, 3)
