@@ -117,7 +117,8 @@ class TreeAutomorphism:
         return bool((self.perm == np.arange(len(self.perm))).all())
 
 
-@lru_cache(maxsize=4096)
+# typed: a float depth equal to a cached int one misses the cache and is refused
+@lru_cache(maxsize=4096, typed=True)
 def generator_action(g: str, w: OmegaWord, depth: int) -> TreeAutomorphism:
     """Truncation to ``depth`` of one of the four generators.
 
@@ -128,6 +129,7 @@ def generator_action(g: str, w: OmegaWord, depth: int) -> TreeAutomorphism:
     form one contiguous block, so it flips one bit on that block.  A product
     of branch swaps is a tree automorphism, so the result is not validated.
     """
+    _require_int("depth", depth)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     perm = np.arange(1 << depth, dtype=np.intp)

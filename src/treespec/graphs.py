@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from operator import itemgetter
 from typing import Hashable, NamedTuple, Optional, Sequence
@@ -42,6 +42,11 @@ class Edge(NamedTuple):
     @property
     def is_loop(self) -> bool:
         return self.u == self.v
+
+
+# an Edge from an iterable of all five fields, with no Python frame per edge:
+# ``list(map(_new_edge, zip(us, vs, wus, wvs, labels)))`` builds a column's edges
+_new_edge = partial(tuple.__new__, Edge)
 
 
 def _as_edge(e: tuple) -> Edge:
@@ -189,9 +194,9 @@ class WeightedGraph(Multigraph):
 
 def markov_weights(g: Multigraph) -> WeightedGraph:
     """Weight every (vertex, edge) pair by 1/degree(vertex)."""
-    weights = (1.0 / _degrees(g))[g.ends].tolist()
-    edges = [Edge(e.u, e.v, wu, wv, e.label) for e, (wu, wv) in zip(g.edges, weights)]
-    return WeightedGraph(g.vertices, edges)
+    wu, wv = (1.0 / _degrees(g))[g.ends].T.tolist()
+    u, v, label = (map(itemgetter(k), g.edges) for k in (0, 1, 4))
+    return WeightedGraph(g.vertices, list(map(_new_edge, zip(u, v, wu, wv, label))))
 
 
 @dataclass

@@ -10,6 +10,7 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -18,7 +19,7 @@ from .actions import GENERATORS, _generator_table
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
 from .config import _require_int, _require_int_radii
 from .covering import CoveringMap
-from .graphs import Edge, Multigraph, _slot_index
+from .graphs import Multigraph, _new_edge, _slot_index
 from .growth import BallEnumeration, _enumerate_at_depth, _leaf_images, comparison_depth
 from .omega import OmegaWord
 
@@ -56,14 +57,15 @@ def _level_edges(w: OmegaWord, n: int) -> tuple[np.ndarray, ...]:
     return u, v, gen, ids
 
 
-def _labelled_graph(vertices: list, u: np.ndarray, v: np.ndarray, gen: np.ndarray) -> Multigraph:
+def _labelled_graph(
+    vertices: list, u: np.ndarray, v: np.ndarray, gen: Optional[np.ndarray] = None
+) -> Multigraph:
     """The graph on ``vertices`` whose edge i joins positions u[i] and v[i]
-    and is labelled by generator gen[i]."""
-    edges = [
-        Edge(vertices[i], vertices[j], label=GENERATORS[g])
-        for i, j, g in zip(u.tolist(), v.tolist(), gen.tolist())
-    ]
-    return Multigraph(vertices, edges)
+    and is labelled by generator gen[i], or unlabelled when ``gen`` is None."""
+    ends = (map(vertices.__getitem__, x.tolist()) for x in (u, v))
+    labels = repeat(None) if gen is None else map(GENERATORS.__getitem__, gen.tolist())
+    edges = map(_new_edge, zip(*ends, repeat(1.0), repeat(1.0), labels))
+    return Multigraph(vertices, list(edges))
 
 
 def schreier_graph(
@@ -116,16 +118,15 @@ def upsilon_graph(spec: UpsilonSpec) -> Multigraph:
     their interior degree deficit; no wrap-around edges are added.
     """
     lo, hi, ends = _upsilon_span(spec)
-    vertices = list(range(lo, hi + 1))
-    # one loop per vertex and one edge per step, each listed as often as it occurs
-    once = [Edge(x, x) for x in vertices] + [Edge(x, y) for x, y in zip(vertices, vertices[1:])]
     ends = np.array(ends, dtype=np.intp) - lo
-    loops = np.concatenate((np.repeat(ends, 3), np.delete(np.arange(len(vertices)), ends)))
+    loops = np.concatenate((np.repeat(ends, 3), np.delete(np.arange(hi - lo + 1), ends)))
     mult = 1 + np.arange(lo, hi) % 2
     if spec.middle_exception:
         mult[hi // 2] = 1  # position 2^(n-1) - 1 of a finite level
-    order = np.concatenate((loops, len(vertices) + np.repeat(np.arange(hi - lo), mult)))
-    return Multigraph(vertices, list(map(once.__getitem__, order.tolist())))
+    # the loops, then each step i -- i+1 as often as it occurs
+    u = np.concatenate((loops, np.repeat(np.arange(hi - lo), mult)))
+    v = u + (np.arange(len(u)) >= len(loops))
+    return _labelled_graph(list(range(lo, hi + 1)), u, v)
 
 
 @dataclass(frozen=True)
@@ -258,6 +259,8 @@ def level_projection_covering(
     w: OmegaWord, m: int, n: int, config: RunConfig = DEFAULT_CONFIG
 ) -> CoveringMap:
     """Prefix covering from the level-m graph onto the level-n graph."""
+    _require_int("level", m)
+    _require_int("level", n)
     if not m > n >= 1:
         raise ValueError("need m > n >= 1")
     _check_level(m, config)
@@ -289,6 +292,7 @@ def cayley_ball(
     the covering map is a local isomorphism there.
     """
     _require_int_radii([radius])
+    _require_int("level", level)
     if radius < 1 or level < 1:
         raise ValueError("radius and level must be >= 1")
     # refuse a level over the cap before the enumeration, which costs more

@@ -10,10 +10,12 @@ import csv
 import io
 import json
 import math
+from itertools import chain, repeat
+from operator import eq, itemgetter
 from typing import Optional
 
 from .config import FormatError
-from .graphs import Edge, Multigraph, WeightedGraph
+from .graphs import Edge, Multigraph, WeightedGraph, _new_edge
 
 FORMAT_VERSION = 1
 
@@ -38,30 +40,121 @@ def _weight_from_str(s: str):
         raise FormatError(f"bad weight string {s!r}") from exc
 
 
+# the canonical JSON of one value: the document is these texts joined
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# the JSON text of an id of one of these types, with no Python frame: two equal
+# ids of one such type print alike, while 1, True and 1.0 are equal but do not
+_ID_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__}
+
+# the labels a document holds; equal ones print alike, so each is encoded once
+_LABEL_TYPES = {str, type(None)}
+
+
+def _id_texts(g: Multigraph, u: list, v: list) -> tuple[str, list, list]:
+    """The vertex array's text and each edge's u and v texts.  When every id
+    and end is of one type of ``_ID_TEXT``, each vertex is encoded once and
+    an end takes its vertex's text; otherwise each end is encoded itself."""
+    kinds = set(map(type, chain(g.vertices, u, v)))
+    text = _ID_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+    if text is None:
+        u, v = (list(map(_encode, c)) for c in (u, v))
+        return _encode(g.vertices), u, v
+    texts = list(map(text, g.vertices))
+    u, v = (list(map(texts.__getitem__, c.tolist())) for c in g.ends.T)
+    return "[" + ",".join(texts) + "]", u, v
+
+
+def _heads(label: list) -> list[str]:
+    """Each edge record up to its u value; keys sort as label < u < v < w < wu < wv."""
+
+    def head(x):
+        return '{"u":' if x is None else '{"label":' + _encode(x) + ',"u":'
+
+    if set(map(type, label)) <= _LABEL_TYPES:
+        memo = {x: head(x) for x in set(label)}
+        return list(map(memo.__getitem__, label))
+    return list(map(head, label))
+
+
+def _weight_tail(e: Edge) -> str:
+    """An edge record's weights, its closing brace and the comma after it; a
+    weight string is a float or complex repr, which needs no JSON escape."""
+    if e.is_loop:
+        return f',"w":"{_weight_to_str(e.wu)}"}},'
+    return f',"wu":"{_weight_to_str(e.wu)}","wv":"{_weight_to_str(e.wv)}"}},'
+
+
 def serialize_graph(g: Multigraph, metadata: Optional[dict] = None) -> bytes:
-    """Serialize a (weighted) multigraph to canonical JSON bytes."""
+    """Serialize a (weighted) multigraph to canonical JSON bytes.
+
+    The bytes are those of ``json.dumps(doc, sort_keys=True,
+    separators=(",", ":"))`` on the document with one dict per edge, written
+    by column: record i is its label's header, the texts of u[i] and v[i]
+    and, on a weighted graph, a weight tail; the document is joined once.
+    """
     weighted = isinstance(g, WeightedGraph)
-    edges = []
-    for e in g.edges:
-        rec: dict = {"u": e.u, "v": e.v}
-        if weighted:
-            if e.is_loop:
-                rec["w"] = _weight_to_str(e.wu)
-            else:
-                rec["wu"] = _weight_to_str(e.wu)
-                rec["wv"] = _weight_to_str(e.wv)
-        if e.label is not None:
-            rec["label"] = e.label
-        edges.append(rec)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "weighted": weighted,
-        "vertices": list(g.vertices),
-        "edges": edges,
-        "metadata": dict(metadata or {}),
-        "conventions": CONVENTIONS,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    u, v, label = (list(map(itemgetter(k), g.edges)) for k in (0, 1, 4))
+    vertices, u_text, v_text = _id_texts(g, u, v)
+    # five pieces per record, the comma after it in its tail; a prefix and a suffix
+    pieces = [',"v":'] * (5 * len(u) + 2)
+    pieces[1:-1:5] = _heads(label)
+    pieces[2:-1:5] = u_text
+    pieces[4:-1:5] = v_text
+    pieces[5:-1:5] = list(map(_weight_tail, g.edges)) if weighted else ["},"] * len(u)
+    if u:
+        pieces[-2] = pieces[-2][:-1]  # no comma after the last record
+    pieces[0] = '{"conventions":' + _encode(CONVENTIONS) + ',"edges":['
+    pieces[-1] = (
+        f'],"format_version":{FORMAT_VERSION},"metadata":{_encode(dict(metadata or {}))},'
+        f'"vertices":{vertices},"weighted":{_encode(weighted)}}}'
+    )
+    # a str join: a bytes join holds a buffer descriptor per piece
+    return "".join(pieces).encode()
+
+
+def _ids(column: list) -> list:
+    """The vertex ids of a decoded column: JSON has no tuples, so a
+    list-valued id comes back as a tuple."""
+    if list not in set(map(type, column)):
+        return column
+    return [tuple(x) if type(x) is list else x for x in column]
+
+
+def _edge_columns(records: list, weighted: bool) -> tuple:
+    """The u, v, wu, wv and label columns of the edge records.
+
+    Raises KeyError or TypeError on a missing or malformed field, and
+    FormatError on a bad weight string or label; the caller names the record.
+    """
+    u, v = (_ids(list(map(itemgetter(k), records))) for k in ("u", "v"))
+    label = list(map(dict.get, records, repeat("label")))
+    if not set(map(type, label)) <= _LABEL_TYPES:
+        bad = next(x for x in label if type(x) not in _LABEL_TYPES)
+        raise FormatError(f"label {bad!r} is neither a string nor null")
+    if not weighted:
+        return u, v, repeat(1.0), repeat(1.0), label
+    loop = list(map(eq, u, v))
+    # a loop carries one weight "w"; any other edge "wu" and "wv"
+    wu = [_weight_from_str(r["w"] if k else r["wu"]) for r, k in zip(records, loop)]
+    wv = [w if k else _weight_from_str(r["wv"]) for r, k, w in zip(records, loop, wu)]
+    return u, v, wu, wv, label
+
+
+def _edges(records: list, weighted: bool) -> list[Edge]:
+    """The edges of the records, read by column; on a failure a scan names
+    the first bad record, each of which the columns read alone."""
+    try:
+        return list(map(_new_edge, zip(*_edge_columns(records, weighted))))
+    except (TypeError, KeyError, FormatError):
+        for i, rec in enumerate(records):
+            try:
+                _edge_columns([rec], weighted)
+            except (TypeError, KeyError) as exc:
+                raise FormatError(f"edge {i}: missing or malformed field {exc}") from exc
+            except FormatError as exc:
+                raise FormatError(f"edge {i}: {exc}") from exc
+        raise
 
 
 def parse_graph(data: bytes) -> Multigraph:
@@ -83,30 +176,14 @@ def parse_graph(data: bytes) -> Multigraph:
         )
     if not (isinstance(doc["vertices"], list) and isinstance(doc["edges"], list)):
         raise FormatError("vertices and edges must be lists")
-    # JSON has no tuples: a list-valued vertex id comes back as a tuple
-    vertices = [tuple(v) if type(v) is list else v for v in doc["vertices"]]
-    weighted = bool(doc.get("weighted"))
-    edges = []
-    for i, rec in enumerate(doc["edges"]):
-        try:
-            u, v = rec["u"], rec["v"]
-            if type(u) is list:
-                u = tuple(u)
-            if type(v) is list:
-                v = tuple(v)
-            if not weighted:
-                edges.append(Edge(u, v, 1.0, 1.0, rec.get("label")))
-            elif u == v:
-                w = _weight_from_str(rec["w"])
-                edges.append(Edge(u, v, w, w, rec.get("label")))
-            else:
-                wu, wv = _weight_from_str(rec["wu"]), _weight_from_str(rec["wv"])
-                edges.append(Edge(u, v, wu, wv, rec.get("label")))
-        except (TypeError, KeyError) as exc:
-            raise FormatError(f"edge {i}: missing or malformed field {exc}") from exc
+    weighted = doc.get("weighted", False)
+    if type(weighted) is not bool:
+        raise FormatError(f"field 'weighted' must be true or false, not {weighted!r}")
+    # popped, the records are freed before the graph is built
+    edges = _edges(doc.pop("edges"), weighted)
     cls = WeightedGraph if weighted else Multigraph
     try:
-        return cls(vertices, edges)
+        return cls(_ids(doc["vertices"]), edges)
     except (TypeError, ValueError) as exc:  # TypeError: an unhashable vertex id
         raise FormatError(str(exc)) from exc
 

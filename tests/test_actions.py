@@ -115,6 +115,16 @@ class TestGeneratorAction:
             expect = from_bits(act_letter(g, w, to_bits(i, depth)))
             assert act.apply(i) == expect
 
+    @pytest.mark.parametrize("g", ["a", "b"])
+    @pytest.mark.parametrize("depth", [2.5, 3.0, "3", None])
+    def test_depth_not_an_int_named(self, g, depth):
+        # 2.5 raised a bare TypeError from ``1 << depth``; a cached depth 3
+        # must not let an equal 3.0 through
+        w = OmegaWord.parse(":012")
+        generator_action(g, w, 3)
+        with pytest.raises(ValueError, match=re.escape(f"depth {depth!r} is not an int")):
+            generator_action(g, w, depth)
+
     @given(w=OMEGAS, depth=DEPTHS, g=st.sampled_from("abcd"))
     def test_generators_are_involutions(self, w, depth, g):
         act = generator_action(g, w, depth)

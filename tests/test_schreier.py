@@ -84,8 +84,9 @@ class TestSchreierGraph:
 
 
 class TestLevelArgument:
-    """A level that is not an int raised a bare TypeError from ``1 << n``, and
-    a ray of length 2.5 was accepted until ``upsilon_graph`` ran."""
+    """A level that is not an int raised a bare TypeError from ``1 << n`` or
+    from a comparison such as ``m > n >= 1``, and a ray of length 2.5 was
+    accepted until ``upsilon_graph`` ran."""
 
     W = OmegaWord.parse(":012")
 
@@ -98,8 +99,12 @@ class TestLevelArgument:
             dihedral_reduction_check,
             lambda w, n: UpsilonSpec("ray", n),
             lambda w, n: UpsilonSpec("finite", n),
+            lambda w, n: level_projection_covering(w, n, 1),
+            lambda w, n: level_projection_covering(w, 4, n),
+            lambda w, n: cayley_ball(w, 3, n),
         ],
-        ids=["sweep", "path_form", "schreier_graph", "dihedral", "ray", "finite"],
+        ids=["sweep", "path_form", "schreier_graph", "dihedral", "ray", "finite",
+             "projection_source", "projection_target", "cayley_ball"],
     )
     @pytest.mark.parametrize("level", [2.5, 3.0, "3", None])
     def test_level_not_an_int_named(self, call, level):
@@ -114,6 +119,9 @@ class TestLevelArgument:
         assert dihedral_reduction_check(self.W, level).t_squared_is_identity
         assert upsilon_graph(UpsilonSpec("ray", level)).n == 4
         assert upsilon_graph(UpsilonSpec("line", level)).n == 7
+        assert level_projection_covering(self.W, level, 2).source.n == 8
+        assert level_projection_covering(self.W, 4, level).target.n == 8
+        assert cayley_ball(self.W, 3, level).covering.target.n == 8
 
 
 class TestUpsilonModel:
@@ -534,14 +542,9 @@ class TestOneRuleEach:
         assert calls == {"edges": [3], "checked": [3]}
 
     def test_one_labelled_edge_constructor(self):
-        # level graphs, projection sources, Cayley balls and covering targets
-        # all label their edges in one place
+        # level graphs, projection sources, Cayley balls, covering targets and
+        # model graphs all make their edges in one place: the one use of the
+        # edge factory, and no direct Edge call
         tree = ast.parse(Path(schreier.__file__).read_text())
-        labelled = [
-            node.lineno
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and getattr(node.func, "id", None) == "Edge"
-            and any(k.arg == "label" for k in node.keywords)
-        ]
-        assert len(labelled) == 1
+        names = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
+        assert names.count("_new_edge") == 1 and "Edge" not in names

@@ -1,17 +1,20 @@
 import hashlib
+import itertools
 import json
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treespec import (
     Edge,
     FormatError,
     Multigraph,
     OmegaWord,
+    RunConfig,
     WeightedGraph,
     export_dot,
     export_eigenvalue_csv,
@@ -20,6 +23,7 @@ from treespec import (
     schreier_graph,
     serialize_graph,
 )
+from treespec.serialize import CONVENTIONS, FORMAT_VERSION, _weight_from_str, _weight_to_str
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 WEIGHTS = st.one_of(FINITE, st.complex_numbers(allow_nan=False, allow_infinity=False))
@@ -50,6 +54,95 @@ def graph_equal(a, b):
     return ea == eb
 
 
+def reference_serialize(g, metadata=None):
+    """The dict-per-edge writer that the column writer must match byte for byte."""
+    weighted = isinstance(g, WeightedGraph)
+    edges = []
+    for e in g.edges:
+        rec = {"u": e.u, "v": e.v}
+        if weighted:
+            if e.is_loop:
+                rec["w"] = _weight_to_str(e.wu)
+            else:
+                rec["wu"] = _weight_to_str(e.wu)
+                rec["wv"] = _weight_to_str(e.wv)
+        if e.label is not None:
+            rec["label"] = e.label
+        edges.append(rec)
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "weighted": weighted,
+        "vertices": list(g.vertices),
+        "edges": edges,
+        "metadata": dict(metadata or {}),
+        "conventions": CONVENTIONS,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+def reference_parse(data):
+    """The record-by-record reader of a well-formed document."""
+    doc = json.loads(data.decode())
+    vertices = [tuple(v) if type(v) is list else v for v in doc["vertices"]]
+    weighted = doc["weighted"]
+    edges = []
+    for rec in doc["edges"]:
+        u, v = rec["u"], rec["v"]
+        u = tuple(u) if type(u) is list else u
+        v = tuple(v) if type(v) is list else v
+        if not weighted:
+            edges.append(Edge(u, v, 1.0, 1.0, rec.get("label")))
+        elif u == v:
+            w = _weight_from_str(rec["w"])
+            edges.append(Edge(u, v, w, w, rec.get("label")))
+        else:
+            wu, wv = _weight_from_str(rec["wu"]), _weight_from_str(rec["wv"])
+            edges.append(Edge(u, v, wu, wv, rec.get("label")))
+    return (WeightedGraph if weighted else Multigraph)(vertices, edges)
+
+
+def aliases(x):
+    """x and the values equal to it, and so hashed alike, that print differently."""
+    if type(x) is tuple:
+        return list(itertools.product(*map(aliases, x)))
+    if type(x) in (bool, int, float) and float(x).is_integer():
+        return [x, int(x), float(x)] + [-0.0] * (x == 0) + [bool(x)] * (x in (0, 1))
+    return [x]
+
+
+ID_KINDS = [
+    st.text(max_size=3),
+    st.integers(-3, 3),
+    st.tuples(st.integers(0, 1), st.text(max_size=2)),
+    st.one_of(st.text(max_size=2), st.integers(-2, 2), st.booleans(),
+              st.floats(-2, 2, width=16), st.tuples(st.booleans(), st.integers(0, 1))),
+]
+LABELS = st.one_of(st.none(), st.sampled_from("abcd"), st.text(max_size=3))
+
+
+@st.composite
+def documented_graphs(draw):
+    """Graphs on str, int, tuple or mixed ids whose edge ends may print unlike
+    their vertex (1, True, 1.0), with loops and labels, weighted or not."""
+    vertices = draw(st.lists(draw(st.sampled_from(ID_KINDS)), min_size=1, max_size=5,
+                             unique=True))
+    end = st.sampled_from(vertices).flatmap(lambda x: st.sampled_from(aliases(x)))
+    weighted = draw(st.booleans())
+    label = st.one_of(LABELS, st.integers(0, 1), st.booleans()) if draw(st.booleans()) else LABELS
+    rows = draw(st.lists(st.tuples(end, st.one_of(end, st.none()), WEIGHTS, WEIGHTS, label),
+                         max_size=8))
+    edges = []
+    for u, v, wu, wv, lab in rows:
+        v = u if v is None else v  # a loop now and then
+        edges.append(Edge(u, v, wu, wv, lab) if weighted else Edge(u, v, label=lab))
+    return (WeightedGraph if weighted else Multigraph)(vertices, edges)
+
+
+def snapshot(g):
+    """Everything a graph holds, with the types and float bits that repr shows."""
+    return type(g), repr(g.vertices), repr(g.edges)
+
+
 LEVEL_DOCUMENT_SHA256 = {
     1: "5266d193c42ea4137a063fda6dc8acc458cde823c2724867cddee2ddda958290",
     2: "47b5fe2b86b45ccd0ab422c06a022f11bc71328d95462ad7b11f2e28707fdfbc",
@@ -61,6 +154,9 @@ LEVEL_DOCUMENT_SHA256 = {
     8: "d75c8e013c957a4e28d3770bacdc67de92b969cff743bf7d158e3a0127ccceef",
     9: "84cf67bcabb793ea00cf45670b38c30b0e11b4a6fac516fca4cf56156fa36b25",
     10: "0a4f84ad0d069a690e19869844da4010a452d80b1618ca27d2f287d7a6dd3649",
+    11: "f50afb039182b47b2acc57f502d4068ec31deb634d323304bc09967fe92ec806",
+    12: "cdeeb4c728545c6d896b8080d333b2506a39719e1e148f072936d7f5c82b81e5",
+    13: "c92d69527c6d489abe04e9babcf97e707c1d5c964a293ff0abffc6b2d8a50ee0",
 }
 
 
@@ -107,9 +203,27 @@ class TestRoundTrip:
 
     def test_level_documents_unchanged(self):
         # the documents of the level graphs must not change by a byte
-        w = OmegaWord.parse(":012")
+        w, config = OmegaWord.parse(":012"), RunConfig(max_vertices=1 << 13)
         for n, digest in LEVEL_DOCUMENT_SHA256.items():
-            assert hashlib.sha256(serialize_graph(schreier_graph(w, n))).hexdigest() == digest
+            data = serialize_graph(schreier_graph(w, n, config))
+            assert hashlib.sha256(data).hexdigest() == digest
+
+    @given(g=documented_graphs(), metadata=st.dictionaries(st.text(max_size=2), st.integers()))
+    @settings(max_examples=300, deadline=None)
+    def test_column_route_matches_the_reference_route(self, g, metadata):
+        data = serialize_graph(g, metadata)
+        assert data == reference_serialize(g, metadata)
+        if all(e.label is None or type(e.label) is str for e in g.edges):
+            assert snapshot(parse_graph(data)) == snapshot(reference_parse(data))
+        else:
+            with pytest.raises(FormatError, match=r"edge \d+: label"):
+                parse_graph(data)
+
+    def test_ends_that_print_unlike_their_vertex_keep_their_own_text(self):
+        g = Multigraph([1, (0, "x")], [(True, 1.0), (1, (False, "x")), ((0.0, "x"), 1, "a")])
+        data = serialize_graph(g)
+        assert data == reference_serialize(g)
+        assert b'{"u":true,"v":1.0}' in data and b'"u":[0.0,"x"]' in data
 
     def test_list_vertex_ids_come_back_as_tuples(self):
         g = Multigraph([(0, 1), (1, "a"), 2], [((0, 1), (1, "a"), "x"), (2, (0, 1)), (2, 2)])
@@ -159,6 +273,41 @@ class TestParseErrors:
         )
         with pytest.raises(FormatError, match="weight"):
             parse_graph(doc)
+
+    @pytest.mark.parametrize("weighted", [b'"false"', b"0", b"1", b"null", b"[]"])
+    def test_weighted_must_be_a_json_bool(self, weighted):
+        # bool("false") is true: the document was read as weighted and then
+        # blamed for a missing 'wu'
+        doc = b'{"format_version":1,"weighted":%s,"vertices":[0,1],"edges":[{"u":0,"v":1}]}'
+        with pytest.raises(FormatError, match="field 'weighted' must be true or false"):
+            parse_graph(doc % weighted)
+
+    @pytest.mark.parametrize("label", [b"[1]", b"1", b"true", b'{"a":1}'])
+    def test_label_must_be_a_string_or_null(self, label):
+        # a list label made an Edge that cannot be hashed
+        doc = (
+            b'{"format_version":1,"vertices":[0,1],"edges":[{"u":0,"v":1,"label":"a"},'
+            b'{"u":1,"v":1,"label":null},{"u":0,"v":1,"label":%s}]}'
+        )
+        with pytest.raises(FormatError, match=r"edge 2: label .* is neither a string nor null"):
+            parse_graph(doc % label)
+
+    @pytest.mark.parametrize(
+        "edges, weighted, message",
+        [
+            (b'{"u":0,"v":1},{"u":1}', b"false", "edge 1: missing or malformed field 'v'"),
+            (b'{"u":0,"v":1},[0,1]', b"false", "edge 1: missing or malformed field"),
+            (b'{"u":0,"v":0,"w":"1"},{"u":0,"v":1,"wu":"1","wv":"zap"}', b"true",
+             "edge 1: bad weight string 'zap'"),
+            (b'{"u":0,"v":0,"w":"1"},{"u":1,"v":1,"wu":"1"}', b"true",
+             "edge 1: missing or malformed field 'w'"),
+        ],
+        ids=["missing-v", "record-not-an-object", "bad-weight", "loop-without-w"],
+    )
+    def test_first_bad_record_is_named(self, edges, weighted, message):
+        doc = b'{"format_version":1,"weighted":%s,"vertices":[0,1],"edges":[%s]}'
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_graph(doc % (weighted, edges))
 
     @pytest.mark.parametrize(
         "doc",
