@@ -292,7 +292,6 @@ class FolnerReport:
     sizes: tuple[int, ...]  # |B_k| for k = 0..k_max
     boundary_ratios: tuple[float, ...]  # |B_1(F_k) \ F_k| / |F_k|
     subexp_evidence: bool
-    growth_rates: tuple[float, ...]  # |B_k|^(1/k)
 
 
 def folner_balls(c: CoveringMap, v, k_max: int) -> FolnerReport:
@@ -317,7 +316,7 @@ def folner_balls(c: CoveringMap, v, k_max: int) -> FolnerReport:
     half = max(1, k_max // 2)
     fitted = (sizes[k_max] / sizes[half]) ** (1.0 / (k_max - half)) if k_max > half else rates[-1]
     evidence = fitted < 1.3 and rates[-1] <= rates[half - 1]
-    return FolnerReport(tuple(sizes[: k_max + 1]), ratios, evidence, rates)
+    return FolnerReport(tuple(sizes[: k_max + 1]), ratios, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,6 @@ def _unit_target_vector(c: CoveringMap, f) -> np.ndarray:
 class HulanickiRecord:
     mode: str
     k: int
-    n_support: int
     residual: float
     theoretical_bound: Optional[float]
     folner_ratio: Optional[float]
@@ -431,13 +429,11 @@ def hulanicki_residual(
             eps**2 * alphas[k] / denom
             + 2 * len(support) * (alphas[k + n_ctrl] - alphas[k - 2 * n_ctrl]) / denom
         )
-        return HulanickiRecord("subexp", k, support.size, residual, bound, None, alphas)
+        return HulanickiRecord("subexp", k, residual, bound, None, alphas)
 
     ball = int(np.count_nonzero(radius <= k))
     boundary = int(np.count_nonzero(radius == k + 1))
-    return HulanickiRecord(
-        "finite-target", k, support.size, residual, None, boundary / ball, {}
-    )
+    return HulanickiRecord("finite-target", k, residual, None, boundary / ball, {})
 
 
 def window_pullback_residual(c: CoveringMap, lam: float, f: np.ndarray) -> HulanickiRecord:
@@ -454,10 +450,7 @@ def window_pullback_residual(c: CoveringMap, lam: float, f: np.ndarray) -> Hulan
     residual = float(np.linalg.norm(_neighbor_sum(c.source, fk) / c._image_degree - lam * fk))
     residual /= float(np.linalg.norm(fk))
     rim = c.source.n - int(np.count_nonzero(c._interior))
-    return HulanickiRecord(
-        "window", c.source.n, int(np.count_nonzero(np.abs(f) > 0)),
-        residual, None, rim / c.source.n, {},
-    )
+    return HulanickiRecord("window", c.source.n, residual, None, rim / c.source.n, {})
 
 
 @dataclass(frozen=True)

@@ -137,10 +137,16 @@ class Multigraph:
         return len(_bfs_distances(self, self.vertices[0])) == self.n
 
 
-def _bfs_distances(g: Multigraph, v: VertexId) -> dict:
-    """Edge distance from v to every vertex reachable from it."""
+def _require_vertex(g: Multigraph, v: VertexId) -> None:
+    """Raise ValueError naming v unless it is a vertex of g, the start of a
+    search or a walk."""
     if v not in g:
         raise ValueError(f"start vertex {v!r} is not in the graph")
+
+
+def _bfs_distances(g: Multigraph, v: VertexId) -> dict:
+    """Edge distance from v to every vertex reachable from it."""
+    _require_vertex(g, v)
     dist = {v: 0}
     queue = deque([v])
     while queue:
@@ -204,19 +210,25 @@ class LinearOperator:
     """Finite-dimensional operator; operators are dense only, held in ``matrix``."""
 
     matrix: np.ndarray
-    norm_bound: float = 0.0
 
     def as_matrix(self) -> np.ndarray:
         return self.matrix
 
+    @cached_property
+    def norm_bound(self) -> float:
+        """min(sqrt(|m|_1 |m|_inf), |m|_F), a bound on the norm of the matrix m,
+        derived on first read; column sums are row sums of a C-order transpose,
+        so on a symmetric m the first term is its largest row sum."""
+        m = self.matrix
+        rows = float(np.abs(m).sum(axis=1).max())
+        cols = float(np.abs(m.T, order="C").sum(axis=1).max())
+        return min(float(np.sqrt(rows * cols)), float(np.linalg.norm(m, "fro")))
+
 
 def _operator_from_matrix(m: np.ndarray) -> LinearOperator:
-    """Bound the norm of m by min(sqrt(|m|_1 |m|_inf), |m|_F); column sums are row sums
-    of a C-order transpose, so on a symmetric m the first term is its largest row sum."""
-    rows = float(np.abs(m).sum(axis=1).max())
-    cols = float(np.abs(m.T, order="C").sum(axis=1).max())
-    norm = min(float(np.sqrt(rows * cols)), float(np.linalg.norm(m, "fro")))
-    return LinearOperator(matrix=m, norm_bound=norm)
+    """The one builder of this module's dense operators; per-layer tracing
+    counts the matrices it receives, by this name."""
+    return LinearOperator(m)
 
 
 def laplace_type_operator(g: WeightedGraph) -> LinearOperator:

@@ -101,12 +101,11 @@ class OmegaClass:
     """Classification record for a sequence.
 
     ``kind`` is 1, 2 or 3 for the three normal forms (available for any
-    non-constant word), or None for constant words.  ``xyz`` is the symbol
-    permutation (x, y, z) of {0,1,2} and ``n`` the form length, defined when
-    ``kind`` is set.
+    non-constant word), or None exactly for constant words.  ``xyz`` is the
+    symbol permutation (x, y, z) of {0,1,2} and ``n`` the form length,
+    defined when ``kind`` is set.
     """
 
-    constant: bool
     almost_constant: bool
     kind: Optional[int] = None
     xyz: Optional[tuple[int, int, int]] = None
@@ -124,9 +123,9 @@ def classify_omega(w: OmegaWord) -> OmegaClass:
     Constant words carry no form.  Almost-constant non-constant words still
     get their form but are flagged, since the relator scheme excludes them.
     """
-    base = dict(constant=w.is_constant, almost_constant=w.is_almost_constant)
+    almost = w.is_almost_constant
     if w.is_constant:
-        return OmegaClass(**base)
+        return OmegaClass(almost)
 
     x = w.symbol(1)
     if w.symbol(2) == x:
@@ -136,7 +135,7 @@ def classify_omega(w: OmegaWord) -> OmegaClass:
             m += 1
         y = w.symbol(m + 1)
         z = next(s for s in SYMBOLS if s not in (x, y))
-        return OmegaClass(**base, kind=1, xyz=(x, y, z), n=m + 1)
+        return OmegaClass(almost, kind=1, xyz=(x, y, z), n=m + 1)
 
     y = w.symbol(2)
     # maximal run of y starting at position 2; it ends because w is not
@@ -153,5 +152,5 @@ def classify_omega(w: OmegaWord) -> OmegaClass:
     nxt = w.symbol(m + 1)
     z = next(s for s in SYMBOLS if s not in (x, y))
     if nxt == x:
-        return OmegaClass(**base, kind=2, xyz=(x, y, z), n=m + 1)
-    return OmegaClass(**base, kind=3, xyz=(x, y, z), n=m + 1)
+        return OmegaClass(almost, kind=2, xyz=(x, y, z), n=m + 1)
+    return OmegaClass(almost, kind=3, xyz=(x, y, z), n=m + 1)

@@ -20,7 +20,7 @@ from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
 from .config import _require_int, _require_int_radii
 from .covering import CoveringMap
 from .graphs import Multigraph, _new_edge, _slot_index
-from .growth import BallEnumeration, _enumerate_at_depth, _leaf_images, comparison_depth
+from .growth import BallEnumeration, _leaf_images, enumerate_ball
 from .omega import OmegaWord
 
 
@@ -181,7 +181,7 @@ def _canonical_path(labels: list, u: np.ndarray, v: np.ndarray) -> PathForm:
     if str(labels[order[-1]]) < str(labels[order[0]]):
         path, mult = path[::-1], mult[::-1]
     return PathForm(
-        tuple(labels[i] for i in path.tolist()),
+        tuple(map(labels.__getitem__, path.tolist())),
         tuple(loops[path].tolist()),
         tuple(mult.tolist()),
     )
@@ -297,9 +297,7 @@ def cayley_ball(
         raise ValueError("radius and level must be >= 1")
     # refuse a level over the cap before the enumeration, which costs more
     _check_level(level, config)
-    # at least ``level`` deep, so that the enumeration's perms hold the level images
-    depth = max(level, comparison_depth(w, 2 * radius + 1))
-    enum = _enumerate_at_depth(w, radius, depth)
+    enum = enumerate_ball(w, radius)
     # element i maps to image[i], its image of the level vertex 1...1
     image = _leaf_images(enum, level, np.array([(1 << level) - 1]))[:, 0]
     # each g-edge at its smaller end (j == i: a loop; j == -1: outside the ball)

@@ -58,23 +58,28 @@ def _id_texts(g: Multigraph, u: list, v: list) -> tuple[str, list, list]:
     kinds = set(map(type, chain(g.vertices, u, v)))
     text = _ID_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
     if text is None:
-        u, v = (list(map(_encode, c)) for c in (u, v))
-        return _encode(g.vertices), u, v
+        try:
+            return _encode(g.vertices), list(map(_encode, u)), list(map(_encode, v))
+        except TypeError:  # json's bare error; name the first id it cannot write
+            for x in chain(g.vertices, u, v):
+                try:
+                    _encode(x)
+                except TypeError:
+                    raise FormatError(f"vertex id {x!r} has no JSON form") from None
+            raise
     texts = list(map(text, g.vertices))
     u, v = (list(map(texts.__getitem__, c.tolist())) for c in g.ends.T)
     return "[" + ",".join(texts) + "]", u, v
 
 
 def _heads(label: list) -> list[str]:
-    """Each edge record up to its u value; keys sort as label < u < v < w < wu < wv."""
-
-    def head(x):
-        return '{"u":' if x is None else '{"label":' + _encode(x) + ',"u":'
-
-    if set(map(type, label)) <= _LABEL_TYPES:
-        memo = {x: head(x) for x in set(label)}
-        return list(map(memo.__getitem__, label))
-    return list(map(head, label))
+    """Each edge record up to its u value; keys sort as label < u < v < w < wu < wv.
+    A label the reader refuses, one neither a string nor None, raises FormatError."""
+    if not set(map(type, label)) <= _LABEL_TYPES:
+        i = next(i for i, x in enumerate(label) if type(x) not in _LABEL_TYPES)
+        raise FormatError(f"edge {i}: label {label[i]!r} is neither a string nor null")
+    memo = {x: '{"u":' if x is None else '{"label":' + _encode(x) + ',"u":' for x in set(label)}
+    return list(map(memo.__getitem__, label))
 
 
 def _weight_tail(e: Edge) -> str:
@@ -113,12 +118,17 @@ def serialize_graph(g: Multigraph, metadata: Optional[dict] = None) -> bytes:
     return "".join(pieces).encode()
 
 
+def _as_tuple(x):
+    """x with every list in it, at any depth, turned into a tuple."""
+    return tuple(map(_as_tuple, x)) if type(x) is list else x
+
+
 def _ids(column: list) -> list:
     """The vertex ids of a decoded column: JSON has no tuples, so a
-    list-valued id comes back as a tuple."""
+    list-valued id comes back as a tuple, as does every list inside it."""
     if list not in set(map(type, column)):
         return column
-    return [tuple(x) if type(x) is list else x for x in column]
+    return list(map(_as_tuple, column))
 
 
 def _edge_columns(records: list, weighted: bool) -> tuple:

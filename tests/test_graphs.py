@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from treespec import (
     Edge,
     IsolatedVertexError,
+    LinearOperator,
     Multigraph,
     RadiusTooSmallError,
     WeightedGraph,
@@ -303,6 +304,12 @@ class TestLaplaceType:
         assert op.norm_bound == pytest.approx(np.sqrt(3))
         t, _ = shift_square_transform(op, -1.0, 2 * op.norm_bound)
         assert np.linalg.eigvalsh(t.as_matrix()).min() >= -1e-12
+
+    def test_norm_bound_is_derived_from_the_matrix(self):
+        # a bound left at 0.0 let radius 0.1 through: the transform's least
+        # eigenvalue was 1 - 25 / 0.01 = -2499
+        with pytest.raises(RadiusTooSmallError):
+            shift_square_transform(LinearOperator(np.diag([0.0, 5.0])), 0.0, 0.1)
 
 
 class TestShiftSquareTransform:

@@ -80,7 +80,7 @@ class TestClassification:
 
     def test_constant_word_has_no_form(self):
         c = classify_omega(OmegaWord.parse(":2"))
-        assert c.constant and c.kind is None
+        assert c.kind is None
 
     def test_xy_tail_rejected(self):
         with pytest.raises(AlmostConstantError):

@@ -411,22 +411,27 @@ class TestCayleyBall:
         assert rep, rep.witness
 
     def test_level_deeper_than_comparison_depth(self):
-        # radius 3 needs comparison depth 5; the level-6 labels need depth 6
-        ball = cayley_ball(OmegaWord.parse(":012"), 3, 6)
-        assert ball.enumeration.depth == 6 and ball.graph.n == 23
+        # radius 3 needs comparison depth 5; the level-6 images come from the
+        # BFS parents, so the ball is enumerated no deeper than that, and its
+        # maps equal those of a reference enumerated 6 deep
+        w = OmegaWord.parse(":012")
+        ball = cayley_ball(w, 3, 6)
+        assert ball.enumeration.depth == 5 and ball.graph.n == 23
         assert ball.covering.phi(0) == "111111"
+        vertex_map, edges, edge_map = reference_cayley_maps(w, ball)
+        assert ball.covering.vertex_map == vertex_map
+        assert [(e.u, e.v, e.label) for e in ball.graph.edges] == edges
+        assert ball.covering.edge_map == edge_map
         # the local checks pass; 23 elements cannot reach all 64 vertices
         with pytest.raises(WindowTooSmallError):
             verify_covering(ball.covering)
 
     def test_level_cap_checked_before_enumeration(self, monkeypatch):
-        # at the default cap, level 16 is refused before the comparison depth
-        # is computed or a ball is enumerated at depth 16
+        # at the default cap, level 16 is refused before a ball is enumerated
         def refuse(*args, **kwargs):
             raise AssertionError("worked on the ball of a refused level")
 
-        monkeypatch.setattr(schreier, "_enumerate_at_depth", refuse)
-        monkeypatch.setattr(schreier, "comparison_depth", refuse)
+        monkeypatch.setattr(schreier, "enumerate_ball", refuse)
         with pytest.raises(ResourceLimitError, match=r"2\^16 vertices exceed cap 4096"):
             cayley_ball(OmegaWord.parse(":012"), 11, 16)
         with pytest.raises(ResourceLimitError):
@@ -447,14 +452,16 @@ def edge_lookup(g):
 def reference_cayley_maps(w, ball):
     """Vertex map, edges and edge map of a Cayley ball, rebuilt from the
     reference enumeration's leaf permutations through bit-string labels and
-    the label lookup."""
+    the label lookup; the reference goes at least ``level`` deep, so that its
+    permutations hold the level images."""
     enum, level = ball.enumeration, ball.level
-    perms = reference_enumeration(w, ball.radius, enum.depth)[0]
+    depth = max(enum.depth, level)
+    perms = reference_enumeration(w, ball.radius, depth)[0]
     lookup = edge_lookup(schreier_graph(w, level))
 
     def phi(i):
-        top = int(perms[i][(1 << enum.depth) - 1])
-        return format(top >> (enum.depth - level), f"0{level}b")
+        top = int(perms[i][(1 << depth) - 1])
+        return format(top >> (depth - level), f"0{level}b")
 
     edges, edge_map = [], {}
     for i, row in enumerate(enum.neighbors):

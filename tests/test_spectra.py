@@ -614,6 +614,19 @@ class TestDihedral:
             assert rep.t_squared_is_identity is True
             assert rep.markov_identity_holds is True
 
+    def test_only_t_squared_is_computed(self, monkeypatch):
+        # 4M = A + 2T + I cancels for any four matrices; it was summed anyway
+        calls = []
+
+        def counting(terms):
+            calls.append(len(terms))
+            return vanishes(terms)
+
+        vanishes = spectra._vanishes
+        monkeypatch.setattr(spectra, "_vanishes", counting)
+        assert dihedral_reduction_check(W, 4).t_squared_is_identity
+        assert calls == [17]  # the 16 products of 2T with itself, and -4I
+
     def test_level_cap_enforced(self):
         with pytest.raises(ResourceLimitError):
             dihedral_reduction_check(W, 6, RunConfig(max_vertices=32))
@@ -783,6 +796,13 @@ class TestMoments:
     def test_isolated_vertex_raises(self):
         with pytest.raises(IsolatedVertexError):
             spectral_moments(Multigraph([0, 1], [(0, 0)]), 0, 3)
+
+    @pytest.mark.parametrize("route", [spectral_moments, moments_via_eigendecomposition])
+    def test_unknown_vertex_named(self, route, monkeypatch):
+        # a bare KeyError, on the second route after a dense eigendecomposition
+        monkeypatch.setattr(spectra, "_markov_eigh", None)
+        with pytest.raises(ValueError, match="start vertex 'nope' is not in the graph"):
+            route(schreier_graph(W, 3), "nope", 3)
 
     @pytest.mark.parametrize("route", [spectral_moments, moments_via_eigendecomposition])
     def test_negative_count_refused(self, route):
