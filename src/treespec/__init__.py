@@ -37,11 +37,13 @@ from .schreier import (
     NotAPathError,
     PathForm,
     IsomorphismResult,
+    LevelCertificate,
     CayleyBall,
     path_canonical_form,
     UpsilonSpec,
     cayley_ball,
     check_isomorphic,
+    level_certificate,
     level_path_form,
     level_projection_covering,
     schreier_graph,
@@ -75,6 +77,7 @@ from .spectra import (
     IntervalUnion,
     dihedral_reduction_check,
     dihedral_weighted_spectrum,
+    level_spectrum,
     markov_eigenvalues_banded,
     moments_via_eigendecomposition,
     spectral_moments,

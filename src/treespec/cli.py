@@ -24,7 +24,6 @@ from .schreier import (
     _check_level,
     _upsilon_span,
     cayley_ball,
-    level_path_form,
     level_projection_covering,
     schreier_graph,
     upsilon_graph,
@@ -33,9 +32,9 @@ from .serialize import export_dot, export_eigenvalue_csv, serialize_graph
 from .spectra import (
     GRIG_TARGET,
     IntervalUnion,
+    _certified_level_spectrum,
     dihedral_reduction_check,
     dihedral_weighted_spectrum,
-    markov_eigenvalues_banded,
     moments_via_eigendecomposition,
     spectral_moments,
     spectrum_sweep,
@@ -87,7 +86,7 @@ def cmd_upsilon(args, config) -> int:
 
 def cmd_spectrum(args, config) -> int:
     w = OmegaWord.parse(args.omega)
-    vals = markov_eigenvalues_banded(level_path_form(w, args.level, config))
+    vals = _certified_level_spectrum(w, args.level, config)
     target = IntervalUnion.parse(args.target)
     inside = target.contains(vals, config.membership_tol)
     rows = [

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import _INT, DEFAULT_CONFIG, ResourceLimitError, RunConfig, _require_int_radii
 from .graphs import Edge, Multigraph, WeightedGraph
-from .graphs import _bfs_distances, _degrees, _markov_eigh, _neighbor_sum, _stars
+from .graphs import _bfs_distances, _degrees, _from_ends, _markov_eigh, _neighbor_sum, _stars
 
 
 class WindowTooSmallError(RuntimeError):
@@ -242,7 +242,7 @@ def lift_weights(c: CoveringMap, weighted_target: WeightedGraph) -> WeightedGrap
             wu = te.wu if pu == te.u else te.wv
             wv = te.wu if pv == te.u else te.wv
         edges.append(Edge(e.u, e.v, wu, wv, e.label))
-    return WeightedGraph(c.source.vertices, edges)
+    return _from_ends(WeightedGraph, list(c.source.vertices), edges, c.source.ends)
 
 
 def lift_path(

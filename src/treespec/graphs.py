@@ -9,7 +9,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
 from operator import itemgetter
 from typing import Hashable, NamedTuple, Optional, Sequence
 
@@ -82,23 +81,35 @@ class Multigraph:
     the read-only (E, 2) table of endpoint positions, which all adjacency reads."""
 
     def __init__(self, vertices: Sequence[VertexId], edges: Sequence[tuple]):
-        self.vertices = list(vertices)
-        self._index = index = {v: i for i, v in enumerate(self.vertices)}
-        if len(index) != len(self.vertices):
+        vertices = list(vertices)
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
             raise ValueError("duplicate vertex ids")
-        self.edges: list[Edge] = [
-            e if isinstance(e, Edge) else _as_edge(e) for e in edges
-        ]
-        # resolving the ends checks them; the scan names the first bad edge
-        pairs = chain.from_iterable(map(itemgetter(0, 1), self.edges))
+        edges = [e if isinstance(e, Edge) else _as_edge(e) for e in edges]
+        # resolving the ends, column by column, checks them; the scan names the first bad edge
+        ends = np.empty((len(edges), 2), dtype=np.intp)
         try:
-            flat = np.fromiter(map(index.__getitem__, pairs), np.intp, 2 * len(self.edges))
+            for k in (0, 1):
+                ends[:, k] = np.fromiter(
+                    map(index.__getitem__, map(itemgetter(k), edges)), np.intp, len(edges)
+                )
         except KeyError:
-            for i, e in enumerate(self.edges):
+            for i, e in enumerate(edges):
                 if e.u not in index or e.v not in index:
                     raise ValueError(f"edge {i}: {e} references unknown vertex") from None
-        self.ends = flat.reshape(-1, 2)
-        self.ends.flags.writeable = False
+        self._index = index
+        self._hold(vertices, edges, ends)
+
+    def _hold(self, vertices: list, edges: list[Edge], ends: np.ndarray) -> None:
+        ends.flags.writeable = False
+        self.vertices = vertices
+        self.edges = edges
+        self.ends = ends
+
+    # a graph built from positions builds its vertex index on the first lookup
+    @cached_property
+    def _index(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertices)}
 
     def index(self, v: VertexId) -> int:
         return self._index[v]
@@ -135,6 +146,17 @@ class Multigraph:
         if not self.vertices:
             return True
         return len(_bfs_distances(self, self.vertices[0])) == self.n
+
+
+def _from_ends(cls: type, vertices: list, edges: list[Edge], ends: np.ndarray) -> Multigraph:
+    """A graph of ``cls`` whose edge i, ``edges[i]``, joins the positions
+    ``ends[i]`` in ``vertices``, for builders that already hold the positions.
+    Trusted: the vertices are distinct, the edges are ``Edge`` instances whose
+    ends are the vertices at those positions, and ``ends`` is an (E, 2)
+    ``intp`` array, which the graph takes over, read-only."""
+    g = object.__new__(cls)
+    g._hold(vertices, edges, ends)
+    return g
 
 
 def _require_vertex(g: Multigraph, v: VertexId) -> None:
@@ -202,7 +224,8 @@ def markov_weights(g: Multigraph) -> WeightedGraph:
     """Weight every (vertex, edge) pair by 1/degree(vertex)."""
     wu, wv = (1.0 / _degrees(g))[g.ends].T.tolist()
     u, v, label = (map(itemgetter(k), g.edges) for k in (0, 1, 4))
-    return WeightedGraph(g.vertices, list(map(_new_edge, zip(u, v, wu, wv, label))))
+    edges = list(map(_new_edge, zip(u, v, wu, wv, label)))
+    return _from_ends(WeightedGraph, list(g.vertices), edges, g.ends)
 
 
 @dataclass

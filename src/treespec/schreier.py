@@ -19,7 +19,7 @@ from .actions import GENERATORS, _generator_table
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
 from .config import _require_int, _require_int_radii
 from .covering import CoveringMap
-from .graphs import Multigraph, _new_edge, _slot_index
+from .graphs import Multigraph, _from_ends, _new_edge, _slot_index
 from .growth import BallEnumeration, _leaf_images, enumerate_ball
 from .omega import OmegaWord
 
@@ -62,10 +62,11 @@ def _labelled_graph(
 ) -> Multigraph:
     """The graph on ``vertices`` whose edge i joins positions u[i] and v[i]
     and is labelled by generator gen[i], or unlabelled when ``gen`` is None."""
-    ends = (map(vertices.__getitem__, x.tolist()) for x in (u, v))
+    ends = np.stack((u, v), axis=1, dtype=np.intp)
+    names = (map(vertices.__getitem__, x.tolist()) for x in (u, v))
     labels = repeat(None) if gen is None else map(GENERATORS.__getitem__, gen.tolist())
-    edges = map(_new_edge, zip(*ends, repeat(1.0), repeat(1.0), labels))
-    return Multigraph(vertices, list(edges))
+    edges = list(map(_new_edge, zip(*names, repeat(1.0), repeat(1.0), labels)))
+    return _from_ends(Multigraph, vertices, edges, ends)
 
 
 def schreier_graph(
@@ -199,6 +200,93 @@ def level_path_form(
     generator permutations without building the graph."""
     _check_level(n, config)
     return _canonical_path(_level_vertices(n), *_level_edges(w, n)[:2])
+
+
+@dataclass(frozen=True)
+class LevelCertificate:
+    """The outcome of the four permutation checks on a level's generator
+    table; ``witness`` names the first check that failed and a vertex."""
+
+    ok: bool
+    witness: Optional[str] = None
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
+def _certify_table(perms: np.ndarray) -> LevelCertificate:
+    """The four checks on the rows a, b, c, d of a level's generator table,
+    each a permutation of the 2^n vertices.
+
+    1. a is an involution with no fixed point.
+    2. Each vertex is moved by none or by exactly two of b, c and d, and
+       two that move it send it to the same vertex, so T = (B + C + D - I)/2
+       is the permutation that sends it there.
+    3. T fixes exactly two vertices, and T T is the identity.
+    4. U = A T is one 2^n-cycle: U^(2^(n-1)) moves vertex 0 and U^(2^n) is
+       the identity, both from n squarings.
+
+    A perfect matching and a matching that misses two vertices, whose
+    product is one cycle, alternate along one path between those two, so
+    the graph is the Upsilon model: each T-edge is a double edge beside the
+    third letter's loop, and each end carries three loops.  A and T span a
+    representation of the infinite dihedral group in which U has the 2^n-th
+    roots of unity as eigenvalues, so the Markov spectrum (A + 2T + I)/4 is
+    ``spectra.level_spectrum(n)``.
+    """
+    a, b, c, d = perms
+    vertex = np.arange(len(a))
+    n = len(a).bit_length() - 1
+
+    def name(i) -> str:
+        return format(int(i), f"0{n}b")
+
+    def fail(check: int, text: str) -> LevelCertificate:
+        return LevelCertificate(False, f"check {check}: {text}")
+
+    bad = np.flatnonzero((a == vertex) | (a[a] != vertex))
+    if bad.size:
+        i = bad[0]
+        return fail(1, f"a fixes vertex {name(i)}" if a[i] == i else f"a a moves vertex {name(i)}")
+    moved = perms[1:] != vertex
+    count = moved.sum(axis=0)
+    bad = np.flatnonzero(count % 2)
+    if bad.size:
+        return fail(2, f"vertex {name(bad[0])} is moved by {count[bad[0]]} of b, c and d")
+    # the first and the last letter that moves a vertex, or c where none does
+    t = np.where(moved[0], b, c)
+    bad = np.flatnonzero(t != np.where(moved[2], d, c))
+    if bad.size:
+        return fail(2, f"the two letters that move vertex {name(bad[0])} send it apart")
+    bad = np.flatnonzero(t[t] != vertex)
+    if bad.size:
+        return fail(3, f"T T moves vertex {name(bad[0])}")
+    fixed = np.flatnonzero(t == vertex)
+    # an involution of 2^n vertices fixes an even number of them: none, or four or more
+    if len(fixed) > 2:
+        return fail(3, f"T fixes {len(fixed)} vertices, not 2; the third is {name(fixed[2])}")
+    if not fixed.size:
+        return fail(3, f"T fixes no vertex, not 2; it moves vertex {name(0)}")
+    power = a[t]
+    for _ in range(n - 1):
+        power = power[power]
+    if power[0] == 0:
+        return fail(4, f"the A T orbit of vertex {name(0)} is shorter than 2^n")
+    power = power[power]
+    bad = np.flatnonzero(power != vertex)
+    if bad.size:
+        return fail(4, f"(A T)^(2^n) moves vertex {name(bad[0])}")
+    return LevelCertificate(True)
+
+
+def level_certificate(
+    w: OmegaWord, n: int, config: RunConfig = DEFAULT_CONFIG
+) -> LevelCertificate:
+    """Whether the level-n Schreier graph is the Upsilon model with the
+    closed-form spectrum, by the four permutation checks of ``_certify_table`` on the
+    generator permutations; no graph, path walk or tridiagonal is built."""
+    _check_level(n, config)
+    return _certify_table(_generator_table(w, n))
 
 
 @dataclass(frozen=True)

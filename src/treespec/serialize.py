@@ -40,8 +40,9 @@ def _weight_from_str(s: str):
         raise FormatError(f"bad weight string {s!r}") from exc
 
 
-# the canonical JSON of one value: the document is these texts joined
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# the canonical JSON of one value: the document is these texts joined; a NaN
+# or infinite float has no JSON form and raises ValueError
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
 
 # the JSON text of an id of one of these types, with no Python frame: two equal
 # ids of one such type print alike, while 1, True and 1.0 are equal but do not
@@ -60,11 +61,11 @@ def _id_texts(g: Multigraph, u: list, v: list) -> tuple[str, list, list]:
     if text is None:
         try:
             return _encode(g.vertices), list(map(_encode, u)), list(map(_encode, v))
-        except TypeError:  # json's bare error; name the first id it cannot write
+        except (TypeError, ValueError):  # json's bare error; name the first id it cannot write
             for x in chain(g.vertices, u, v):
                 try:
                     _encode(x)
-                except TypeError:
+                except (TypeError, ValueError):
                     raise FormatError(f"vertex id {x!r} has no JSON form") from None
             raise
     texts = list(map(text, g.vertices))
@@ -80,6 +81,21 @@ def _heads(label: list) -> list[str]:
         raise FormatError(f"edge {i}: label {label[i]!r} is neither a string nor null")
     memo = {x: '{"u":' if x is None else '{"label":' + _encode(x) + ',"u":' for x in set(label)}
     return list(map(memo.__getitem__, label))
+
+
+def _metadata_text(metadata: dict) -> str:
+    """The metadata's JSON text; FormatError names the first entry with no
+    JSON form, where json raises a bare TypeError or ValueError, or else
+    carries json's text (keys of types that do not sort together)."""
+    try:
+        return _encode(metadata)
+    except (TypeError, ValueError) as exc:
+        for key, value in metadata.items():
+            try:
+                _encode({key: value})
+            except (TypeError, ValueError):
+                raise FormatError(f"metadata {key!r} has no JSON form") from None
+        raise FormatError(f"metadata has no JSON form: {exc}") from exc
 
 
 def _weight_tail(e: Edge) -> str:
@@ -111,7 +127,7 @@ def serialize_graph(g: Multigraph, metadata: Optional[dict] = None) -> bytes:
         pieces[-2] = pieces[-2][:-1]  # no comma after the last record
     pieces[0] = '{"conventions":' + _encode(CONVENTIONS) + ',"edges":['
     pieces[-1] = (
-        f'],"format_version":{FORMAT_VERSION},"metadata":{_encode(dict(metadata or {}))},'
+        f'],"format_version":{FORMAT_VERSION},"metadata":{_metadata_text(dict(metadata or {}))},'
         f'"vertices":{vertices},"weighted":{_encode(weighted)}}}'
     )
     # a str join: a bytes join holds a buffer descriptor per piece
@@ -167,10 +183,15 @@ def _edges(records: list, weighted: bool) -> list[Edge]:
         raise
 
 
+def _refuse_constant(token: str):
+    """Python's json reads NaN, Infinity and -Infinity, which JSON has not."""
+    raise FormatError(f"not valid JSON: {token} is not a JSON value")
+
+
 def parse_graph(data: bytes) -> Multigraph:
     """Parse a graph document; raises FormatError with field diagnostics."""
     try:
-        doc = json.loads(data.decode())
+        doc = json.loads(data.decode(), parse_constant=_refuse_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -1,7 +1,12 @@
 """Eigensolvers, interval-union targets, spectral sweeps, the infinite
-dihedral reduction, and spectral-measure moments.  A level graph's spectrum
-is read off a closed form; every other tridiagonal is solved dense by numpy,
-up to ``DEFAULT_CONFIG.max_vertices``."""
+dihedral reduction, and spectral-measure moments.
+
+A sweep certifies each level with the four permutation checks of
+``schreier.level_certificate`` and reads its spectrum off the closed form,
+``level_spectrum``, with no path form and no tridiagonal.  The banded solver
+is the second route: it folds the tridiagonal of a path with loops, where a
+level's halves again have the closed form, and solves every other
+tridiagonal dense by numpy, up to ``DEFAULT_CONFIG.max_vertices``."""
 
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig, _INT, _requir
 from .graphs import IsolatedVertexError, Multigraph
 from .graphs import _degrees, _markov_eigh, _neighbor_sum, _require_vertex
 from .omega import OmegaWord
-from .schreier import PathForm, _check_level, level_path_form, path_canonical_form
+from .schreier import NotAPathError, PathForm, _check_level, level_certificate
+from .schreier import path_canonical_form
 
 
 @dataclass(frozen=True)
@@ -181,11 +187,16 @@ def _tridiagonal_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
         halves = _tridiagonal_eigvals(even, off[: m - 1]), _tridiagonal_eigvals(odd, off[: m - 1])
         return np.sort(np.concatenate(halves))
     if _is_level_odd_half(diag, off):
-        # det(x - A_k) = 2^(k+1) T_k(((x-1)^2 - 5)/4) (Bartholdi-Grigorchuk
-        # 2000): (1 ± sqrt(5 + 4 cos((2j+1) pi / 2k)))/4 for j < k, sorted
-        root = np.sqrt(5 + 4 * np.cos((2 * np.arange(size // 2) + 1) * math.pi / size))
-        return np.concatenate(((1 - root) / 4, (1 + root[::-1]) / 4))
+        return _level_odd_half_eigvals(size)
     return _dense_eigvals(diag, off)
+
+
+def _level_odd_half_eigvals(size: int) -> np.ndarray:
+    """Sorted eigenvalues of A_k / 4, size = 2k: det(x - A_k) =
+    2^(k+1) T_k(((x-1)^2 - 5)/4) (Bartholdi-Grigorchuk 2000), so they are
+    (1 ± sqrt(5 + 4 cos((2j+1) pi / 2k)))/4 for j < k."""
+    root = np.sqrt(5 + 4 * np.cos((2 * np.arange(size // 2) + 1) * math.pi / size))
+    return np.concatenate(((1 - root) / 4, (1 + root[::-1]) / 4))
 
 
 def _is_level_odd_half(diag: np.ndarray, off: np.ndarray) -> bool:
@@ -206,6 +217,26 @@ def _dense_eigvals(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     np.fill_diagonal(dense[1:], off)
     np.fill_diagonal(dense[:, 1:], off)
     return np.linalg.eigvalsh(dense)
+
+
+def level_spectrum(n: int, config: RunConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """The sorted Markov spectrum of a level-n graph that ``level_certificate``
+    passes: 1/2 and 1, and for L = 2..n the values
+    (1 ± sqrt(5 + 4 cos((2j+1) pi / 2^(L-1))))/4, j < 2^(L-2).  These are the
+    eigenvalues that the mirror fold of the level's tridiagonal reaches, by
+    the same expression, so the two agree to the bit."""
+    _check_level(n, config)
+    halves = [_level_odd_half_eigvals(1 << (level - 1)) for level in range(2, n + 1)]
+    return np.sort(np.concatenate([np.array([0.5, 1.0]), *halves]))
+
+
+def _certified_level_spectrum(w: OmegaWord, n: int, config: RunConfig) -> np.ndarray:
+    """``level_spectrum(n)`` once the level passes ``level_certificate``;
+    NotAPathError carrying the witness otherwise."""
+    certificate = level_certificate(w, n, config)
+    if not certificate:
+        raise NotAPathError(certificate.witness)
+    return level_spectrum(n, config)
 
 
 @dataclass(frozen=True)
@@ -229,8 +260,9 @@ def spectrum_sweep(
 
     Every eigenvalue is checked for membership (tolerance from the config);
     the one-sided Hausdorff distance from the target to the cumulative
-    eigenvalue union is reported per level.  Each level's path form is read
-    off the generator permutations; no graph is built.
+    eigenvalue union is reported per level.  Each level is certified by
+    ``level_certificate`` and its spectrum read off ``level_spectrum``; no
+    graph, path form or tridiagonal is built.
     """
     _require_int("level", n_max)
     if n_max < 1:
@@ -238,7 +270,7 @@ def spectrum_sweep(
     reports = {}
     cumulative: list[float] = []
     for n in range(1, n_max + 1):
-        vals = markov_eigenvalues_banded(level_path_form(w, n, config))
+        vals = _certified_level_spectrum(w, n, config)
         cumulative.extend(vals.tolist())
         reports[n] = _report(vals, target, cumulative, config.membership_tol)
     return SweepResult(str(w), reports, {n: rep.hausdorff for n, rep in reports.items()})

@@ -3,7 +3,9 @@ import re
 
 import pytest
 
-from treespec import UpsilonSpec, cli, parse_graph, upsilon_graph
+from treespec import OmegaWord, UpsilonSpec, cli, parse_graph, upsilon_graph
+from treespec import level_path_form, markov_eigenvalues_banded, schreier, spectra
+from treespec.actions import _generator_table
 from treespec.cli import main
 
 
@@ -301,3 +303,36 @@ class TestSubcommands:
         )
         assert code == 0
         assert out.count("best residual") == 2
+
+
+class TestCertifiedLevelRoute:
+    """``spectrum`` and ``sweep`` certify each level and read its spectrum
+    off the closed form; a level that fails its certificate is refused."""
+
+    def test_spectrum_reads_the_closed_form(self, capsys, monkeypatch):
+        w = OmegaWord.parse("0:01")
+        fold = markov_eigenvalues_banded(level_path_form(w, 6))
+
+        def refuse(*args):
+            raise AssertionError("the fold ran")
+
+        monkeypatch.setattr(spectra, "_tridiagonal_eigvals", refuse)
+        code, out, _ = run(capsys, "spectrum", "--omega", "0:01", "--level", "6")
+        assert code == 0
+        values = [line.split(",")[2] for line in out.splitlines()[2:]]
+        assert values == [repr(v) for v in fold.tolist()]
+
+    @pytest.mark.parametrize(
+        "sub, level, vertex", [("spectrum", "--level", "00"), ("sweep", "--max-level", "0")]
+    )
+    def test_failed_certificate_exits_one(self, capsys, monkeypatch, sub, level, vertex):
+        def fixed_a(w, n):  # a fixes every vertex; the sweep fails at level 1
+            table = _generator_table(w, n).copy()
+            table[0] = range(1 << n)
+            return table
+
+        monkeypatch.setattr(schreier, "_generator_table", fixed_a)
+        code, out, err = run(capsys, sub, "--omega", ":012", level, "2")
+        assert code == 1
+        assert err == f"error: check 1: a fixes vertex {vertex}\n"
+        assert "value" not in out

@@ -9,14 +9,21 @@ from treespec import (
     IsolatedVertexError,
     LinearOperator,
     Multigraph,
+    OmegaWord,
     RadiusTooSmallError,
+    UpsilonSpec,
     WeightedGraph,
+    cayley_ball,
     laplace_type_operator,
+    level_projection_covering,
+    lift_weights,
     markov_operator,
     markov_weights,
+    schreier_graph,
     shift_square_transform,
+    upsilon_graph,
 )
-from treespec.graphs import _bfs_distances, _neighbor_sum
+from treespec.graphs import _bfs_distances, _from_ends, _neighbor_sum
 
 
 def random_multigraph(rng, n, extra_edges):
@@ -347,3 +354,83 @@ class TestShiftSquareTransform:
         op = markov_operator(Multigraph([0, 1], [(0, 1), (0, 0), (1, 1)]))
         with pytest.raises(RadiusTooSmallError):
             shift_square_transform(op, 0.0, 0.5)
+
+
+def same_graph(g, h):
+    """g and h agree in vertices, edges, end table and every lookup."""
+    assert type(g) is type(h)
+    assert g.vertices == h.vertices and g.edges == h.edges
+    assert g.ends.dtype == h.ends.dtype == np.intp
+    assert np.array_equal(g.ends, h.ends) and not g.ends.flags.writeable
+    assert g.ends.flags.c_contiguous
+    assert [g.index(v) for v in h.vertices] == list(range(h.n))
+    assert all(g.neighbors(v) == h.neighbors(v) for v in h.vertices)
+
+
+class TestGraphsFromPositions:
+    """Builders that hold the end positions pass them to ``_from_ends``; the
+    graphs equal those the public constructor makes from the same edges."""
+
+    W = OmegaWord.parse(":012")
+
+    def rebuilt(self, g):
+        return type(g)(g.vertices, g.edges)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_level_graphs(self, n):
+        g = schreier_graph(self.W, n)
+        same_graph(g, self.rebuilt(g))
+
+    @pytest.mark.parametrize("spec", [UpsilonSpec("finite", 5), UpsilonSpec("ray", 6),
+                                      UpsilonSpec("line", 4), UpsilonSpec("finite", 4, True)])
+    def test_models(self, spec):
+        g = upsilon_graph(spec)
+        same_graph(g, self.rebuilt(g))
+
+    def test_cayley_ball(self):
+        ball = cayley_ball(self.W, 4, 3)
+        same_graph(ball.graph, self.rebuilt(ball.graph))
+        same_graph(ball.covering.target, self.rebuilt(ball.covering.target))
+
+    def test_projection_covering(self):
+        c = level_projection_covering(self.W, 6, 3)
+        same_graph(c.source, self.rebuilt(c.source))
+        same_graph(c.target, self.rebuilt(c.target))
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_markov_weights(self, n):
+        g = markov_weights(schreier_graph(self.W, n))
+        same_graph(g, self.rebuilt(g))
+
+    def test_markov_weights_reuse_the_ends(self):
+        g = random_multigraph(np.random.default_rng(3), 6, 5)
+        w = markov_weights(g)
+        assert w.ends is g.ends and w.vertices == g.vertices and w.vertices is not g.vertices
+        same_graph(w, self.rebuilt(w))
+
+    def test_lift_weights(self):
+        c = level_projection_covering(self.W, 5, 2)
+        lifted = lift_weights(c, markov_weights(c.target))
+        assert lifted.ends is c.source.ends
+        same_graph(lifted, self.rebuilt(lifted))
+
+    def test_lookups_of_a_built_graph(self):
+        g = _from_ends(Multigraph, ["x", "y"], [Edge("x", "y")], np.array([[0, 1]], np.intp))
+        assert g.index("y") == 1 and "x" in g and "z" not in g
+        assert g.degree("x") == 1 and not g.ends.flags.writeable
+
+
+class TestEndsByColumn:
+    def test_tuple_and_edge_inputs(self):
+        g = Multigraph(["a", "b", "c"], [("a", "b"), Edge("c", "c"), ("b", "c", "x")])
+        assert g.ends.tolist() == [[0, 1], [2, 2], [1, 2]]
+        assert g.ends.dtype == np.intp and g.ends.flags.c_contiguous
+
+    def test_no_edges(self):
+        g = Multigraph([0, 1], [])
+        assert g.ends.shape == (0, 2) and g.degree(0) == 0
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (9, 0)], [(0, 1), (0, 9)]])
+    def test_unknown_end_in_either_column(self, edges):
+        with pytest.raises(ValueError, match=r"edge 1: .* references unknown vertex"):
+            Multigraph([0, 1], edges)

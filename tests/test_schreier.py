@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 import random
 import re
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from treespec import (
     Edge,
+    LevelCertificate,
     Multigraph,
     NotAPathError,
     OmegaWord,
@@ -23,6 +25,7 @@ from treespec import (
     cayley_ball,
     check_isomorphic,
     dihedral_reduction_check,
+    level_certificate,
     level_path_form,
     level_projection_covering,
     path_canonical_form,
@@ -33,7 +36,8 @@ from treespec import (
     word_action,
 )
 from treespec import schreier
-from treespec.schreier import _level_edges
+from treespec.actions import _generator_table
+from treespec.schreier import _certify_table, _level_edges
 
 from test_growth import reference_enumeration
 
@@ -555,3 +559,89 @@ class TestOneRuleEach:
         tree = ast.parse(Path(schreier.__file__).read_text())
         names = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
         assert names.count("_new_edge") == 1 and "Edge" not in names
+
+
+def _corrupt(rows: dict) -> np.ndarray:
+    """The level-3 table of :012 with the given entries of its rows replaced.
+
+    Its rows: a = i ^ 4; b swaps 0-2, 1-3, 4-5; c swaps 0-2, 1-3; d swaps
+    4-5; so T sends 0-2, 1-3, 4-5 and fixes 6 and 7, and the graph is the
+    path 6 a 2 T 0 a 4 T 5 a 1 T 3 a 7."""
+    table = _generator_table(OmegaWord.parse(":012"), 3).copy()
+    for letter, entries in rows.items():
+        row = table["abcd".index(letter)]
+        for i, x in entries.items():
+            row[i] = x
+    return table
+
+
+class TestLevelCertificate:
+    """Four permutation checks on a level's generator table certify the
+    graph and its spectrum; each corrupted table fails the check it breaks."""
+
+    def test_every_prefix_certifies_at_level_8(self):
+        # level 8 reads omega_1 .. omega_7 only, so these are all the words
+        words = [OmegaWord(p, (0,)) for p in itertools.product(range(3), repeat=7)]
+        assert len(words) == 2187
+        failed = [(w, c.witness) for w in words if not (c := level_certificate(w, 8))]
+        assert failed == []
+
+    @given(w=OMEGAS, n=st.integers(1, 9))
+    def test_certified_levels_are_the_model(self, w, n):
+        certificate = level_certificate(w, n, RunConfig(max_vertices=1 << 9))
+        assert certificate == LevelCertificate(True) and certificate
+        if n <= 6:
+            assert check_isomorphic(schreier_graph(w, n), upsilon_graph(UpsilonSpec("finite", n)))
+
+    def test_real_table_passes(self):
+        assert _certify_table(_corrupt({})) == LevelCertificate(True)
+
+    @pytest.mark.parametrize(
+        "rows, witness",
+        [
+            ({"a": {0: 0, 4: 4}}, "check 1: a fixes vertex 000"),
+            # two 4-cycles: no fixed point, but not an involution
+            ({"a": {0: 1, 1: 2, 2: 3, 3: 0, 4: 5, 5: 6, 6: 7, 7: 4}}, "check 1: a a moves vertex 000"),
+            ({"c": {0: 0, 2: 2}}, "check 2: vertex 000 is moved by 1 of b, c and d"),
+            ({"d": {0: 2, 2: 0}}, "check 2: vertex 000 is moved by 3 of b, c and d"),
+            ({"c": {0: 1, 1: 0, 2: 3, 3: 2}}, "check 2: the two letters that move vertex 000 send it apart"),
+            ({"b": {4: 4, 5: 5}, "d": {4: 4, 5: 5}}, "check 3: T fixes 4 vertices, not 2; the third is 110"),
+            # a-edges 0-4, 2-5 and T-edges 0-2, 4-5 close a cycle: A T splits
+            ({"a": {0: 4, 4: 0, 2: 5, 5: 2, 6: 1, 1: 6, 3: 7, 7: 3}},
+             "check 4: the A T orbit of vertex 000 is shorter than 2^n"),
+            # a-edges 6-7 and 2-3 cut the path into an edge and a cycle
+            ({"a": {6: 7, 7: 6, 2: 3, 3: 2}}, "check 4: (A T)^(2^n) moves vertex 000"),
+        ],
+        ids=["a-fixed-point", "a-not-involution", "one-letter", "three-letters",
+             "letters-disagree", "four-T-fixed", "AT-short-orbit", "AT-not-one-cycle"],
+    )
+    def test_corrupted_table_names_its_check(self, rows, witness):
+        certificate = _certify_table(_corrupt(rows))
+        assert not certificate
+        assert certificate.witness == witness
+
+    def test_T_with_no_fixed_point(self):
+        # 6-7 moved by b and c: T is an involution with no fixed vertex
+        certificate = _certify_table(_corrupt({"b": {6: 7, 7: 6}, "c": {6: 7, 7: 6}}))
+        assert certificate.witness == "check 3: T fixes no vertex, not 2; it moves vertex 000"
+
+    def test_T_not_an_involution(self):
+        # b and c move 0 to 2, and 2 to 1: T T moves 0
+        rows = {"b": {2: 1, 1: 3, 3: 0}, "c": {2: 1, 1: 3, 3: 0}}
+        certificate = _certify_table(_corrupt(rows))
+        assert certificate.witness == "check 3: T T moves vertex 000"
+
+    def test_level_is_checked_first(self):
+        w = OmegaWord.parse(":012")
+        with pytest.raises(ResourceLimitError):
+            level_certificate(w, 13)
+        with pytest.raises(ValueError, match="level 2.5 is not an int"):
+            level_certificate(w, 2.5)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            level_certificate(w, 0)
+
+    def test_failed_certificate_stops_the_sweep(self, monkeypatch):
+        bad = _corrupt({"c": {0: 0, 2: 2}})
+        monkeypatch.setattr(schreier, "_generator_table", lambda w, n: bad)
+        with pytest.raises(NotAPathError, match="check 2: vertex 000 is moved by 1"):
+            spectrum_sweep(OmegaWord.parse(":012"), 3)

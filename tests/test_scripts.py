@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
         ("sweep_spectra.py", ["--omegas", ":012,0:12", "--max-level", "4"]),
         ("residual_decay.py", ["--omega", ":012", "--level", "1", "--radii", "3,5", "--bound-k", "3"]),
         ("growth_table.py", ["--omegas", ":012,:01", "--radius", "4"]),
+        ("certify_levels.py", ["--level", "6"]),
     ],
 )
 def test_script_exits_zero(script, args):

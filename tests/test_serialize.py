@@ -387,3 +387,44 @@ class TestExports:
         assert lines[0] == "level,index,value,in_target"
         assert lines[1] == "1,0,0.5,True"
         assert len(lines) == 3
+
+
+class TestNotJson:
+    """NaN and the infinities have no JSON form: Python's json wrote them as
+    bare tokens and read them back."""
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_id_is_named(self, x):
+        g = Multigraph([x, 1.5], [])
+        with pytest.raises(FormatError, match=re.escape(f"vertex id {x!r} has no JSON form")):
+            serialize_graph(g)
+
+    def test_non_finite_inside_an_id_is_named(self):
+        g = Multigraph([(1, math.nan), (2, 0.5)], [((2, 0.5), (2, 0.5))])
+        with pytest.raises(FormatError, match=re.escape("vertex id (1, nan) has no JSON form")):
+            serialize_graph(g)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("where", ["vertices", "metadata"])
+    def test_non_finite_tokens_refused(self, token, where):
+        vertices, meta = (f"[{token}]", "{}") if where == "vertices" else ("[1]", f'{{"x":{token}}}')
+        doc = f'{{"edges":[],"format_version":1,"metadata":{meta},"vertices":{vertices}}}'
+        with pytest.raises(FormatError, match=re.escape(f"{token} is not a JSON value")):
+            parse_graph(doc.encode())
+
+    @pytest.mark.parametrize(
+        "metadata, key",
+        [({"a": {1}}, "a"), ({"level": 3, "x": math.nan}, "x"), ({"b": 1, "c": [math.inf]}, "c")],
+    )
+    def test_metadata_without_a_json_form_is_named(self, metadata, key):
+        # json raised a bare TypeError for the set, and wrote NaN for the float
+        with pytest.raises(FormatError, match=re.escape(f"metadata {key!r} has no JSON form")):
+            serialize_graph(Multigraph([0], []), metadata)
+
+    def test_metadata_keys_that_do_not_sort(self):
+        with pytest.raises(FormatError, match="metadata has no JSON form"):
+            serialize_graph(Multigraph([0], []), {1: 2, "a": 3})
+
+    def test_finite_float_ids_still_written(self):
+        g = Multigraph([0.5, -2.0], [(0.5, -2.0)])
+        assert parse_graph(serialize_graph(g, {"w": 0.25})).vertices == [0.5, -2.0]

@@ -26,6 +26,7 @@ from treespec import (
     dihedral_weighted_spectrum,
     generator_action,
     level_path_form,
+    level_spectrum,
     markov_eigenvalues_banded,
     markov_operator,
     moments_via_eigendecomposition,
@@ -34,7 +35,7 @@ from treespec import (
     spectrum_sweep,
     upsilon_graph,
 )
-from treespec import spectra
+from treespec import schreier, spectra
 from treespec.graphs import _markov_eigh
 from treespec.spectra import _markov_tridiagonal, _tridiagonal_eigvals
 
@@ -399,6 +400,48 @@ class TestLevelSpectra:
         monkeypatch.setattr(Multigraph, "__init__", refuse)
         sweep = spectrum_sweep(W, 6)
         assert sweep.all_contained and len(sweep.reports) == 6
+
+
+class TestCertifiedSweep:
+    """A sweep certifies each level with four permutation checks and reads
+    its spectrum off the closed form; the fold of the level's path form is
+    the second route, and the two agree to the bit."""
+
+    @pytest.mark.parametrize("omega", [":012", "0:01", ":0", "11:1202"])
+    def test_sweep_matches_the_fold_bit_for_bit(self, omega):
+        w = OmegaWord.parse(omega)
+        config = RunConfig(max_vertices=1 << 13)
+        sweep = spectrum_sweep(w, 13, config=config)
+        for n in range(1, 14):
+            fold = markov_eigenvalues_banded(level_path_form(w, n, config))
+            assert np.array(sweep.reports[n].eigenvalues).tobytes() == fold.tobytes(), n
+            assert level_spectrum(n, config).tobytes() == fold.tobytes(), n
+
+    def test_sweep_folds_no_tridiagonal(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("spectrum_sweep took the fold")
+
+        monkeypatch.setattr(spectra, "_tridiagonal_eigvals", refuse)
+        monkeypatch.setattr(schreier, "_canonical_path", refuse)
+        assert spectrum_sweep(W, 8).all_contained
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_inertia_counts_bracket_level_spectrum(self, n):
+        # LDL^T counts on the level's own tridiagonal, which shares no code
+        # with the closed form
+        diag, off = _markov_tridiagonal(level_path_form(W, n))
+        vals = level_spectrum(n)
+        i = np.arange(len(vals))
+        assert vals.shape == (1 << n,)
+        assert np.all(negative_pivots(diag, off, vals - 1e-9) <= i)
+        assert np.all(negative_pivots(diag, off, vals + 1e-9) > i)
+
+    def test_level_spectrum_checks_the_level(self):
+        with pytest.raises(ResourceLimitError):
+            level_spectrum(13)
+        with pytest.raises(ValueError, match="level 2.5 is not an int"):
+            level_spectrum(2.5)
+        assert level_spectrum(np.int64(1)).tolist() == [0.5, 1.0]
 
 
 class TestTridiagonalFold:

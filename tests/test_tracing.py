@@ -25,6 +25,7 @@ import treespec as ts
 start = time.perf_counter()
 w = ts.OmegaWord.parse(":012")
 ts.spectrum_sweep(w, 4)
+for n in range(1, 5): ts.markov_eigenvalues_banded(ts.level_path_form(w, n))
 ts.verify_covering(ts.level_projection_covering(w, 4, 2))
 ball = ts.cayley_ball(w, 6, 1)
 ts.spectral_inclusion_report(ball.covering, [3])
