@@ -89,11 +89,7 @@ def cmd_spectrum(args, config) -> int:
     vals = _certified_level_spectrum(w, args.level, config)
     target = IntervalUnion.parse(args.target)
     inside = target.contains(vals, config.membership_tol)
-    rows = [
-        (args.level, i, repr(v), flag)
-        for i, (v, flag) in enumerate(zip(vals.tolist(), inside.tolist()))
-    ]
-    _write(args.output, export_eigenvalue_csv(rows))
+    _write(args.output, export_eigenvalue_csv({args.level: (vals.tolist(), inside.tolist())}))
     return OK if inside.all() else VERIFY_FAIL
 
 
@@ -101,11 +97,8 @@ def cmd_sweep(args, config) -> int:
     w = OmegaWord.parse(args.omega)
     target = IntervalUnion.parse(args.target)
     result = spectrum_sweep(w, args.max_level, target, config)
-    rows = []
-    for n, rep in result.reports.items():
-        for i, (v, flag) in enumerate(zip(rep.eigenvalues, rep.in_target)):
-            rows.append((n, i, repr(v), flag))
-    _write(args.output, export_eigenvalue_csv(rows))
+    levels = {n: (rep.eigenvalues, rep.in_target) for n, rep in result.reports.items()}
+    _write(args.output, export_eigenvalue_csv(levels))
     for n, hd in result.hausdorff_by_level.items():
         print(f"level {n}: hausdorff(target -> cumulative) = {hd:.3g}")
     return OK if result.all_contained else VERIFY_FAIL
@@ -187,6 +180,7 @@ def cmd_dihedral(args, config) -> int:
 
 def cmd_moments(args, config) -> int:
     w = OmegaWord.parse(args.omega)
+    _check_level(args.level, config)  # before 1 << level, which a negative level cannot shift
     if not 0 <= args.vertex < 1 << args.level:
         print(f"error: --vertex must be in 0..{(1 << args.level) - 1}", file=sys.stderr)
         return USAGE

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import _INT, DEFAULT_CONFIG, ResourceLimitError, RunConfig, _require_int_radii
-from .graphs import Edge, Multigraph, WeightedGraph
+from .graphs import Multigraph, WeightedGraph
 from .graphs import _bfs_distances, _degrees, _from_ends, _markov_eigh, _neighbor_sum, _stars
 
 
@@ -68,7 +68,7 @@ class CoveringMap:
     def _edge_entries(self) -> tuple[np.ndarray, np.ndarray, Optional[str]]:
         """The edge map's keys and values as id arrays, in map order up to the first
         entry that is not a pair of edge ids in range, and the text naming it or None."""
-        m, bounds = self.edge_map, (len(self.source.edges), len(self.target.edges))
+        m, bounds = self.edge_map, (len(self.source.ends), len(self.target.ends))
         if all(map(isinstance, chain(m.keys(), m.values()), repeat(_INT))):
             try:
                 keys, values = (np.fromiter(ids, np.intp, len(m)) for ids in (m.keys(), m.values()))
@@ -96,7 +96,7 @@ class CoveringMap:
         keys, values, fault = self._edge_entries
         if fault:
             raise ValueError(fault)
-        table = np.full(len(self.source.edges), -1, np.intp)
+        table = np.full(len(self.source.ends), -1, np.intp)
         table[keys] = values
         return table
 
@@ -165,7 +165,7 @@ def _star_fault(c: CoveringMap, image: np.ndarray) -> Optional[str]:
     s, t = _stars(c.source), _stars(c.target)
     slot_image = c._edge_image[s.edge]
     unmapped = slot_image < 0
-    width = len(c.target.edges) + 1
+    width = len(c.target.ends) + 1
     keys = s.vertex * width + slot_image + 1
     keys = keys[np.argsort(keys, kind="stable")]
     bad = np.diff(s.ptr) != np.diff(t.ptr)[image]
@@ -204,7 +204,7 @@ def verify_covering(c: CoveringMap) -> CoveringReport:
         return CoveringReport(False, fault)
     # surjectivity onto the target, witnessed by interior vertices
     table, s = c._edge_image, _stars(src)
-    hit_v, hit_e = np.zeros(tgt.n, bool), np.zeros(len(tgt.edges), bool)
+    hit_v, hit_e = np.zeros(tgt.n, bool), np.zeros(len(tgt.ends), bool)
     hit_v[image[c._interior]] = True
     hit_e[table[s.edge[c._interior[s.vertex]]]] = True
     missing_v = [tgt.vertices[i] for i in np.flatnonzero(~hit_v)[:3].tolist()]
@@ -232,17 +232,11 @@ def lift_weights(c: CoveringMap, weighted_target: WeightedGraph) -> WeightedGrap
     unmapped = np.flatnonzero(c._edge_image < 0)  # ValueError names a malformed entry
     if unmapped.size:
         raise ValueError(f"source edge {unmapped[0]} unmapped")
-    edges = []
-    for ei, e in enumerate(c.source.edges):
-        te = w.edges[c.edge_map[ei]]
-        pu, pv = c.phi(e.u), c.phi(e.v)
-        if te.is_loop:
-            wu = wv = te.wu
-        else:
-            wu = te.wu if pu == te.u else te.wv
-            wv = te.wu if pv == te.u else te.wv
-        edges.append(Edge(e.u, e.v, wu, wv, e.label))
-    return _from_ends(WeightedGraph, list(c.source.vertices), edges, c.source.ends)
+    table, image, src = w.weights[c._edge_image], w.ends[c._edge_image], c.source
+    # each source end takes the weight at the target end that is its image; a loop has one weight
+    at_u = (image[:, :1] == c._image[src.ends]) | (image[:, :1] == image[:, 1:])
+    weights = np.where(at_u, table[:, :1], table[:, 1:])
+    return _from_ends(WeightedGraph, list(src.vertices), src.ends, src.labels, weights)
 
 
 def lift_path(
@@ -261,25 +255,25 @@ def lift_path(
         inside = False
     if not inside:
         raise BadStartError(f"{start!r} is not in the fiber of {origin!r}")
-    table, n_edges = c._edge_image, len(c.target.edges)
+    table, stars, n_edges = c._edge_image, _stars(c.source), len(c.target.ends)
+    x = c.source.index(start)  # the walk by positions: x in the source, y in the target
+    y = int(c._image[x])
     path = [start]
-    cur_t, cur_s = origin, start
     for ti in edge_indices:
         if not (isinstance(ti, _INT) and 0 <= ti < n_edges):
             raise ValueError(f"target edge {ti!r} is not an edge id in range({n_edges})")
-        te = c.target.edges[ti]
-        if cur_t not in (te.u, te.v):
-            raise ValueError(f"target edge {ti} not incident to {cur_t!r}")
-        star = c.source.incident(cur_s)
-        lifted = np.flatnonzero(table[star] == ti)
+        tu, tv = c.target.ends[ti].tolist()
+        if y not in (tu, tv):
+            raise ValueError(f"target edge {ti} not incident to {c.target.vertices[y]!r}")
+        star = stars.edge[stars.ptr[x]:stars.ptr[x + 1]]
+        lifted = star[table[star] == ti]
         if lifted.size != 1:
             raise ValueError(
-                f"lift not unique at {cur_s!r}: {lifted.size} candidate edges"
+                f"lift not unique at {c.source.vertices[x]!r}: {lifted.size} candidate edges"
             )
-        e = c.source.edges[star[lifted[0]]]
-        cur_s = e.v if e.u == cur_s else e.u
-        cur_t = te.v if te.u == cur_t else te.u
-        path.append(cur_s)
+        su, sv = c.source.ends[lifted[0]].tolist()
+        x, y = sv if su == x else su, tv if tu == y else tu
+        path.append(c.source.vertices[x])
     return path
 
 
@@ -447,8 +441,11 @@ def window_pullback_residual(c: CoveringMap, lam: float, f: np.ndarray) -> Hulan
     """
     f = _unit_target_vector(c, f)
     fk = f[c._image]
-    residual = float(np.linalg.norm(_neighbor_sum(c.source, fk) / c._image_degree - lam * fk))
-    residual /= float(np.linalg.norm(fk))
+    norm_fk = float(np.linalg.norm(fk))
+    if norm_fk == 0:
+        raise ValueError("pullback vanishes: f is zero on every image of the window")
+    lifted = _neighbor_sum(c.source, fk) / c._image_degree
+    residual = float(np.linalg.norm(lifted - lam * fk)) / norm_fk
     rim = c.source.n - int(np.count_nonzero(c._interior))
     return HulanickiRecord("window", c.source.n, residual, None, rim / c.source.n, {})
 

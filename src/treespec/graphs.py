@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import repeat
 from operator import itemgetter
 from typing import Hashable, NamedTuple, Optional, Sequence
 
@@ -28,8 +29,8 @@ class RadiusTooSmallError(ValueError):
 class Edge(NamedTuple):
     """Undirected edge; a loop has u == v and a single weight wu (= wv).
 
-    A named tuple: read-only, equal and hashed by value, and built by one
-    tuple allocation, which every graph builder pays once per edge.
+    A named tuple: read-only, equal and hashed by value, and made only for
+    ``Multigraph.edges``, the view of a graph's columns, on its first read.
     """
 
     u: VertexId
@@ -77,8 +78,10 @@ def _slot_index(ends: np.ndarray, n: int) -> _Slots:
 
 
 class Multigraph:
-    """Unweighted multigraph with loops; edges may carry labels.  ``ends`` is
-    the read-only (E, 2) table of endpoint positions, which all adjacency reads."""
+    """Unweighted multigraph with loops; edges may carry labels.  A graph is its
+    columns: ``vertices``, ``labels`` and ``ends``, the read-only (E, 2) table of
+    endpoint positions, which all adjacency reads.  ``edges`` is their ``Edge``
+    view, built on first read, or the caller's edges, kept by the constructor."""
 
     def __init__(self, vertices: Sequence[VertexId], edges: Sequence[tuple]):
         vertices = list(vertices)
@@ -97,14 +100,21 @@ class Multigraph:
             for i, e in enumerate(edges):
                 if e.u not in index or e.v not in index:
                     raise ValueError(f"edge {i}: {e} references unknown vertex") from None
-        self._index = index
-        self._hold(vertices, edges, ends)
-
-    def _hold(self, vertices: list, edges: list[Edge], ends: np.ndarray) -> None:
         ends.flags.writeable = False
-        self.vertices = vertices
-        self.edges = edges
-        self.ends = ends
+        self.vertices, self.ends, self.edges, self._index = vertices, ends, edges, index
+
+    @cached_property
+    def edges(self) -> list[Edge]:
+        """The columns as ``Edge`` tuples, which take the label list over."""
+        u, v = (map(self.vertices.__getitem__, c.tolist()) for c in self.ends.T)
+        wu, wv = self.weights.T.tolist() if isinstance(self, WeightedGraph) else [repeat(1.0)] * 2
+        return list(map(_new_edge, zip(u, v, wu, wv, vars(self).pop("_labels"))))
+
+    @property
+    def labels(self) -> list:
+        """Each edge's label, None where it has none."""
+        held = vars(self).get("_labels")
+        return list(map(itemgetter(4), self.edges)) if held is None else held
 
     # a graph built from positions builds its vertex index on the first lookup
     @cached_property
@@ -148,14 +158,21 @@ class Multigraph:
         return len(_bfs_distances(self, self.vertices[0])) == self.n
 
 
-def _from_ends(cls: type, vertices: list, edges: list[Edge], ends: np.ndarray) -> Multigraph:
-    """A graph of ``cls`` whose edge i, ``edges[i]``, joins the positions
-    ``ends[i]`` in ``vertices``, for builders that already hold the positions.
-    Trusted: the vertices are distinct, the edges are ``Edge`` instances whose
-    ends are the vertices at those positions, and ``ends`` is an (E, 2)
-    ``intp`` array, which the graph takes over, read-only."""
+def _from_ends(
+    cls: type, vertices: list, ends: np.ndarray, labels: list, weights: Optional[np.ndarray] = None
+) -> Multigraph:
+    """A graph of ``cls`` from the columns its builder holds, with no ``Edge``:
+    edge i joins the positions ``ends[i]`` in ``vertices``, carries ``labels[i]``
+    and, on a ``WeightedGraph``, the weights (wu, wv) ``weights[i]``.  Trusted:
+    the vertices are distinct, ``labels`` holds E strings or Nones, and ``ends``
+    (of ``intp``) and ``weights`` are (E, 2) arrays, which the graph takes over,
+    read-only."""
     g = object.__new__(cls)
-    g._hold(vertices, edges, ends)
+    ends.flags.writeable = False
+    g.vertices, g.ends, g._labels = vertices, ends, labels
+    if weights is not None:
+        weights.flags.writeable = False
+        g.weights = weights
     return g
 
 
@@ -202,30 +219,26 @@ def _neighbor_sum(g: Multigraph, x: np.ndarray) -> np.ndarray:
     return np.bincount(s.vertex, weights=np.asarray(x)[s.far], minlength=g.n)
 
 
-def _weights(g: Multigraph) -> np.ndarray:
-    """The (E, 2) complex table of (wu, wv), edge by edge."""
-    return np.array([(e.wu, e.wv) for e in g.edges], dtype=complex).reshape(-1, 2)
-
-
 class WeightedGraph(Multigraph):
-    """Multigraph carrying a weight per (vertex, incident edge) pair."""
+    """Multigraph carrying a weight per (vertex, incident edge) pair;
+    ``weights`` is the read-only (E, 2) table of (wu, wv), edge by edge."""
 
     def __init__(self, vertices: Sequence[VertexId], edges: Sequence[Edge]):
         super().__init__(vertices, list(edges))
+        self.weights = np.array([(e.wu, e.wv) for e in self.edges], dtype=complex).reshape(-1, 2)
+        self.weights.flags.writeable = False
 
     @property
     def is_self_adjoint(self) -> bool:
         """True iff every edge weight pair is mutually conjugate."""
-        w, loop = _weights(self), self.ends[:, 0] == self.ends[:, 1]
+        w, loop = self.weights, self.ends[:, 0] == self.ends[:, 1]
         return not np.where(loop, np.abs(w[:, 0].imag) > 0, w[:, 0] != w[:, 1].conj()).any()
 
 
 def markov_weights(g: Multigraph) -> WeightedGraph:
     """Weight every (vertex, edge) pair by 1/degree(vertex)."""
-    wu, wv = (1.0 / _degrees(g))[g.ends].T.tolist()
-    u, v, label = (map(itemgetter(k), g.edges) for k in (0, 1, 4))
-    edges = list(map(_new_edge, zip(u, v, wu, wv, label)))
-    return _from_ends(WeightedGraph, list(g.vertices), edges, g.ends)
+    weights = (1.0 / _degrees(g))[g.ends]
+    return _from_ends(WeightedGraph, list(g.vertices), g.ends, g.labels, weights)
 
 
 @dataclass
@@ -259,7 +272,7 @@ def laplace_type_operator(g: WeightedGraph) -> LinearOperator:
 
     Loops contribute their weight to the diagonal once per loop.
     """
-    w, s = _weights(g), g._slots
+    w, s = g.weights, g._slots
     dtype = complex if w.imag.any() else float
     # each slot takes the weight at its own end: wu at the u-end, wv at the v-end
     w = np.where(s.vertex == g.ends[s.edge, 0], w[s.edge, 0], w[s.edge, 1])
@@ -300,6 +313,7 @@ def shift_square_transform(
     n = a.shape[0]
     shifted = a - lam * np.eye(n)
     t = np.eye(n) - (shifted @ shifted.conj().T) / radius**2
-    rows, cols = np.nonzero(np.triu((t != 0) | (t != 0).T))
-    edges = [Edge(i, j, t[i, j], t[j, i]) for i, j in zip(rows.tolist(), cols.tolist())]
-    return _operator_from_matrix(t), WeightedGraph(list(range(n)), edges)
+    ends = np.stack(np.nonzero(np.triu((t != 0) | (t != 0).T)), axis=1)
+    weights = t[ends, ends[:, ::-1]]  # (t[u, v], t[v, u]) per edge
+    graph = _from_ends(WeightedGraph, list(range(n)), ends, [None] * len(ends), weights)
+    return _operator_from_matrix(t), graph

@@ -10,7 +10,6 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -19,7 +18,7 @@ from .actions import GENERATORS, _generator_table
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
 from .config import _require_int, _require_int_radii
 from .covering import CoveringMap
-from .graphs import Multigraph, _from_ends, _new_edge, _slot_index
+from .graphs import Multigraph, _from_ends, _slot_index
 from .growth import BallEnumeration, _leaf_images, enumerate_ball
 from .omega import OmegaWord
 
@@ -63,10 +62,8 @@ def _labelled_graph(
     """The graph on ``vertices`` whose edge i joins positions u[i] and v[i]
     and is labelled by generator gen[i], or unlabelled when ``gen`` is None."""
     ends = np.stack((u, v), axis=1, dtype=np.intp)
-    names = (map(vertices.__getitem__, x.tolist()) for x in (u, v))
-    labels = repeat(None) if gen is None else map(GENERATORS.__getitem__, gen.tolist())
-    edges = list(map(_new_edge, zip(*names, repeat(1.0), repeat(1.0), labels)))
-    return _from_ends(Multigraph, vertices, edges, ends)
+    labels = [None] * len(u) if gen is None else list(map(GENERATORS.__getitem__, gen.tolist()))
+    return _from_ends(Multigraph, vertices, ends, labels)
 
 
 def schreier_graph(

@@ -6,11 +6,9 @@ float repr, so parse(serialize(g)) reproduces every IEEE double bit-exactly.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import eq, itemgetter
 from typing import Optional
 
@@ -246,11 +244,10 @@ def export_dot(g: Multigraph, name: str = "G") -> str:
 EIGENVALUE_CSV_HEADER = ["level", "index", "value", "in_target"]
 
 
-def export_eigenvalue_csv(rows: list[tuple]) -> str:
-    """CSV with one eigenvalue per row: level, index, value, in_target."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EIGENVALUE_CSV_HEADER)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def export_eigenvalue_csv(levels: dict[int, tuple]) -> str:
+    """CSV with one eigenvalue per row, level, index, value and in_target, from
+    ``{level: (values, flags)}`` of floats and bools; one join per level."""
+    texts = [",".join(EIGENVALUE_CSV_HEADER) + "\n"]
+    for level, (values, flags) in levels.items():
+        texts.append("".join(map(f"{level},{{}},{{!r}},{{}}\n".format, count(), values, flags)))
+    return "".join(texts)

@@ -120,12 +120,10 @@ class SpectrumReport:
         return all(self.in_target)
 
 
-def _report(
-    vals: np.ndarray, target: IntervalUnion, cumulative: Sequence[float], tol: float
-) -> SpectrumReport:
+def _report(vals: np.ndarray, target: IntervalUnion, tol: float) -> SpectrumReport:
     vals = np.sort(vals)
     in_target = tuple(target.contains(vals, tol).tolist())
-    hausdorff = target.hausdorff_to_points(cumulative)
+    hausdorff = target.hausdorff_to_points(vals)
     return SpectrumReport(tuple(vals.tolist()), target, in_target, hausdorff)
 
 
@@ -243,7 +241,10 @@ def _certified_level_spectrum(w: OmegaWord, n: int, config: RunConfig) -> np.nda
 class SweepResult:
     omega: str
     reports: dict[int, SpectrumReport]
-    hausdorff_by_level: dict[int, float]
+
+    @property
+    def hausdorff_by_level(self) -> dict[int, float]:
+        return {n: rep.hausdorff for n, rep in self.reports.items()}
 
     @property
     def all_contained(self) -> bool:
@@ -260,20 +261,19 @@ def spectrum_sweep(
 
     Every eigenvalue is checked for membership (tolerance from the config);
     the one-sided Hausdorff distance from the target to the cumulative
-    eigenvalue union is reported per level.  Each level is certified by
-    ``level_certificate`` and its spectrum read off ``level_spectrum``; no
-    graph, path form or tridiagonal is built.
+    eigenvalue union is reported per level: to level n's own values, which
+    hold every lower level's bit for bit, as Gamma_n covers Gamma_(n-1).
+    Each level is certified by ``level_certificate`` and its spectrum read
+    off ``level_spectrum``; no graph, path form or tridiagonal is built.
     """
     _require_int("level", n_max)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    reports = {}
-    cumulative: list[float] = []
-    for n in range(1, n_max + 1):
-        vals = _certified_level_spectrum(w, n, config)
-        cumulative.extend(vals.tolist())
-        reports[n] = _report(vals, target, cumulative, config.membership_tol)
-    return SweepResult(str(w), reports, {n: rep.hausdorff for n, rep in reports.items()})
+    reports = {
+        n: _report(_certified_level_spectrum(w, n, config), target, config.membership_tol)
+        for n in range(1, n_max + 1)
+    }
+    return SweepResult(str(w), reports)
 
 
 # ---------------------------------------------------------------------------

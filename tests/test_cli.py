@@ -268,6 +268,13 @@ class TestSubcommands:
         assert err == "error: --vertex must be in 0..7\n"
         assert "moments at" not in out
 
+    def test_moments_level_checked_first(self, capsys):
+        # the vertex range check shifted by the level: "negative shift count"
+        code, out, err = run(capsys, "moments", "--omega", ":012", "--level", "-1")
+        assert code == 1
+        assert err == "error: n must be >= 1\n"
+        assert "moments at" not in out
+
     def test_upsilon(self, capsys):
         code, out, _ = run(capsys, "upsilon", "--size", "3", "--dot")
         assert code == 0

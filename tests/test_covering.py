@@ -14,6 +14,7 @@ from treespec import (
     BadStartError,
     CoveringMap,
     CoveringReport,
+    Edge,
     IsolatedVertexError,
     Multigraph,
     NotAnEigenpairError,
@@ -21,6 +22,7 @@ from treespec import (
     ResourceLimitError,
     RunConfig,
     UpsilonSpec,
+    WeightedGraph,
     WindowTooSmallError,
     cayley_ball,
     fiber_count,
@@ -33,6 +35,7 @@ from treespec import (
     markov_operator,
     markov_weights,
     schreier_graph,
+    serialize_graph,
     spectral_inclusion_report,
     upsilon_graph,
     verify_covering,
@@ -69,6 +72,22 @@ def identity_covering(g, interior=None):
     return CoveringMap(
         g, g, {v: v for v in g.vertices}, {i: i for i in range(len(g.edges))}, interior
     )
+
+
+def per_edge_lift(c, w):
+    """Reference route of ``lift_weights``: each source edge, one at a time,
+    takes the weights of its image edge, each end the one at its image."""
+    edges = []
+    for ei, e in enumerate(c.source.edges):
+        te = w.edges[c.edge_map[ei]]
+        pu, pv = c.phi(e.u), c.phi(e.v)
+        if te.is_loop:
+            wu = wv = te.wu
+        else:
+            wu = te.wu if pu == te.u else te.wv
+            wv = te.wu if pv == te.u else te.wv
+        edges.append(Edge(e.u, e.v, wu, wv, e.label))
+    return edges
 
 
 def dense_residual(c, lam, f, radius=None):
@@ -348,6 +367,34 @@ class TestLifting:
         cov = level_projection_covering(W, 4, 2)
         with pytest.raises(ValueError, match="differs from the covering target"):
             lift_weights(cov, markov_weights(schreier_graph(W, 3)))
+
+    @pytest.mark.parametrize("complex_weights", [False, True])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: level_projection_covering(W, 5, 2),  # source loops over target loops
+            lambda: cayley_ball(W, 4, 3).covering,  # source edges over target loops
+            lambda: identity_covering(Multigraph([0, 1, 2], [(0, 1), (1, 1), (2, 1), (0, 0)])),
+        ],
+        ids=["projection", "ball", "identity"],
+    )
+    def test_weights_equal_the_per_edge_lift(self, build, complex_weights):
+        c = build()
+        rng = np.random.default_rng(5)
+        draw = (lambda: complex(*rng.normal(size=2))) if complex_weights else rng.normal
+        target = WeightedGraph(c.target.vertices, [
+            Edge(e.u, e.v, wu, wu if e.is_loop else draw(), e.label)
+            for e, wu in zip(c.target.edges, (draw() for _ in c.target.edges))
+        ])
+        lifted = lift_weights(c, target)
+        reference = WeightedGraph(c.source.vertices, per_edge_lift(c, target))
+        assert lifted.edges == reference.edges
+        assert lifted.weights.tobytes() == reference.weights.tobytes()
+        assert serialize_graph(lifted) == serialize_graph(reference)
+        # and a real target keeps its real weights
+        markov = lift_weights(c, markov_weights(c.target))
+        assert markov.weights.dtype == float
+        assert markov.edges == per_edge_lift(c, markov_weights(c.target))
 
     def test_path_lifting_unique(self):
         cov = level_projection_covering(W, 3, 2)
@@ -653,6 +700,19 @@ class TestResiduals:
             assert abs(rec.residual - dense_residual(cov, lam, f, trunc)) < 1e-14
             win = window_pullback_residual(cov, float(lam), f)
             assert abs(win.residual - dense_residual(cov, lam, f)) < 1e-14
+
+    def test_vanishing_pullback_named(self):
+        # the 5-element ball reaches only 011 and 111, where f = delta_000 is 0
+        cov = cayley_ball(W, 1, 3).covering
+        f = np.eye(cov.target.n)[0]
+        with pytest.raises(ValueError, match="pullback vanishes"):
+            window_pullback_residual(cov, 1.0, f)
+
+    def test_inclusion_report_builds_no_edge_view(self):
+        # the ball, its target and the report read the columns only
+        ball = cayley_ball(W, 8, 2)
+        spectral_inclusion_report(ball.covering, [4, 5])
+        assert "edges" not in vars(ball.graph) and "edges" not in vars(ball.covering.target)
 
     def test_isolated_target_vertex_raises(self):
         tgt = Multigraph(["x", "y"], [("x", "x")])

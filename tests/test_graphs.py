@@ -414,8 +414,28 @@ class TestGraphsFromPositions:
         assert lifted.ends is c.source.ends
         same_graph(lifted, self.rebuilt(lifted))
 
+    @pytest.mark.parametrize("lam", [0.25, 0.25 + 0.1j])
+    def test_shift_square_transform(self, lam):
+        op = markov_operator(schreier_graph(self.W, 3))
+        t, graph = shift_square_transform(op, lam, 2 * op.norm_bound + 1.0)
+        same_graph(graph, self.rebuilt(graph))
+        # the graph the per-entry route built from the transform's nonzero entries
+        m = t.as_matrix()
+        pairs = np.argwhere(np.triu((m != 0) | (m != 0).T)).tolist()
+        reference = WeightedGraph(range(len(m)), [Edge(i, j, m[i, j], m[j, i]) for i, j in pairs])
+        assert graph.edges == reference.edges and graph.weights.dtype == m.dtype
+        assert graph.weights.astype(complex).tobytes() == reference.weights.tobytes()
+
+    def test_labels_held_once(self):
+        # the label list moves into the view when it is built, and is read back off it
+        g = schreier_graph(self.W, 3)
+        labels = g.labels
+        assert "edges" not in vars(g) and set(labels) == {"a", "b", "c", "d"}
+        assert [e.label for e in g.edges] == labels and "_labels" not in vars(g)
+        assert g.labels == labels and markov_weights(g).labels == labels
+
     def test_lookups_of_a_built_graph(self):
-        g = _from_ends(Multigraph, ["x", "y"], [Edge("x", "y")], np.array([[0, 1]], np.intp))
+        g = _from_ends(Multigraph, ["x", "y"], np.array([[0, 1]], np.intp), [None])
         assert g.index("y") == 1 and "x" in g and "z" not in g
         assert g.degree("x") == 1 and not g.ends.flags.writeable
 

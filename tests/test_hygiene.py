@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no module reads the leaf tuple of a tree automorphism or the leaf
 permutations of a ball, no module but ``graphs`` reads a private attribute
-of a graph, no module but ``covering`` reads the cached tables of a
+of a graph, no module but ``graphs`` and ``serialize`` reads a graph's
+``Edge`` view, no module but ``covering`` reads the cached tables of a
 covering, and the CLI reads every option it defines.
 
 ``__init__`` is exempt from the import check, because its imports are the
@@ -68,6 +69,26 @@ def test_no_leaf_tuple_reads(path):
 def test_detects_leaf_tuple_read():
     source = "def f(a):\n    return a.perm\n\ndef g(a):\n    return len(a.leaf_perm)\n"
     assert leaf_tuple_reads(source) == [5]
+
+
+def edge_view_reads(source: str) -> list[int]:
+    """Lines that read ``.edges``, the view of a graph's columns as ``Edge``
+    tuples, built on its first read; only ``graphs`` and ``serialize`` read it."""
+    return attribute_reads(source, {"edges"})
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name not in ("graphs.py", "serialize.py")],
+    ids=lambda p: p.stem,
+)
+def test_no_edge_view_reads(path):
+    assert edge_view_reads(path.read_text()) == []
+
+
+def test_detects_edge_view_read():
+    source = "def f(g):\n    return len(g.ends)\n\ndef h(c):\n    return c.source.edges[0]\n"
+    assert edge_view_reads(source) == [5]
 
 
 def private_names(cls, *instances) -> set[str]:

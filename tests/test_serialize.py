@@ -381,8 +381,7 @@ class TestExports:
         assert "graph lvl1 {" in dot and 'wu="0.25"' in dot
 
     def test_eigenvalue_csv(self):
-        rows = [(1, 0, 0.5, True), (1, 1, 1.0, True)]
-        csv_text = export_eigenvalue_csv(rows)
+        csv_text = export_eigenvalue_csv({1: ([0.5, 1.0], [True, True])})
         lines = csv_text.strip().split("\n")
         assert lines[0] == "level,index,value,in_target"
         assert lines[1] == "1,0,0.5,True"

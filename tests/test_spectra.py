@@ -263,7 +263,7 @@ class TestIntervalUnion:
             for end in (lo, hi):
                 for x in (end - tol, end, end + tol):
                     pts += [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
-        rep = spectra._report(np.array(pts), target, pts, tol)
+        rep = spectra._report(np.array(pts), target, tol)
         assert rep.in_target == tuple(target.contains(x, tol) for x in sorted(pts))
         assert rep.in_target == tuple(distance_by_loop(target, x) <= tol for x in sorted(pts))
 
@@ -387,6 +387,15 @@ class TestLevelSpectra:
         hd = [sweep.hausdorff_by_level[n] for n in range(1, 8)]
         assert hd == sorted(hd, reverse=True)
         assert hd[-1] < 0.06
+
+    def test_distance_to_the_cumulative_union(self):
+        # level n's values hold every lower level's bit for bit, so the
+        # distance to them is the distance to the union of levels 1..n
+        sweep = spectrum_sweep(W, 9)
+        for n in range(2, 10):
+            assert set(level_spectrum(n - 1).tolist()) <= set(level_spectrum(n).tolist())
+            union = np.concatenate([level_spectrum(k) for k in range(1, n + 1)])
+            assert sweep.hausdorff_by_level[n] == GRIG_TARGET.hausdorff_to_points(union)
 
     def test_sweep_needs_a_level(self):
         with pytest.raises(ValueError, match="n_max must be >= 1"):
