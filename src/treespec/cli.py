@@ -125,8 +125,9 @@ def cmd_cover_verify(args, config) -> int:
 def cmd_hulanicki(args, config) -> int:
     w = OmegaWord.parse(args.omega)
     radii = [int(r) for r in args.radii.split(",")]
+    size = _check_level(args.target_level, config)
     # finite-target truncates one layer beyond the subexp ball, so reads one more
-    window = max(radii) + (1 << args.target_level) + 1 + (args.mode == "finite-target")
+    window = max(radii) + size + 1 + (args.mode == "finite-target")
     ball = cayley_ball(w, window, args.target_level, config)
     report = cov.spectral_inclusion_report(ball.covering, radii, args.mode, config=config)
     ok = True
@@ -180,9 +181,9 @@ def cmd_dihedral(args, config) -> int:
 
 def cmd_moments(args, config) -> int:
     w = OmegaWord.parse(args.omega)
-    _check_level(args.level, config)  # before 1 << level, which a negative level cannot shift
-    if not 0 <= args.vertex < 1 << args.level:
-        print(f"error: --vertex must be in 0..{(1 << args.level) - 1}", file=sys.stderr)
+    size = _check_level(args.level, config)
+    if not 0 <= args.vertex < size:
+        print(f"error: --vertex must be in 0..{size - 1}", file=sys.stderr)
         return USAGE
     g = schreier_graph(w, args.level, config)
     v = g.vertices[args.vertex]

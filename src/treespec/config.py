@@ -40,6 +40,7 @@ class RunConfig:
     membership_tol: ClassVar[float] = 1e-8
 
     def __post_init__(self):
+        _require_int("max_vertices", self.max_vertices)
         if self.max_vertices <= 0:
             raise ValueError("max_vertices must be positive")
 

@@ -113,8 +113,8 @@ class CoveringMap:
     def _base(self) -> tuple[np.ndarray, np.ndarray]:
         """Source distances from the base, the first source vertex, and target
         distances from its image."""
-        src, tgt = self.source, self.target
-        return _distances(src, src.vertices[0]), _distances(tgt, tgt.vertices[self._image[0]])
+        s, t = self.source, self.target
+        return _bfs_distances(s, s.vertices[0]), _bfs_distances(t, t.vertices[self._image[0]])
 
 
 @dataclass(frozen=True)
@@ -298,8 +298,7 @@ def folner_balls(c: CoveringMap, v, k_max: int) -> FolnerReport:
     _require_int_radii([k_max])
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    radius = _distances(c.source, v)
-    _require_exact_ball(c, radius, k_max + 1)
+    radius = _require_exact_ball(c, _bfs_distances(c.source, v), k_max + 1)
     sizes = np.searchsorted(np.sort(radius), np.arange(k_max + 2), side="right").tolist()
     ratios = tuple(
         (sizes[k + 1] - sizes[k]) / sizes[k] for k in range(1, k_max + 1)
@@ -317,29 +316,21 @@ def folner_balls(c: CoveringMap, v, k_max: int) -> FolnerReport:
 # residual harness
 
 
-def _distances(g: Multigraph, v) -> np.ndarray:
-    """Edge distance from v by vertex position; inf where unreached."""
-    dist = _bfs_distances(g, v)
-    radius = np.full(g.n, np.inf)
-    radius[list(map(g.index, dist))] = list(dist.values())
-    return radius
-
-
-def _require_exact_ball(c: CoveringMap, radius: np.ndarray, k: int) -> None:
-    """Raise unless B_k of the search base is exact: every vertex closer than
-    k is interior.  The nearest offender is named, ties broken by position."""
+def _require_exact_ball(c: CoveringMap, radius: np.ndarray, k: int) -> np.ndarray:
+    """``radius`` (source distances from a search base) once B_k of the base is exact, every
+    vertex closer than k interior; else WindowTooSmallError names the nearest, ties by position."""
     rim = np.flatnonzero((radius < k) & ~c._interior)
     if rim.size:
         x = rim[radius[rim].argmin()]
         v, d = c.source.vertices[x], int(radius[x])
         raise WindowTooSmallError(f"radius {k}: {v!r} at distance {d} is not interior")
+    return radius
 
 
 def fiber_count(c: CoveringMap, v, k: int) -> int:
     """Number of fiber points of phi(v) within the radius-k source ball."""
     _require_int_radii([k])
-    radius = _distances(c.source, v)
-    _require_exact_ball(c, radius, k)
+    radius = _require_exact_ball(c, _bfs_distances(c.source, v), k)
     return int(np.count_nonzero((radius <= k) & (c._image == c._image[c.source.index(v)])))
 
 
@@ -348,6 +339,16 @@ def _unit_target_vector(c: CoveringMap, f) -> np.ndarray:
     if f.shape != (c.target.n,) or not f.any():
         raise ValueError("f must be a nonzero vector on the target vertices")
     return f / float(np.linalg.norm(f))
+
+
+def _pullback_residual(c: CoveringMap, lam: float, fk: np.ndarray, vanished: str) -> float:
+    """||(M - lam) fk|| / ||fk|| for fk by source position, M the lifted Markov operator:
+    the neighbour sum over the target degree at each image.  ValueError(vanished) if fk = 0."""
+    norm_fk = float(np.linalg.norm(fk))
+    if norm_fk == 0:
+        raise ValueError(vanished)
+    lifted = _neighbor_sum(c.source, fk) / c._image_degree
+    return float(np.linalg.norm(lifted - lam * fk)) / norm_fk
 
 
 @dataclass(frozen=True)
@@ -406,11 +407,7 @@ def hulanicki_residual(
     _require_exact_ball(c, radius, max(trunc + 1, k + n_ctrl))
 
     fk = np.where(radius <= trunc, f[image], 0.0)
-    norm_fk = float(np.linalg.norm(fk))
-    if norm_fk == 0:
-        raise ValueError("truncated pullback vanishes; enlarge k")
-    lifted = _neighbor_sum(c.source, fk) / c._image_degree
-    residual = float(np.linalg.norm(lifted - lam * fk)) / norm_fk
+    residual = _pullback_residual(c, lam, fk, "truncated pullback vanishes; enlarge k")
 
     if mode == "subexp":
         needed = [k, k - n_ctrl, k + n_ctrl, k - 2 * n_ctrl]
@@ -439,13 +436,9 @@ def window_pullback_residual(c: CoveringMap, lam: float, f: np.ndarray) -> Hulan
     For an exact finite covering the residual is therefore 0.  The reported
     ``folner_ratio`` is the fraction of non-interior vertices.
     """
-    f = _unit_target_vector(c, f)
-    fk = f[c._image]
-    norm_fk = float(np.linalg.norm(fk))
-    if norm_fk == 0:
-        raise ValueError("pullback vanishes: f is zero on every image of the window")
-    lifted = _neighbor_sum(c.source, fk) / c._image_degree
-    residual = float(np.linalg.norm(lifted - lam * fk)) / norm_fk
+    fk = _unit_target_vector(c, f)[c._image]
+    vanished = "pullback vanishes: f is zero on every image of the window"
+    residual = _pullback_residual(c, lam, fk, vanished)
     rim = c.source.n - int(np.count_nonzero(c._interior))
     return HulanickiRecord("window", c.source.n, residual, None, rim / c.source.n, {})
 

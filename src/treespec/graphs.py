@@ -153,9 +153,7 @@ class Multigraph:
         return len(self.vertices)
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return len(_bfs_distances(self, self.vertices[0])) == self.n
+        return not self.vertices or bool(np.isfinite(_bfs_distances(self, self.vertices[0])).all())
 
 
 def _from_ends(
@@ -183,8 +181,8 @@ def _require_vertex(g: Multigraph, v: VertexId) -> None:
         raise ValueError(f"start vertex {v!r} is not in the graph")
 
 
-def _bfs_distances(g: Multigraph, v: VertexId) -> dict:
-    """Edge distance from v to every vertex reachable from it."""
+def _bfs_distances(g: Multigraph, v: VertexId) -> np.ndarray:
+    """Edge distance from v by vertex position, like ``g.vertices``; inf where unreached."""
     _require_vertex(g, v)
     dist = {v: 0}
     queue = deque([v])
@@ -194,7 +192,7 @@ def _bfs_distances(g: Multigraph, v: VertexId) -> dict:
             if x not in dist:
                 dist[x] = dist[u] + 1
                 queue.append(x)
-    return dist
+    return np.fromiter(map(dist.get, g.vertices, repeat(np.inf)), float, g.n)
 
 
 def _stars(g: Multigraph) -> _Slots:

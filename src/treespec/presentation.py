@@ -8,6 +8,7 @@ the shifted sequence.
 
 from __future__ import annotations
 
+from .config import _require_int
 from .omega import AlmostConstantError, OmegaWord, classify_omega
 
 # symbol <-> letter identification: 0=d, 1=c, 2=b
@@ -62,6 +63,7 @@ def relators_U(w: OmegaWord, k: int) -> list[str]:
     Raises :class:`AlmostConstantError` for almost-constant sequences, where
     the scheme is undefined.
     """
+    _require_int("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:

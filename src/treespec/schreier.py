@@ -33,12 +33,14 @@ def _level_vertices(n: int) -> list[str]:
     return [format(i, spec) for i in range(1 << n)]
 
 
-def _check_level(n: int, config: RunConfig) -> None:
+def _check_level(n: int, config: RunConfig) -> int:
+    """2^n, the size of level n, checked on the cap's bit length so a refusal builds no 2^n."""
     _require_int("level", n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if 1 << n > config.max_vertices:
+    if n >= int(config.max_vertices).bit_length():
         raise ResourceLimitError(f"2^{n} vertices exceed cap {config.max_vertices}")
+    return 1 << n
 
 
 def _level_edges(w: OmegaWord, n: int) -> tuple[np.ndarray, ...]:

@@ -404,6 +404,7 @@ class MomentSequence:
 
 def spectral_moments(g: Multigraph, v, count: int) -> MomentSequence:
     """Return quantities (M^p delta_v, delta_v) for p = 0..count."""
+    _require_int("count", count)
     if count < 0:
         raise ValueError("count must be >= 0")
     _require_vertex(g, v)
@@ -424,6 +425,7 @@ def moments_via_eigendecomposition(g: Multigraph, v, count: int) -> MomentSequen
     The diagonal entries of M^p and of its symmetric form agree, so the
     weights w_i are read off the symmetric eigenvectors as they are.
     """
+    _require_int("count", count)
     if count < 0:
         raise ValueError("count must be >= 0")
     _require_vertex(g, v)

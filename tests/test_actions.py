@@ -207,6 +207,22 @@ class TestComposeInverse:
 
 
 class TestTreeAutomorphism:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda w: TreeAutomorphism(0, [0]), "depth must be >= 1"),
+            (lambda w: TreeAutomorphism.identity(3).level_perm(5), "level out of range"),
+            (lambda w: generator_action("a", w, 3).compose(generator_action("a", w, 2)),
+             "depth mismatch"),
+            (lambda w: generator_action("a", w, 0), "depth must be >= 1"),
+            (lambda w: generator_action("x", w, 3), "unknown generator 'x'"),
+        ],
+        ids=["depth", "level_perm", "compose", "generator_depth", "generator_letter"],
+    )
+    def test_bad_argument_named(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(OmegaWord.parse(":012"))
+
     def test_incoherent_permutation_rejected(self):
         # swapping leaves 0 and 2 does not come from a tree automorphism
         with pytest.raises(ValueError):

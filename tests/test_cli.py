@@ -275,6 +275,15 @@ class TestSubcommands:
         assert err == "error: n must be >= 1\n"
         assert "moments at" not in out
 
+    def test_hulanicki_level_checked_first(self, capsys):
+        # the window size shifted by the level: "negative shift count"
+        code, out, err = run(
+            capsys, "hulanicki", "--omega", ":012", "--target-level", "-1", "--radii", "4"
+        )
+        assert code == 1
+        assert err == "error: n must be >= 1\n"
+        assert "lambda" not in out
+
     def test_upsilon(self, capsys):
         code, out, _ = run(capsys, "upsilon", "--size", "3", "--dot")
         assert code == 0

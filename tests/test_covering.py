@@ -97,8 +97,8 @@ def dense_residual(c, lam, f, radius=None):
     f = f / np.linalg.norm(f)
     dist = _bfs_distances(c.source, c.source.vertices[0])
     fk = np.array([
-        f[c.target.index(c.phi(v))] if radius is None or dist[v] <= radius else 0.0
-        for v in c.source.vertices
+        f[c.target.index(c.phi(v))] if radius is None or dist[x] <= radius else 0.0
+        for x, v in enumerate(c.source.vertices)
     ])
     return float(np.linalg.norm(h @ fk - lam * fk)) / float(np.linalg.norm(fk))
 
@@ -551,6 +551,10 @@ class TestFolner:
         with pytest.raises(ValueError, match="not in the graph"):
             folner_balls(identity_covering(schreier_graph(W, 4)), "nope", 6)
 
+    def test_k_max_below_one_refused(self):
+        with pytest.raises(ValueError, match="k_max must be >= 1"):
+            folner_balls(ray_window(13), 0, 0)
+
     def test_sizes_linear_on_ray(self):
         rep = folner_balls(ray_window(9), 0, 8)
         assert rep.sizes == tuple(k + 1 for k in range(9))
@@ -648,12 +652,25 @@ class TestResiduals:
         cov = level_projection_covering(W, 4, 2)
         base = cov.phi(cov.source.vertices[0])
         dist = _bfs_distances(cov.target, base)
-        far = max(dist, key=dist.get)
+        far = int(dist.argmax())
         assert dist[far] == 2
         f = np.zeros(4)
-        f[[cov.target.index(base), cov.target.index(far)]] = 1.0
+        f[[cov.target.index(base), far]] = 1.0
         with pytest.raises(ValueError, match=re.escape("alpha_(k-N) = 0 at k=1, N=2; enlarge k")):
             hulanicki_residual(cov, 1.0, f, "subexp", 1)
+
+    @pytest.mark.parametrize(
+        "f, mode, message",
+        [
+            (np.zeros(4), "subexp", "f must be a nonzero vector on the target vertices"),
+            (np.ones(4), "x", "unknown mode 'x'"),
+        ],
+        ids=["zero_f", "mode"],
+    )
+    def test_bad_argument_named(self, f, mode, message):
+        cov = level_projection_covering(W, 4, 2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hulanicki_residual(cov, 1.0, f, mode, 3)
 
     def test_non_eigenpair_rejected(self):
         cov = level_projection_covering(W, 4, 2)

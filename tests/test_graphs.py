@@ -163,6 +163,7 @@ class TestMultigraph:
     def test_connectivity(self):
         assert Multigraph([0, 1], [(0, 1)]).is_connected()
         assert not Multigraph([0, 1, 2], [(0, 1)]).is_connected()
+        assert Multigraph([], []).is_connected() is True
 
     @given(g=GRAPHS.map(with_isolated))
     def test_adjacency_matches_edge_scan(self, g):
@@ -201,7 +202,8 @@ class TestMultigraph:
         # an extra isolated vertex keeps the search honest about reachability
         h = Multigraph(g.vertices + ["isolated"], g.edges)
         for v in h.vertices:
-            assert _bfs_distances(h, v) == scan_distances(h, v)
+            dist = scan_distances(h, v)
+            assert _bfs_distances(h, v).tolist() == [dist.get(u, math.inf) for u in h.vertices]
 
 
 FIELDS = st.tuples(

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,6 +34,19 @@ class TestParse:
     def test_empty_period(self):
         with pytest.raises(ValueError):
             OmegaWord.parse("0:")
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: OmegaWord((), ()), "period must be nonempty"),
+            (lambda: OmegaWord((3,), (0,)), "symbol 3 not in {0,1,2}"),
+            (lambda: OmegaWord.parse(":012").symbol(0), "positions are 1-based"),
+        ],
+        ids=["empty_period", "symbol", "position"],
+    )
+    def test_bad_word_or_position_named(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
     def test_roundtrip_str(self):
         assert str(OmegaWord.parse("20:01")) == "20:01"

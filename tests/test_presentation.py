@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +29,12 @@ NORMAL_FORM_OMEGAS = st.builds(
 
 
 class TestRelatorFamilies:
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+    def test_k_not_an_int_named(self, k):
+        # 2.5 recursed to 0.5 and was then refused as "k must be >= 1"
+        with pytest.raises(ValueError, match=re.escape(f"k {k!r} is not an int")):
+            relators_U(OmegaWord.parse(":012"), k)
+
     @pytest.mark.parametrize("omega", [":012", ":01", ":0012", ":0102", "2:01", ":021"])
     def test_u1_relators_act_trivially(self, omega):
         w = OmegaWord.parse(omega)

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treespec import (
+    DEFAULT_CONFIG,
     Edge,
     LevelCertificate,
     Multigraph,
@@ -37,7 +39,7 @@ from treespec import (
 )
 from treespec import schreier
 from treespec.actions import _generator_table
-from treespec.schreier import _certify_table, _level_edges
+from treespec.schreier import _certify_table, _check_level, _level_edges
 
 from test_growth import reference_enumeration
 
@@ -114,6 +116,47 @@ class TestLevelArgument:
     def test_level_not_an_int_named(self, call, level):
         with pytest.raises(ValueError, match=re.escape(f"level {level!r} is not an int")):
             call(self.W, level)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 7, 8, 9, 4095, 4096, 4097, np.int64(64)])
+    def test_level_size_and_cap(self, cap):
+        # the cap is read by its bit length: the same levels as 2^n > cap
+        config = RunConfig(max_vertices=cap)
+        for n in range(1, 15):
+            if 1 << n > cap:
+                with pytest.raises(ResourceLimitError, match=rf"2\^{n} vertices exceed cap {cap}"):
+                    _check_level(n, config)
+            else:
+                assert _check_level(n, config) == 1 << n
+
+    def test_refused_level_builds_no_power(self):
+        # 2^(10^8) alone takes 12.5 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                _check_level(10**8, DEFAULT_CONFIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("cap", [float("nan"), 2.5, 4096.0, "4096", None])
+    def test_cap_not_an_int_named(self, cap):
+        # every comparison with a NaN cap is false, so a NaN cap held no level
+        with pytest.raises(ValueError, match=re.escape(f"max_vertices {cap!r} is not an int")):
+            RunConfig(max_vertices=cap)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda w: UpsilonSpec("cycle", 3), "unknown kind 'cycle'"),
+            (lambda w: UpsilonSpec("ray", 0), "size must be >= 1"),
+            (lambda w: cayley_ball(w, 0, 2), "radius and level must be >= 1"),
+        ],
+        ids=["upsilon_kind", "upsilon_size", "cayley_radius"],
+    )
+    def test_bad_argument_named(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(self.W)
 
     @pytest.mark.parametrize("level", [np.int64(3), np.int32(3), np.uint8(3)])
     def test_numpy_levels_accepted(self, level):

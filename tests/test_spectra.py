@@ -220,6 +220,10 @@ class TestIntervalUnion:
         with pytest.raises(ValueError):
             IntervalUnion(((0.0, 2.0), (1.0, 3.0)))
 
+    def test_rejects_empty_union(self):
+        with pytest.raises(ValueError, match="interval union must be nonempty"):
+            IntervalUnion(())
+
     @pytest.mark.parametrize("text", ["[-inf,0]", "[-inf,-1]u[0,1]"])
     def test_accepts_minus_inf_start(self, text):
         u = IntervalUnion.parse(text)
@@ -863,6 +867,15 @@ class TestMoments:
         with pytest.raises(ValueError, match="count must be >= 0"):
             route(g, g.vertices[0], -1)
         assert len(route(g, g.vertices[0], 0).moments) == 1
+
+    @pytest.mark.parametrize("route", [spectral_moments, moments_via_eigendecomposition])
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3", None])
+    def test_count_not_an_int_named(self, route, count):
+        # a bare TypeError from range()
+        g = schreier_graph(W, 2)
+        with pytest.raises(ValueError, match=re.escape(f"count {count!r} is not an int")):
+            route(g, g.vertices[0], count)
+        assert route(g, g.vertices[0], np.int64(3)) == route(g, g.vertices[0], 3)
 
     def test_moment_normalization(self):
         g = schreier_graph(W, 3)
