@@ -31,9 +31,10 @@ def _require_int_radii(radii: Sequence) -> None:
         _require_int("radius", k)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Caps shared across runs; echoed into artifacts."""
+    """Caps shared across runs; echoed into artifacts.  Frozen, so a cap is
+    checked once, when the config is built."""
 
     max_vertices: int = 1 << 12
     # distance within which an eigenvalue counts as inside a target set

@@ -1,17 +1,25 @@
 """Ball enumeration in the four-generator tree groups.
 
-Group elements are compared through their action on a finite tree level.
-The level is a comparison depth proven by the section-length bound of the
-wreath recursion (:func:`comparison_depth`), so every census is exact.
+A ball of G_w is built by the wreath recursion from the ball of G_(shift w)
+at about half its radius.  Writing g(iv) = (i xor s) g_i(v), an element is
+held as its root swap bit s and the ids of its two sections g_0, g_1 in the
+smaller ball.  The group acts faithfully on the tree, so this triple is the
+element: a generator product is a gather on the smaller ball's neighbour
+table, and duplicates are found on one int64 key per candidate, exactly and
+with no comparison depth.  The new ids of a shell are handed out in
+first-occurrence order over (element, generator), as in a plain BFS.
 
-A ball grows one shell at a time in numpy.  The frontier is held as the
-inverse leaf permutations of its elements, on which a generator (a product
-of branch swaps) acts by swapping column blocks.  Each candidate is looked
-up once in a dict keyed on the exact bytes of its even-leaf columns, which
-holds only the last three shells: a generator moves an element by at most
-one shell.  A ball keeps only its neighbour table and its census; leaf
-images (the leaf permutations, a Cayley ball's level images) are derived
-from the BFS parents that the neighbour table records.
+The recursion ends at a small radius, where elements are compared through
+their action on a finite tree level.  The level is a comparison depth proven
+by the section-length bound of the wreath recursion (:func:`comparison_depth`).
+That ball grows one shell at a time in numpy: the frontier is held as the
+inverse leaf permutations of its elements, on which a generator (a product of
+branch swaps) acts by swapping column blocks, and each candidate is looked up
+once in a dict keyed on the exact bytes of its even-leaf columns.
+
+A ball keeps only its neighbour table and its census; leaf images (the leaf
+permutations, a Cayley ball's level images) are derived from the BFS parents
+that the neighbour table records, at the comparison depth of the ball.
 """
 
 from __future__ import annotations
@@ -28,11 +36,14 @@ from .omega import ACTIVE, OmegaWord
 
 # the most elements one ball enumeration may hold
 MAX_BALL_ELEMENTS = 200_000
+# the wreath recursion ends at this radius: ceil((R + 1) / 2) barely shrinks
+# a smaller one, and the depth route enumerates a ball this small at once
+_BASE_RADIUS = 4
 
 
 @dataclass
 class BallEnumeration:
-    """BFS ball of the group at a fixed comparison depth.
+    """BFS ball of the group.
 
     Elements are numbered in BFS order (index 0 = identity; each shell in
     the order its elements are first reached from the one before, element by
@@ -44,8 +55,11 @@ class BallEnumeration:
     - ``sizes``: list of ints, ``sizes[r]`` the census of the radius-r ball,
       so element i has word length r where ``sizes[r - 1] <= i < sizes[r]``.
 
-    ``stable`` is always True: distinct elements of the ball and its outer
-    shell act differently at ``depth``, so the census is proven.
+    ``stable`` is always True: elements are told apart exactly, by the
+    faithful wreath embedding g -> (s; g_0, g_1) down to a base ball
+    enumerated at its comparison depth, so the census is proven.  ``depth``
+    is the comparison depth of the ball and its outer shell, at which their
+    distinct elements act differently; ``perms`` are read there.
     """
 
     omega: OmegaWord
@@ -179,16 +193,97 @@ def _enumerate_at_depth(w: OmegaWord, radius: int, depth: int) -> BallEnumeratio
     return BallEnumeration(w, depth, np.concatenate(neighbor_rows), sizes)
 
 
-def enumerate_ball(w: OmegaWord, radius: int) -> BallEnumeration:
-    """Enumerate the radius ball once, at the proven comparison depth.
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True, return_inverse=True)`` by an
+    unstable argsort, several times faster: the first position of a key is
+    the least position in its run of the sorted order."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    head = np.empty(len(keys), dtype=bool)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(head) - 1
+    starts = np.flatnonzero(head)
+    return ordered[starts], np.minimum.reduceat(order, starts), inverse
 
-    Two elements of the ball differ by a word of length at most 2 * radius;
-    the neighbour rows of the outer shell compare words one letter longer.
+
+def _wreath_ball(w: OmegaWord, radius: int) -> BallEnumeration:
+    """The radius ball of G_w built from the ball of G_(shift w) at radius
+    ceil((radius + 1) / 2), each element held as (s; i0, i1): its root swap
+    bit and the ids of its two sections in that smaller ball.
+
+    With g(iv) = (i xor s) g_i(v), a flips s, and x in {b, c, d} maps
+    (s; g0, g1) to (s; x_s g0, x_(1 xor s) g1), where x_0 is a if x is active
+    at w_1 and e otherwise, and x_1 is x over shift w.  A product of word
+    length at most radius + 1 has sections at most ceil((radius + 1) / 2)
+    long, so every section it reaches lies in the smaller ball.  The tree
+    action is faithful, so the triple is injective and equal keys are equal
+    elements, exact by induction down to the base case.
+    """
+    depth = comparison_depth(w, 2 * radius + 1)
+    if radius <= _BASE_RADIUS:
+        return _enumerate_at_depth(w, radius, depth)
+    small = _wreath_ball(w.shift(), (radius + 2) // 2)
+    n = small.sizes[-1]
+    # the smaller ball's products by a, b, c, d, then by e in column e
+    e = len(GENERATORS)
+    table = np.column_stack([small.neighbors, np.arange(n, dtype=np.int32)]).ravel()
+    # per generator: whether it flips s, and the columns of x_0 and x_1
+    flip = np.array([g == "a" for g in GENERATORS], dtype=np.int64)
+    x0 = np.array([0 if w.symbol(1) in ACTIVE.get(g, ()) else e for g in GENERATORS])
+    x1 = np.array([j if g in ACTIVE else e for j, g in enumerate(GENERATORS)])
+    # the current shell as (s, i0, i1); the sorted keys and ids of this shell
+    # and the one before: a generator moves an element by at most one shell
+    s, i0, i1 = (np.zeros(1, np.int64) for _ in range(3))
+    before = (np.empty(0, np.int64), np.empty(0, np.int64))
+    current = (np.zeros(1, np.int64), np.zeros(1, np.int64))
+    sizes = [1]
+    neighbor_rows = []
+    for shell in range(radius + 1):
+        odd = s[:, None] == 1
+        j0 = table[i0[:, None] * (e + 1) + np.where(odd, x1, x0)]
+        j1 = table[i1[:, None] * (e + 1) + np.where(odd, x0, x1)]
+        if (j0 < 0).any() or (j1 < 0).any():
+            raise RuntimeError(
+                f"a section of the radius-{radius} ball of {w} is not in its smaller ball"
+            )
+        t = s[:, None] ^ flip
+        keys, first, inverse = _distinct(((t * n + j0) * n + j1).ravel())
+        known = np.concatenate([before[0], current[0]])
+        order = np.argsort(known, kind="stable")  # two sorted runs: a merge
+        known, known_ids = known[order], np.concatenate([before[1], current[1]])[order]
+        at = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+        hit = known[at] == keys
+        ids = np.where(hit, known_ids[at], -1)
+        if shell < radius:
+            # new ids in first-occurrence order over (element, generator)
+            miss = np.flatnonzero(~hit)
+            miss = miss[np.argsort(first[miss])]
+            ids[miss] = np.arange(sizes[-1], sizes[-1] + len(miss))
+            sizes.append(sizes[-1] + len(miss))
+            if sizes[-1] > MAX_BALL_ELEMENTS:
+                raise ResourceLimitError(f"ball exceeds {MAX_BALL_ELEMENTS} elements")
+            born = first[miss]  # the new elements, in id order
+            s, i0, i1 = t.ravel()[born], j0.ravel()[born], j1.ravel()[born]
+            fresh = np.sort(miss)
+            before, current = current, (keys[fresh], ids[fresh])
+        ids = ids[inverse]
+        neighbor_rows.append(ids.astype(np.int32).reshape(-1, len(GENERATORS)))
+    return BallEnumeration(w, depth, np.concatenate(neighbor_rows), sizes)
+
+
+def enumerate_ball(w: OmegaWord, radius: int) -> BallEnumeration:
+    """Enumerate the radius ball once, by the wreath recursion.
+
+    Its ``depth`` is the comparison depth of two elements of the ball, which
+    differ by a word of length at most 2 * radius, or of an element of the
+    ball and a product one letter outside it: ``perms`` are read there.
     """
     _require_int_radii([radius])
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    return _enumerate_at_depth(w, radius, comparison_depth(w, 2 * radius + 1))
+    return _wreath_ball(w, radius)
 
 
 @dataclass(frozen=True)
@@ -201,8 +296,8 @@ class GrowthReport:
 def ball_sizes(w: OmegaWord, radius: int) -> GrowthReport:
     """Growth values |B_0|, ..., |B_radius|, with the comparison depth.
 
-    Values are exact: the depth is the one :func:`comparison_depth` proves
-    from the section-length bound of the wreath recursion.
+    Values are exact: the ball is enumerated by the faithful wreath
+    recursion, and ``depth`` is the one :func:`comparison_depth` proves for it.
     """
     enum = enumerate_ball(w, radius)
     return GrowthReport(str(w), tuple(enum.sizes), enum.depth)

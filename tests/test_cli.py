@@ -4,7 +4,7 @@ import re
 import pytest
 
 from treespec import OmegaWord, UpsilonSpec, cli, parse_graph, upsilon_graph
-from treespec import level_path_form, markov_eigenvalues_banded, schreier, spectra
+from treespec import growth, level_path_form, markov_eigenvalues_banded, schreier, spectra
 from treespec.actions import _generator_table
 from treespec.cli import main
 
@@ -58,6 +58,13 @@ class TestExitCodes:
         code, out, _ = run(capsys, "growth", "--omega", ":012", "--radius", "4")
         assert code == 0
         assert "[1, 5, 11, 23, 40]" in out
+
+    def test_huge_radius_refused(self, capsys, monkeypatch):
+        # radius 2^40 ended in a MemoryError traceback before the ball cap
+        monkeypatch.setattr(growth, "MAX_BALL_ELEMENTS", 1000)
+        code, _, err = run(capsys, "growth", "--omega", ":012", "--radius", str(2**40))
+        assert code == 1
+        assert err == "error: ball exceeds 1000 elements\n"
 
 
 class TestConfigEcho:

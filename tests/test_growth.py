@@ -83,6 +83,13 @@ def word_lengths(sizes):
     return np.repeat(np.arange(len(sizes)), np.diff(sizes, prepend=0)).tolist()
 
 
+def assert_same_ball(got, want):
+    """Bit for bit: the neighbour table, the census and the depth."""
+    assert got.neighbors.dtype == want.neighbors.dtype == np.int32
+    assert np.array_equal(got.neighbors, want.neighbors)
+    assert got.sizes == want.sizes and got.depth == want.depth
+
+
 def assert_matches_reference(enum, w, radius, depth):
     perms, radius_of, neighbors, sizes = reference_enumeration(w, radius, depth)
     assert len(enum.perms) == len(perms)
@@ -129,17 +136,13 @@ class TestComparisonDepth:
     @pytest.mark.parametrize(
         "omega, size", [(":012", 15303), (":01", 15478), ("0:01", 13063)]
     )
-    def test_radius_18_census(self, omega, size, monkeypatch):
-        depths = []
-
-        def recording(w, radius, depth):
-            depths.append(depth)
-            return _enumerate_at_depth(w, radius, depth)
-
-        monkeypatch.setattr(growth, "_enumerate_at_depth", recording)
-        enum = enumerate_ball(OmegaWord.parse(omega), 18)
+    def test_radius_18_census(self, omega, size):
+        w = OmegaWord.parse(omega)
+        enum = enumerate_ball(w, 18)
         assert enum.sizes[-1] == size and enum.stable
-        assert depths == [8]  # one enumeration, at the proven depth
+        # the same table as one enumeration at the proven depth
+        assert enum.depth == 8
+        assert_same_ball(enum, _enumerate_at_depth(w, 18, 8))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -213,6 +216,15 @@ class TestEnumeration:
         assert ball_sizes(w, np.int32(3)).sizes == (1, 5, 11, 23)
         assert cayley_ball(w, np.int64(3), 2).graph.n == 23
 
+    @pytest.mark.parametrize("radius", [2**40, 10**30])
+    def test_huge_radius_refused_per_shell(self, radius, monkeypatch):
+        # 2^40 raised MemoryError ("Unable to allocate 128. TiB") while the
+        # generator table was built at depth 44, before the cap was reached
+        monkeypatch.setattr(growth, "MAX_BALL_ELEMENTS", 1000)
+        w = OmegaWord.parse(":012")
+        with pytest.raises(ResourceLimitError, match="ball exceeds 1000 elements"):
+            ball_sizes(w, radius)
+
     @pytest.mark.parametrize("radius, raises", [(5, False), (6, True)])
     def test_element_cap(self, radius, raises, monkeypatch):
         # the radius-5 ball of :012 has 68 elements and the radius-6 ball 108
@@ -260,3 +272,57 @@ class TestShellEnumeration:
         enum = _enumerate_at_depth(w, radius, depth)
         assert max(b - a for a, b in zip(enum.sizes, enum.sizes[1:])) > step
         assert_matches_reference(enum, w, radius, depth)
+
+
+WREATH_OMEGAS = st.builds(
+    OmegaWord,
+    st.lists(st.integers(0, 2), max_size=3).map(tuple),
+    st.lists(st.integers(0, 2), min_size=1, max_size=4).map(tuple),
+)
+
+
+class TestWreathRecursion:
+    """``enumerate_ball`` builds a ball from the ball of the shifted word at
+    about half the radius; ``_enumerate_at_depth`` at the comparison depth is
+    the second route to the same ball."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=WREATH_OMEGAS, radius=st.integers(0, 12))
+    @example(w=OmegaWord.parse(":0"), radius=12)
+    @example(w=OmegaWord.parse("1:2"), radius=12)
+    @example(w=OmegaWord.parse(":012"), radius=0)
+    @example(w=OmegaWord.parse(":012"), radius=1)
+    def test_matches_depth_route(self, w, radius):
+        enum = enumerate_ball(w, radius)
+        depth = comparison_depth(w, 2 * radius + 1)
+        want = _enumerate_at_depth(w, radius, depth)
+        assert_same_ball(enum, want)
+        assert enum.perms.dtype == want.perms.dtype
+        assert np.array_equal(enum.perms, want.perms)
+
+    @pytest.mark.parametrize("omega", [":012", ":01", "0:01"])
+    @pytest.mark.parametrize("radius", [18, 22])
+    def test_matches_depth_route_at_large_radii(self, omega, radius):
+        w = OmegaWord.parse(omega)
+        want = _enumerate_at_depth(w, radius, comparison_depth(w, 2 * radius + 1))
+        assert_same_ball(enumerate_ball(w, radius), want)
+
+    def test_base_case_is_the_depth_route(self, monkeypatch):
+        calls = []
+
+        def recording(w, radius, depth):
+            calls.append((str(w), radius, depth))
+            return _enumerate_at_depth(w, radius, depth)
+
+        monkeypatch.setattr(growth, "_enumerate_at_depth", recording)
+        enumerate_ball(OmegaWord.parse(":012"), 18)
+        # radius 18 over :012 reads radius 10 over :120, 6 over :201, 4 over :012
+        assert calls == [(":012", 4, comparison_depth(OmegaWord.parse(":012"), 9))]
+
+    def test_section_outside_smaller_ball_raises(self, monkeypatch):
+        # hand the recursion smaller balls one radius short: some product of
+        # the outer shell then has a section that its smaller ball lacks
+        wreath = growth._wreath_ball
+        monkeypatch.setattr(growth, "_wreath_ball", lambda w, radius: wreath(w, radius - 1))
+        with pytest.raises(RuntimeError, match="is not in its smaller ball"):
+            wreath(OmegaWord.parse(":012"), 12)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import os
 import random
@@ -144,6 +145,15 @@ class TestLevelArgument:
         # every comparison with a NaN cap is false, so a NaN cap held no level
         with pytest.raises(ValueError, match=re.escape(f"max_vertices {cap!r} is not an int")):
             RunConfig(max_vertices=cap)
+
+    @pytest.mark.parametrize("cap", [float("nan"), 2.5, 1 << 14])
+    def test_cap_cannot_be_reassigned(self, cap):
+        # a NaN cap assigned after the check raised "cannot convert float NaN
+        # to integer" from schreier_graph, and 2.5 passed as 2
+        config = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.max_vertices = cap
+        assert config.max_vertices == DEFAULT_CONFIG.max_vertices
 
     @pytest.mark.parametrize(
         "call, message",
