@@ -2,6 +2,15 @@
 
 Loops count once toward the degree throughout; the convention is recorded in
 :data:`treespec.serialize.CONVENTIONS` and embedded in serialized artifacts.
+
+A graph comes in one of two kinds.  A *row graph* is made by the
+``Multigraph`` or ``WeightedGraph`` constructor and keeps the caller's edges,
+whose ends may print unlike their vertex (``True`` at vertex ``1``).  A
+*column graph* is made by :func:`_from_ends`, from the columns its builder
+holds (the level and model graphs, Cayley balls, weighted copies and the
+parser's column route): each end is its own vertex, and the graph keeps its
+labels column, so its ``Edge`` rows are made only if a caller reads
+``edges``.  :func:`_rows` tells the two apart.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import repeat
 from operator import itemgetter
-from typing import Hashable, NamedTuple, Optional, Sequence
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -77,42 +86,55 @@ def _slot_index(ends: np.ndarray, n: int) -> _Slots:
     return _Slots(ptr, vertex, end >> 1, flat[end ^ 1])
 
 
+def _vertex_index(vertices: list) -> dict:
+    """Each vertex's position; ValueError on a repeated id."""
+    index = {v: i for i, v in enumerate(vertices)}
+    if len(index) != len(vertices):
+        raise ValueError("duplicate vertex ids")
+    return index
+
+
+def _end_table(index: dict, u: Iterable, v: Iterable, count: int) -> np.ndarray:
+    """The (E, 2) ``intp`` table of the positions of the ``count`` ends u[i]
+    and v[i], resolved column by column; KeyError on an end not in ``index``."""
+    ends = np.empty((count, 2), dtype=np.intp)
+    for k, column in enumerate((u, v)):
+        ends[:, k] = np.fromiter(map(index.__getitem__, column), np.intp, count)
+    return ends
+
+
 class Multigraph:
     """Unweighted multigraph with loops; edges may carry labels.  A graph is its
     columns: ``vertices``, ``labels`` and ``ends``, the read-only (E, 2) table of
-    endpoint positions, which all adjacency reads.  ``edges`` is their ``Edge``
-    view, built on first read, or the caller's edges, kept by the constructor."""
+    endpoint positions, which all adjacency reads.  ``edges`` is the caller's
+    edges on a row graph, kept by this constructor, and on a column graph the
+    ``Edge`` view of its columns, built on first read and kept."""
 
     def __init__(self, vertices: Sequence[VertexId], edges: Sequence[tuple]):
         vertices = list(vertices)
-        index = {v: i for i, v in enumerate(vertices)}
-        if len(index) != len(vertices):
-            raise ValueError("duplicate vertex ids")
+        index = _vertex_index(vertices)
         edges = [e if isinstance(e, Edge) else _as_edge(e) for e in edges]
-        # resolving the ends, column by column, checks them; the scan names the first bad edge
-        ends = np.empty((len(edges), 2), dtype=np.intp)
+        u, v = (map(itemgetter(k), edges) for k in (0, 1))
         try:
-            for k in (0, 1):
-                ends[:, k] = np.fromiter(
-                    map(index.__getitem__, map(itemgetter(k), edges)), np.intp, len(edges)
-                )
-        except KeyError:
+            ends = _end_table(index, u, v, len(edges))
+        except KeyError:  # the scan names the first bad edge
             for i, e in enumerate(edges):
                 if e.u not in index or e.v not in index:
                     raise ValueError(f"edge {i}: {e} references unknown vertex") from None
+            raise
         ends.flags.writeable = False
         self.vertices, self.ends, self.edges, self._index = vertices, ends, edges, index
 
     @cached_property
     def edges(self) -> list[Edge]:
-        """The columns as ``Edge`` tuples, which take the label list over."""
+        """The columns as ``Edge`` tuples."""
         u, v = (map(self.vertices.__getitem__, c.tolist()) for c in self.ends.T)
         wu, wv = self.weights.T.tolist() if isinstance(self, WeightedGraph) else [repeat(1.0)] * 2
-        return list(map(_new_edge, zip(u, v, wu, wv, vars(self).pop("_labels"))))
+        return list(map(_new_edge, zip(u, v, wu, wv, self._labels)))
 
     @property
     def labels(self) -> list:
-        """Each edge's label, None where it has none."""
+        """Each edge's label, None where it has none; a column graph's held list."""
         held = vars(self).get("_labels")
         return list(map(itemgetter(4), self.edges)) if held is None else held
 
@@ -172,6 +194,20 @@ def _from_ends(
         weights.flags.writeable = False
         g.weights = weights
     return g
+
+
+def _from_ids(vertices: list, u: list, v: list, labels: list) -> Multigraph:
+    """The column graph on ``vertices`` whose edge i joins the ids u[i] and
+    v[i] and carries ``labels[i]``; ValueError on a repeated vertex id and
+    KeyError on an end that is none of them."""
+    ends = _end_table(_vertex_index(vertices), u, v, len(u))
+    return _from_ends(Multigraph, vertices, ends, labels)
+
+
+def _rows(g: Multigraph) -> Optional[list[Edge]]:
+    """The caller's edges of a row graph, or None for a column graph, whose
+    records readers take from its columns."""
+    return None if "_labels" in vars(g) else g.edges
 
 
 def _require_vertex(g: Multigraph, v: VertexId) -> None:

@@ -2,6 +2,14 @@
 
 Weights travel as decimal strings produced by Python's shortest round-trip
 float repr, so parse(serialize(g)) reproduces every IEEE double bit-exactly.
+
+Documents and DOT text are written by column.  A column graph (see
+:mod:`treespec.graphs`) is written from its columns, each end taking its
+vertex's text, and gets no ``Edge`` rows; a row graph is written from the
+caller's rows, whose ends keep their own text.  An unweighted document whose
+ids all decode to ``str``, or all to ``int``, is read back as a column graph;
+any other document, and one that the column route cannot resolve, is read
+by rows, which name the first bad record.
 """
 
 from __future__ import annotations
@@ -12,8 +20,10 @@ from itertools import chain, count, repeat
 from operator import eq, itemgetter
 from typing import Optional
 
+import numpy as np
+
 from .config import FormatError
-from .graphs import Edge, Multigraph, WeightedGraph, _new_edge
+from .graphs import Multigraph, WeightedGraph, _from_ids, _new_edge, _rows
 
 FORMAT_VERSION = 1
 
@@ -50,25 +60,44 @@ _ID_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__}
 _LABEL_TYPES = {str, type(None)}
 
 
-def _id_texts(g: Multigraph, u: list, v: list) -> tuple[str, list, list]:
-    """The vertex array's text and each edge's u and v texts.  When every id
-    and end is of one type of ``_ID_TEXT``, each vertex is encoded once and
-    an end takes its vertex's text; otherwise each end is encoded itself."""
-    kinds = set(map(type, chain(g.vertices, u, v)))
-    text = _ID_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-    if text is None:
-        try:
-            return _encode(g.vertices), list(map(_encode, u)), list(map(_encode, v))
-        except (TypeError, ValueError):  # json's bare error; name the first id it cannot write
-            for x in chain(g.vertices, u, v):
-                try:
-                    _encode(x)
-                except (TypeError, ValueError):
-                    raise FormatError(f"vertex id {x!r} has no JSON form") from None
-            raise
-    texts = list(map(text, g.vertices))
-    u, v = (list(map(texts.__getitem__, c.tolist())) for c in g.ends.T)
-    return "[" + ",".join(texts) + "]", u, v
+def _one_id_kind(*columns: list) -> bool:
+    """Whether every id in the columns is of one type of ``_ID_TEXT``."""
+    kinds = set(map(type, chain(*columns)))
+    return len(kinds) == 1 and kinds <= _ID_TEXT.keys()
+
+
+def _texts(ids: list) -> list[str]:
+    """Each id's JSON text; FormatError names the first id with no JSON form."""
+    text = _ID_TEXT[type(ids[0])] if _one_id_kind(ids) else _encode
+    try:
+        return list(map(text, ids))
+    except (TypeError, ValueError):  # json's bare error; name the first id it cannot write
+        for x in ids:
+            try:
+                _encode(x)
+            except (TypeError, ValueError):
+                raise FormatError(f"vertex id {x!r} has no JSON form") from None
+        raise
+
+
+def _gather(texts: list[str], g: Multigraph) -> list[list[str]]:
+    """Each edge's u and v texts, those of its ends' vertices; an object array
+    gathers them with no Python step per end."""
+    return np.array(texts, dtype=object)[g.ends.T].tolist()
+
+
+def _id_texts(g: Multigraph, rows: Optional[list]) -> tuple[str, list, list]:
+    """The vertex array's text and each edge's u and v texts.  Each vertex is
+    encoded once, and an end takes its vertex's text, on a column graph and
+    when every id and end of the rows is of one type of ``_ID_TEXT``;
+    otherwise each end of the rows is encoded itself."""
+    texts = _texts(g.vertices)
+    vertices = "[" + ",".join(texts) + "]"
+    if rows is not None:
+        u, v = (list(map(itemgetter(k), rows)) for k in (0, 1))
+        if not _one_id_kind(g.vertices, u, v):
+            return vertices, _texts(u), _texts(v)
+    return vertices, *_gather(texts, g)
 
 
 def _heads(label: list) -> list[str]:
@@ -96,12 +125,21 @@ def _metadata_text(metadata: dict) -> str:
         raise FormatError(f"metadata has no JSON form: {exc}") from exc
 
 
-def _weight_tail(e: Edge) -> str:
+def _weight_columns(g: WeightedGraph, rows: Optional[list]) -> tuple[list, list, list]:
+    """Each edge's wu, wv and whether it is a loop: from the weights table and
+    ends of a column graph, the same values as its ``Edge`` view, or from the rows."""
+    if rows is None:
+        wu, wv = g.weights.T.tolist()
+        return wu, wv, (g.ends[:, 0] == g.ends[:, 1]).tolist()
+    return [e.wu for e in rows], [e.wv for e in rows], [e.is_loop for e in rows]
+
+
+def _weight_tail(wu, wv, loop: bool) -> str:
     """An edge record's weights, its closing brace and the comma after it; a
     weight string is a float or complex repr, which needs no JSON escape."""
-    if e.is_loop:
-        return f',"w":"{_weight_to_str(e.wu)}"}},'
-    return f',"wu":"{_weight_to_str(e.wu)}","wv":"{_weight_to_str(e.wv)}"}},'
+    if loop:
+        return f',"w":"{_weight_to_str(wu)}"}},'
+    return f',"wu":"{_weight_to_str(wu)}","wv":"{_weight_to_str(wv)}"}},'
 
 
 def serialize_graph(g: Multigraph, metadata: Optional[dict] = None) -> bytes:
@@ -111,17 +149,21 @@ def serialize_graph(g: Multigraph, metadata: Optional[dict] = None) -> bytes:
     separators=(",", ":"))`` on the document with one dict per edge, written
     by column: record i is its label's header, the texts of u[i] and v[i]
     and, on a weighted graph, a weight tail; the document is joined once.
+    A column graph's records come from its columns, with no ``Edge`` rows.
     """
     weighted = isinstance(g, WeightedGraph)
-    u, v, label = (list(map(itemgetter(k), g.edges)) for k in (0, 1, 4))
-    vertices, u_text, v_text = _id_texts(g, u, v)
+    rows = _rows(g)
+    vertices, u_text, v_text = _id_texts(g, rows)
     # five pieces per record, the comma after it in its tail; a prefix and a suffix
-    pieces = [',"v":'] * (5 * len(u) + 2)
-    pieces[1:-1:5] = _heads(label)
+    pieces = [',"v":'] * (5 * len(u_text) + 2)
+    pieces[1:-1:5] = _heads(g.labels)
     pieces[2:-1:5] = u_text
     pieces[4:-1:5] = v_text
-    pieces[5:-1:5] = list(map(_weight_tail, g.edges)) if weighted else ["},"] * len(u)
-    if u:
+    if weighted:
+        pieces[5:-1:5] = list(map(_weight_tail, *_weight_columns(g, rows)))
+    else:
+        pieces[5:-1:5] = ["},"] * len(u_text)
+    if u_text:
         pieces[-2] = pieces[-2][:-1]  # no comma after the last record
     pieces[0] = '{"conventions":' + _encode(CONVENTIONS) + ',"edges":['
     pieces[-1] = (
@@ -165,11 +207,11 @@ def _edge_columns(records: list, weighted: bool) -> tuple:
     return u, v, wu, wv, label
 
 
-def _edges(records: list, weighted: bool) -> list[Edge]:
-    """The edges of the records, read by column; on a failure a scan names
-    the first bad record, each of which the columns read alone."""
+def _columns(records: list, weighted: bool) -> tuple:
+    """The columns of the records; on a failure a scan names the first bad
+    record, each of which the columns read alone."""
     try:
-        return list(map(_new_edge, zip(*_edge_columns(records, weighted))))
+        return _edge_columns(records, weighted)
     except (TypeError, KeyError, FormatError):
         for i, rec in enumerate(records):
             try:
@@ -186,6 +228,21 @@ def _refuse_constant(token: str):
     raise FormatError(f"not valid JSON: {token} is not a JSON value")
 
 
+def _check_header(doc: dict) -> None:
+    """Refuse a format_version other than the int 1 and conventions other than
+    the two JSON bools, naming the field: 1.0, true and 0 compare equal to them."""
+    version = doc["format_version"]
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatError(f"field 'format_version' must be the int 1, not {version!r}")
+    conventions = doc.get("conventions", CONVENTIONS)
+    if type(conventions) is not dict or conventions.keys() != CONVENTIONS.keys():
+        raise FormatError(f"conventions {conventions!r} differ from {CONVENTIONS!r}")
+    for key, value in CONVENTIONS.items():
+        if conventions[key] is not value:
+            got = _encode(conventions[key])
+            raise FormatError(f"conventions field {key!r} must be {_encode(value)}, not {got}")
+
+
 def parse_graph(data: bytes) -> Multigraph:
     """Parse a graph document; raises FormatError with field diagnostics."""
     try:
@@ -197,22 +254,24 @@ def parse_graph(data: bytes) -> Multigraph:
     for key in ("format_version", "vertices", "edges"):
         if key not in doc:
             raise FormatError(f"missing field {key!r}")
-    if doc["format_version"] != FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {doc['format_version']!r}")
-    if "conventions" in doc and doc["conventions"] != CONVENTIONS:
-        raise FormatError(
-            f"conventions {doc['conventions']!r} differ from {CONVENTIONS!r}"
-        )
+    _check_header(doc)
     if not (isinstance(doc["vertices"], list) and isinstance(doc["edges"], list)):
         raise FormatError("vertices and edges must be lists")
     weighted = doc.get("weighted", False)
     if type(weighted) is not bool:
         raise FormatError(f"field 'weighted' must be true or false, not {weighted!r}")
-    # popped, the records are freed before the graph is built
-    edges = _edges(doc.pop("edges"), weighted)
-    cls = WeightedGraph if weighted else Multigraph
+    # popped, the records are freed once read into columns
+    u, v, wu, wv, label = _columns(doc.pop("edges"), weighted)
+    vertices = _ids(doc["vertices"])
+    if not weighted and _one_id_kind(vertices, u, v):
+        try:
+            return _from_ids(vertices, u, v, label)
+        except (KeyError, ValueError):
+            pass  # the row route names the repeated id or the first unknown end
+    edges = list(map(_new_edge, zip(u, v, wu, wv, label)))
+    del u, v, wu, wv, label  # freed before the graph is built
     try:
-        return cls(_ids(doc["vertices"]), edges)
+        return (WeightedGraph if weighted else Multigraph)(vertices, edges)
     except (TypeError, ValueError) as exc:  # TypeError: an unhashable vertex id
         raise FormatError(str(exc)) from exc
 
@@ -222,23 +281,42 @@ def _dot_quoted(x) -> str:
     return '"' + str(x).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _dot_tail(label, wu=None, wv=None, loop=True) -> str:
+    """The end of an edge statement: its attribute list, the label if any and,
+    on a weighted graph, wu and, but for a loop, wv; then the semicolon."""
+    attrs = [] if label is None else [f"label={_dot_quoted(label)}"]
+    if wu is not None:
+        attrs.append(f'wu="{_weight_to_str(wu)}"')
+        if not loop:
+            attrs.append(f'wv="{_weight_to_str(wv)}"')
+    return f" [{', '.join(attrs)}];\n" if attrs else ";\n"
+
+
 def export_dot(g: Multigraph, name: str = "G") -> str:
-    """DOT text; multi-edges and loops appear as separate edge statements."""
-    lines = [f"graph {name} {{"]
-    for v in g.vertices:
-        lines.append(f"  {_dot_quoted(v)};")
-    for e in g.edges:
-        attrs = []
-        if e.label is not None:
-            attrs.append(f"label={_dot_quoted(e.label)}")
-        if isinstance(g, WeightedGraph):
-            attrs.append(f'wu="{_weight_to_str(e.wu)}"')
-            if not e.is_loop:
-                attrs.append(f'wv="{_weight_to_str(e.wv)}"')
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f"  {_dot_quoted(e.u)} -- {_dot_quoted(e.v)}{suffix};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    """DOT text; multi-edges and loops appear as separate edge statements.
+
+    Written by column and joined once, like a document: each vertex is
+    quoted once, a column graph's ends take their vertex's text, and a row
+    graph's ends are quoted themselves."""
+    rows = _rows(g)
+    quoted = list(map(_dot_quoted, g.vertices))
+    if rows is None:
+        u, v = _gather(quoted, g)
+    else:
+        u, v = ([_dot_quoted(e[k]) for e in rows] for k in (0, 1))
+    labels = g.labels
+    if isinstance(g, WeightedGraph):
+        tails = list(map(_dot_tail, labels, *_weight_columns(g, rows)))
+    elif set(map(type, labels)) <= _LABEL_TYPES:  # equal labels print alike: each is quoted once
+        memo = {x: _dot_tail(x) for x in set(labels)}
+        tails = list(map(memo.__getitem__, labels))
+    else:
+        tails = list(map(_dot_tail, labels))
+    # five pieces per edge statement: the indent, u, " -- ", v and its tail
+    pieces = ["  "] * (5 * len(u))
+    pieces[1::5], pieces[2::5], pieces[3::5], pieces[4::5] = u, [" -- "] * len(u), v, tails
+    head = f"graph {name} {{\n" + "".join(map("  {};\n".format, quoted))
+    return head + "".join(pieces) + "}\n"
 
 
 EIGENVALUE_CSV_HEADER = ["level", "index", "value", "in_target"]

@@ -15,13 +15,20 @@ from treespec import (
     Multigraph,
     OmegaWord,
     RunConfig,
+    UpsilonSpec,
     WeightedGraph,
+    cayley_ball,
     export_dot,
     export_eigenvalue_csv,
+    level_projection_covering,
+    lift_weights,
+    markov_operator,
     markov_weights,
     parse_graph,
     schreier_graph,
     serialize_graph,
+    shift_square_transform,
+    upsilon_graph,
 )
 from treespec.serialize import CONVENTIONS, FORMAT_VERSION, _weight_from_str, _weight_to_str
 
@@ -427,3 +434,135 @@ class TestNotJson:
     def test_finite_float_ids_still_written(self):
         g = Multigraph([0.5, -2.0], [(0.5, -2.0)])
         assert parse_graph(serialize_graph(g, {"w": 0.25})).vertices == [0.5, -2.0]
+
+
+def reference_dot(g, name="G"):
+    """The edge-by-edge DOT writer that the column writer must match."""
+
+    def quoted(x):
+        return '"' + str(x).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = [f"graph {name} {{"] + [f"  {quoted(v)};" for v in g.vertices]
+    for e in g.edges:
+        attrs = [] if e.label is None else [f"label={quoted(e.label)}"]
+        if isinstance(g, WeightedGraph):
+            attrs.append(f'wu="{_weight_to_str(e.wu)}"')
+            if not e.is_loop:
+                attrs.append(f'wv="{_weight_to_str(e.wv)}"')
+        suffix = f" [{', '.join(attrs)}]" if attrs else ""
+        lines.append(f"  {quoted(e.u)} -- {quoted(e.v)}{suffix};")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def shift_square_graph(lam):
+    op = markov_operator(schreier_graph(OmegaWord.parse(":012"), 3))
+    return shift_square_transform(op, lam, 2 * op.norm_bound + 1.0)[1]
+
+
+def lifted_graph():
+    c = level_projection_covering(OmegaWord.parse(":012"), 5, 2)
+    return lift_weights(c, markov_weights(c.target))
+
+
+# graphs built from columns by the package's builders, each end its own vertex
+COLUMN_GRAPHS = {
+    "schreier": lambda: schreier_graph(OmegaWord.parse(":012"), 4),
+    "upsilon-finite": lambda: upsilon_graph(UpsilonSpec("finite", 4)),
+    "upsilon-line": lambda: upsilon_graph(UpsilonSpec("line", 3)),
+    "cayley-ball": lambda: cayley_ball(OmegaWord.parse(":012"), 4, 3).graph,
+    "markov-weights": lambda: markov_weights(schreier_graph(OmegaWord.parse("0:01"), 3)),
+    "lift-weights": lifted_graph,
+    "shift-square-real": lambda: shift_square_graph(0.25),
+    "shift-square-complex": lambda: shift_square_graph(0.25 + 0.1j),
+}
+
+
+class TestColumnGraphs:
+    """The writers read a column graph's columns, and the reader builds one
+    from an unweighted document of str or int ids; neither makes Edge rows."""
+
+    @pytest.mark.parametrize("build", COLUMN_GRAPHS.values(), ids=COLUMN_GRAPHS.keys())
+    def test_writers_build_no_rows(self, build):
+        g = build()
+        serialize_graph(g, {"level": 3})
+        export_dot(g)
+        assert "edges" not in vars(g)
+
+    @pytest.mark.parametrize("build", COLUMN_GRAPHS.values(), ids=COLUMN_GRAPHS.keys())
+    def test_match_the_reference_routes(self, build):
+        g = build()
+        data = serialize_graph(g, {"level": 3})
+        dot = export_dot(g, name="lvl")
+        assert data == reference_serialize(g, {"level": 3})
+        assert dot == reference_dot(g, name="lvl")
+        assert snapshot(parse_graph(data)) == snapshot(reference_parse(data))
+        # with the view built, the writers still read the columns, to the same bytes
+        assert serialize_graph(g, {"level": 3}) == data and export_dot(g, name="lvl") == dot
+
+    @pytest.mark.parametrize("build", [COLUMN_GRAPHS["schreier"], COLUMN_GRAPHS["upsilon-line"]],
+                             ids=["str-ids", "int-ids"])
+    def test_reader_builds_no_rows(self, build):
+        data = serialize_graph(build())
+        h = parse_graph(data)
+        assert "edges" not in vars(h)
+        assert serialize_graph(h) == data and "edges" not in vars(h)
+        assert snapshot(h) == snapshot(reference_parse(data))
+
+    def test_ends_that_print_unlike_their_vertex_round_trip(self):
+        data = reference_serialize(Multigraph([1, 2], [(True, 1), (2, 1.0, "a"), (2, 2)]))
+        assert b'{"u":true,"v":1}' in data
+        h = parse_graph(data)
+        assert serialize_graph(h) == data and export_dot(h) == reference_dot(h)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (b'{"format_version":1,"vertices":["a","a"],"edges":[]}', "duplicate vertex ids"),
+            (b'{"format_version":1,"vertices":["a"],"edges":[{"u":"a","v":"a"},{"u":"b","v":"a"}]}',
+             "edge 1: Edge(u='b', v='a', wu=1.0, wv=1.0, label=None) references unknown vertex"),
+        ],
+        ids=["duplicate-id", "unknown-end"],
+    )
+    def test_column_route_failures_are_named_by_the_row_route(self, doc, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_graph(doc)
+
+    @given(g=documented_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_row_graph_dot_matches_the_reference(self, g):
+        assert export_dot(g) == reference_dot(g)
+
+
+class TestHeaderFields:
+    """Python equality let true and 1.0 pass for the version, and 1 and 0 for
+    the convention bools."""
+
+    @pytest.mark.parametrize("version", [b"true", b"1.0", b'"1"'])
+    def test_format_version_must_be_the_int_one(self, version):
+        doc = b'{"format_version":%s,"vertices":[0],"edges":[]}' % version
+        message = f"field 'format_version' must be the int 1, not {json.loads(version)!r}"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_graph(doc)
+
+    @pytest.mark.parametrize(
+        "conventions, message",
+        [
+            (b'{"loop_degree_one":1,"upsilon_middle_exception":0}',
+             "conventions field 'loop_degree_one' must be true, not 1"),
+            (b'{"loop_degree_one":true,"upsilon_middle_exception":0}',
+             "conventions field 'upsilon_middle_exception' must be false, not 0"),
+            (b'{"loop_degree_one":1.0,"upsilon_middle_exception":false}',
+             "conventions field 'loop_degree_one' must be true, not 1.0"),
+            (b'{"loop_degree_one":true}', "differ from"),
+            (b"[]", "conventions [] differ from"),
+        ],
+        ids=["int-bools", "int-false", "float-true", "missing-field", "not-an-object"],
+    )
+    def test_conventions_must_be_the_json_bools(self, conventions, message):
+        doc = b'{"conventions":%s,"format_version":1,"vertices":[0],"edges":[]}' % conventions
+        with pytest.raises(FormatError, match=re.escape(message)):
+            parse_graph(doc)
+
+    def test_canonical_header_still_read(self):
+        g = schreier_graph(OmegaWord.parse(":012"), 2)
+        assert parse_graph(serialize_graph(g)).vertices == g.vertices
