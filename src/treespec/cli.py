@@ -48,9 +48,16 @@ def _echo_config(config: RunConfig) -> None:
 
 
 def _write(path: str | None, data: str | bytes) -> None:
+    """Write data to the file at path, or to standard output for None or "-",
+    where bytes go to the binary buffer, after the text printed so far, and
+    are decoded only for a stream that has no buffer."""
     if path is None or path == "-":
-        out = data.decode() if isinstance(data, bytes) else data
-        sys.stdout.write(out)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if isinstance(data, bytes) and buffer is not None:
+            sys.stdout.flush()
+            buffer.write(data)
+        else:
+            sys.stdout.write(data.decode() if isinstance(data, bytes) else data)
         return
     mode = "wb" if isinstance(data, bytes) else "w"
     with open(path, mode) as fh:

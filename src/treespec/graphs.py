@@ -8,19 +8,20 @@ A graph comes in one of two kinds.  A *row graph* is made by the
 whose ends may print unlike their vertex (``True`` at vertex ``1``).  A
 *column graph* is made by :func:`_from_ends`, from the columns its builder
 holds (the level and model graphs, Cayley balls, weighted copies and the
-parser's column route): each end is its own vertex, and the graph keeps its
-labels column, so its ``Edge`` rows are made only if a caller reads
-``edges``.  :func:`_rows` tells the two apart.
+parser's column route): each end is its own vertex, and the graph keeps no
+``Edge`` rows; its ``edges`` is an :class:`_EdgeView`, made fresh on each
+read, that makes a row only when the row is read.  :func:`_rows` tells the
+two apart.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import abc, deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import repeat
-from operator import itemgetter
-from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
+from operator import index, itemgetter
+from typing import Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,8 +39,9 @@ class RadiusTooSmallError(ValueError):
 class Edge(NamedTuple):
     """Undirected edge; a loop has u == v and a single weight wu (= wv).
 
-    A named tuple: read-only, equal and hashed by value, and made only for
-    ``Multigraph.edges``, the view of a graph's columns, on its first read.
+    A named tuple: read-only and equal and hashed by value.  A row graph
+    keeps the caller's; a column graph makes one only when a caller reads
+    that row of its ``edges``.
     """
 
     u: VertexId
@@ -54,7 +56,7 @@ class Edge(NamedTuple):
 
 
 # an Edge from an iterable of all five fields, with no Python frame per edge:
-# ``list(map(_new_edge, zip(us, vs, wus, wvs, labels)))`` builds a column's edges
+# ``map(_new_edge, zip(us, vs, wus, wvs, labels))`` makes a column graph's rows
 _new_edge = partial(tuple.__new__, Edge)
 
 
@@ -107,8 +109,11 @@ class Multigraph:
     """Unweighted multigraph with loops; edges may carry labels.  A graph is its
     columns: ``vertices``, ``labels`` and ``ends``, the read-only (E, 2) table of
     endpoint positions, which all adjacency reads.  ``edges`` is the caller's
-    edges on a row graph, kept by this constructor, and on a column graph the
-    ``Edge`` view of its columns, built on first read and kept."""
+    edges on a row graph, kept by this constructor, and on a column graph a
+    fresh :class:`_EdgeView` of its columns, which the graph does not keep."""
+
+    # the caller's edges of a row graph; a column graph has none
+    _edges: Optional[list[Edge]] = None
 
     def __init__(self, vertices: Sequence[VertexId], edges: Sequence[tuple]):
         vertices = list(vertices)
@@ -123,20 +128,18 @@ class Multigraph:
                     raise ValueError(f"edge {i}: {e} references unknown vertex") from None
             raise
         ends.flags.writeable = False
-        self.vertices, self.ends, self.edges, self._index = vertices, ends, edges, index
+        self.vertices, self.ends, self._edges, self._index = vertices, ends, edges, index
 
-    @cached_property
-    def edges(self) -> list[Edge]:
-        """The columns as ``Edge`` tuples."""
-        u, v = (map(self.vertices.__getitem__, c.tolist()) for c in self.ends.T)
-        wu, wv = self.weights.T.tolist() if isinstance(self, WeightedGraph) else [repeat(1.0)] * 2
-        return list(map(_new_edge, zip(u, v, wu, wv, self._labels)))
+    @property
+    def edges(self) -> Sequence[Edge]:
+        """The caller's edges on a row graph, the same list on every read; on a
+        column graph a new view of its columns, which keeps no rows."""
+        return _EdgeView(self) if self._edges is None else self._edges
 
     @property
     def labels(self) -> list:
         """Each edge's label, None where it has none; a column graph's held list."""
-        held = vars(self).get("_labels")
-        return list(map(itemgetter(4), self.edges)) if held is None else held
+        return self._labels if self._edges is None else list(map(itemgetter(4), self._edges))
 
     # a graph built from positions builds its vertex index on the first lookup
     @cached_property
@@ -196,6 +199,82 @@ def _from_ends(
     return g
 
 
+def _column_rows(
+    vertices: list, ends: np.ndarray, labels: list, weights: Optional[np.ndarray]
+) -> Iterator[Edge]:
+    """The ``Edge`` rows of columns, made as the iterator is read, with no
+    Python frame per row."""
+    u, v = (map(vertices.__getitem__, c.tolist()) for c in ends.T)
+    wu, wv = [repeat(1.0)] * 2 if weights is None else weights.T.tolist()
+    return map(_new_edge, zip(u, v, wu, wv, labels))
+
+
+class _EdgeView(abc.Sequence):
+    """A column graph's edges as ``Edge`` rows, each made when it is read and
+    kept by neither the view nor the graph.  It reads, compares and prints
+    like the list of those rows; a slice is that list's slice."""
+
+    __slots__ = ("_g",)
+    __hash__ = None  # equal by rows, like a list
+
+    def __init__(self, g: Multigraph):
+        self._g = g
+
+    def __len__(self) -> int:
+        return len(self._g._labels)
+
+    def _weights(self) -> Optional[np.ndarray]:
+        g = self._g
+        return g.weights if isinstance(g, WeightedGraph) else None
+
+    def __iter__(self) -> Iterator[Edge]:
+        g = self._g
+        return _column_rows(g.vertices, g.ends, g._labels, self._weights())
+
+    def __getitem__(self, i):
+        g = self._g
+        if type(i) is slice:  # slice has no subclasses
+            w = self._weights()
+            w = w if w is None else w[i]
+            return list(_column_rows(g.vertices, g.ends[i], g._labels[i], w))
+        label, ends, wu, wv = g._labels[i], g.ends, 1.0, 1.0  # a list's IndexError or TypeError
+        i = index(i)  # ``item`` takes no bool
+        u, v = ends.item(i, 0), ends.item(i, 1)
+        if isinstance(g, WeightedGraph):
+            wu, wv = g.weights.item(i, 0), g.weights.item(i, 1)
+        # not the Edge constructor or _new_edge, which take longer per row
+        return tuple.__new__(Edge, (g.vertices[u], g.vertices[v], wu, wv, label))
+
+    def _same_columns(self, other) -> bool:
+        """Whether ``other`` is a view of equal columns, whose rows are then
+        equal; False decides nothing, and the rows are compared."""
+        if not isinstance(other, _EdgeView):
+            return False
+        g, h = self._g, other._g
+        weighted = isinstance(g, WeightedGraph)
+        return (
+            weighted == isinstance(h, WeightedGraph)
+            and g.vertices == h.vertices
+            and np.array_equal(g.ends, h.ends)
+            and g._labels == h._labels
+            and (not weighted or np.array_equal(g.weights, h.weights))
+        )
+
+    def __eq__(self, other):
+        return self._same_columns(other) or list(self) == _as_rows(other)
+
+    def __ne__(self, other):
+        return not self._same_columns(other) and list(self) != _as_rows(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _as_rows(x):
+    """x, or the list of its rows if it is an ``_EdgeView``."""
+    return list(x) if isinstance(x, _EdgeView) else x
+
+
 def _from_ids(vertices: list, u: list, v: list, labels: list) -> Multigraph:
     """The column graph on ``vertices`` whose edge i joins the ids u[i] and
     v[i] and carries ``labels[i]``; ValueError on a repeated vertex id and
@@ -206,8 +285,8 @@ def _from_ids(vertices: list, u: list, v: list, labels: list) -> Multigraph:
 
 def _rows(g: Multigraph) -> Optional[list[Edge]]:
     """The caller's edges of a row graph, or None for a column graph, whose
-    records readers take from its columns."""
-    return None if "_labels" in vars(g) else g.edges
+    records readers take from its columns and not from its ``edges`` view."""
+    return g._edges
 
 
 def _require_vertex(g: Multigraph, v: VertexId) -> None:

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 
@@ -144,6 +145,26 @@ class TestSubcommands:
         assert code == 0
         g = parse_graph(out_file.read_bytes())
         assert g.n == 8
+
+    @pytest.mark.parametrize("dot", [[], ["--dot"]], ids=["document", "dot"])
+    def test_stdout_holds_the_file_bytes_after_the_config_line(self, capsysbinary, tmp_path, dot):
+        out_file = tmp_path / "g"
+        argv = ["schreier", "--omega", ":012", "--level", "3", *dot]
+        assert main([*argv, "-o", str(out_file)]) == 0
+        capsysbinary.readouterr()
+        assert main([*argv, "-o", "-"]) == 0
+        config, data = capsysbinary.readouterr().out.split(b"\n", 1)
+        assert config.startswith(b"config: ") and data == out_file.read_bytes()
+
+    def test_stdout_with_no_buffer_takes_the_decoded_document(self, monkeypatch, tmp_path):
+        out_file = tmp_path / "g.json"
+        argv = ["schreier", "--omega", ":012", "--level", "3"]
+        assert main([*argv, "-o", str(out_file)]) == 0
+        stream = io.StringIO()  # a text stream with no binary buffer
+        monkeypatch.setattr("sys.stdout", stream)
+        assert main([*argv, "-o", "-"]) == 0
+        config, data = stream.getvalue().split("\n", 1)
+        assert config.startswith("config: ") and data == out_file.read_text()
 
     def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "no-such-dir" / "x.json"

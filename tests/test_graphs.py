@@ -1,8 +1,9 @@
 import math
+from collections import abc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from treespec import (
     Edge,
@@ -19,11 +20,17 @@ from treespec import (
     lift_weights,
     markov_operator,
     markov_weights,
+    parse_graph,
     schreier_graph,
+    serialize_graph,
     shift_square_transform,
     upsilon_graph,
 )
-from treespec.graphs import _bfs_distances, _from_ends, _neighbor_sum
+from treespec import graphs
+from treespec.config import FormatError
+from treespec.graphs import _bfs_distances, _from_ends, _neighbor_sum, _rows
+
+from test_serialize import COLUMN_GRAPHS, documented_graphs
 
 
 def random_multigraph(rng, n, extra_edges):
@@ -456,3 +463,149 @@ class TestEndsByColumn:
     def test_unknown_end_in_either_column(self, edges):
         with pytest.raises(ValueError, match=r"edge 1: .* references unknown vertex"):
             Multigraph([0, 1], edges)
+
+
+def reference_rows(g):
+    """A column graph's rows, made one at a time from its columns."""
+    weights = g.weights.tolist() if isinstance(g, WeightedGraph) else [[1.0, 1.0]] * len(g.ends)
+    return [
+        Edge(g.vertices[a], g.vertices[b], wu, wv, label)
+        for (a, b), (wu, wv), label in zip(g.ends.tolist(), weights, g.labels)
+    ]
+
+
+def column_copy(g, cls=None, order=None):
+    """A column graph of ``cls`` (g's type by default) with g's rows, its
+    vertices listed in ``order``, positions in ``g.vertices``; a weighted copy
+    of an unweighted graph has every weight 1.0."""
+    cls = cls or type(g)
+    order = np.arange(g.n) if order is None else np.asarray(order)
+    position = np.argsort(order)  # each vertex's position in the copy
+    weights = None
+    if issubclass(cls, WeightedGraph):
+        weighted = isinstance(g, WeightedGraph)
+        weights = g.weights.copy() if weighted else np.ones((len(g.ends), 2))
+    vertices = [g.vertices[k] for k in order]
+    return _from_ends(cls, vertices, position[g.ends], list(g.labels), weights)
+
+
+def agree_as_rows(a, b):
+    """a == b, b == a and both != give the answers of the row lists."""
+    ra, rb = list(a), list(b)
+    assert (a == b) == (b == a) == (ra == rb)
+    assert (a != b) == (b != a) == (ra != rb)
+
+
+def round_trip(g):
+    return parse_graph(serialize_graph(g))
+
+
+# every builder of column graphs, the parser's str- and int-id routes among them
+COLUMN_BUILDERS = {
+    **COLUMN_GRAPHS,
+    "parsed-str-ids": lambda: round_trip(schreier_graph(OmegaWord.parse(":01"), 3)),
+    "parsed-int-ids": lambda: round_trip(upsilon_graph(UpsilonSpec("line", 3))),
+}
+SLICES = [slice(None), slice(1, -1), slice(None, None, -2), slice(-5, None, 3), slice(3, 1),
+          slice(2, None), slice(None, 2**70), slice(-(2**70), 4, 2)]
+
+
+@pytest.mark.parametrize("build", COLUMN_BUILDERS.values(), ids=COLUMN_BUILDERS.keys())
+class TestEdgeView:
+    """A column graph's ``edges`` reads like the list of its rows."""
+
+    def test_length_rows_and_repr(self, build):
+        g = build()
+        rows, view = reference_rows(g), g.edges
+        assert _rows(g) is None and isinstance(view, abc.Sequence) and view is not g.edges
+        assert len(view) == len(rows) > 0
+        assert all(type(e) is Edge for e in view)
+        assert repr(list(view)) == repr(rows) and repr(view) == repr(rows)
+        with pytest.raises(TypeError):
+            hash(view)
+
+    def test_indexes(self, build):
+        g = build()
+        rows, view, count = reference_rows(g), g.edges, len(g.ends)
+        for i in range(-count, count):
+            for k in (i, np.int64(i), np.intp(i), np.int32(i)):
+                assert type(view[k]) is Edge and repr(view[k]) == repr(rows[i])
+        assert view[True] == rows[1] and view[False] == rows[0]
+        for k in (count, -count - 1, np.int64(count), 2**70):
+            with pytest.raises(IndexError):
+                view[k]
+        for k in (1.0, "0", None):
+            with pytest.raises(TypeError):
+                view[k]
+
+    def test_slices(self, build):
+        g = build()
+        rows, view = reference_rows(g), g.edges
+        for s in SLICES:
+            assert type(view[s]) is list and repr(view[s]) == repr(rows[s])
+        assert list(reversed(view)) == rows[::-1]
+        assert view.index(rows[-1]) == rows.index(rows[-1]) and rows[-1] in view
+        assert view.count(rows[0]) == rows.count(rows[0])
+
+    def test_equality_with_lists_and_views(self, build):
+        g = build()
+        rows, view, twin = reference_rows(g), g.edges, build().edges
+        for a, b in [(view, rows), (rows, view), (view, twin), (twin, view), (view, view)]:
+            assert a == b and not a != b
+        changed = rows[:-1] + [rows[-1]._replace(label="x")]
+        relabelled = column_copy(g)
+        relabelled.labels[-1] = "x"
+        for other in (changed, rows[:-1], tuple(rows), None, relabelled.edges, twin[1:]):
+            assert view != other and other != view and not view == other and not other == view
+        agree_as_rows(view, relabelled.edges)
+
+    def test_equal_columns_compare_with_no_rows(self, build, monkeypatch):
+        g, h = build(), build()
+        monkeypatch.setattr(graphs, "_column_rows", None)  # a row made now raises TypeError
+        assert g.edges == h.edges and h.edges == g.edges and not g.edges != h.edges
+
+    def test_permuted_vertices_compare_by_rows(self, build):
+        g = build()
+        permuted = column_copy(g, order=np.arange(g.n)[::-1])
+        assert permuted.vertices != g.vertices
+        assert permuted.edges == g.edges and g.edges == permuted.edges
+        assert not permuted.edges != g.edges
+        agree_as_rows(permuted.edges, g.edges)
+
+    def test_weighted_against_unweighted_compare_by_rows(self, build):
+        g = build()
+        bare, weighted = column_copy(g, Multigraph), column_copy(g, WeightedGraph)
+        for a, b in [(bare, g), (weighted, g), (bare, weighted)]:
+            agree_as_rows(a.edges, b.edges)
+        if not isinstance(g, WeightedGraph):  # every weight 1.0: equal rows
+            assert bare.edges == weighted.edges and weighted.edges == g.edges
+
+
+class TestRowGraphEdges:
+    @pytest.mark.parametrize("cls", [Multigraph, WeightedGraph])
+    def test_the_same_list_on_every_read(self, cls):
+        g = cls([0, 1], [Edge(0, 1, 0.5, 2.0, "a"), Edge(1, 1)])
+        assert type(g.edges) is list and g.edges is g.edges and _rows(g) is g.edges
+        assert g.edges == [Edge(0, 1, 0.5, 2.0, "a"), Edge(1, 1)]
+
+
+@given(g=documented_graphs())
+@settings(max_examples=200, deadline=None)
+def test_views_of_round_tripped_documents_read_as_their_rows(g):
+    try:
+        h = round_trip(g)
+    except FormatError:  # an int or bool label has no place in a document
+        assume(False)
+    view = column_copy(h).edges
+    rows = reference_rows(column_copy(h))
+    assert repr(view) == repr(rows) and len(view) == len(rows)
+    for i in range(-len(rows), len(rows)):
+        assert repr(view[i]) == repr(rows[i])
+    for s in SLICES:
+        assert repr(view[s]) == repr(rows[s])
+    agree_as_rows(view, h.edges)
+    agree_as_rows(view, g.edges)
+    agree_as_rows(view, column_copy(g).edges)
+    agree_as_rows(column_copy(h, Multigraph).edges, column_copy(g, WeightedGraph).edges)
+    if _rows(h) is None:  # the parser's column route
+        assert repr(h.edges) == repr(rows) and h.edges == view

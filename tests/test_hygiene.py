@@ -72,8 +72,9 @@ def test_detects_leaf_tuple_read():
 
 
 def edge_view_reads(source: str) -> list[int]:
-    """Lines that read ``.edges``, the view of a graph's columns as ``Edge``
-    tuples, built on its first read; only ``graphs`` and ``serialize`` read it."""
+    """Lines that read ``.edges``, a graph's edges as ``Edge`` tuples, which a
+    column graph makes row by row on each read; only ``graphs`` and
+    ``serialize`` read it."""
     return attribute_reads(source, {"edges"})
 
 
@@ -99,8 +100,8 @@ def private_names(cls, *instances) -> set[str]:
 
 
 def multigraph_private_names() -> set[str]:
-    # graphs built from positions (a level graph, a Markov-weighted graph)
-    # hold ``_labels`` until their edge view is built, so are read before it
+    # a row graph holds ``_edges``, and graphs built from positions (a level
+    # graph, a Markov-weighted graph) hold ``_labels`` instead
     built = Multigraph([0, 1], [(0, 1)])
     return private_names(
         Multigraph, built, schreier_graph(OmegaWord.parse(":012"), 1), markov_weights(built)

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -487,6 +488,28 @@ class TestColumnGraphs:
         serialize_graph(g, {"level": 3})
         export_dot(g)
         assert "edges" not in vars(g)
+
+    @pytest.mark.parametrize("build", COLUMN_GRAPHS.values(), ids=COLUMN_GRAPHS.keys())
+    def test_reading_edges_keeps_no_rows(self, build):
+        g = build()
+        names = set(vars(g))
+        view = g.edges
+        assert len(list(view)) == len(view) and view[0] == view[-len(view)]
+        assert view[1:3] == list(view)[1:3] and view == build().edges and view == list(view)
+        assert not view != g.edges and repr(view)
+        assert set(vars(g)) == names and "edges" not in vars(g)
+
+    def test_reading_edges_of_a_level_graph_leaves_no_memory(self):
+        g = schreier_graph(OmegaWord.parse(":012"), 12)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert sum(1 for _ in g.edges) == len(g.ends) and g.edges == g.edges
+            assert g.edges[-1] == list(g.edges)[-1] and len(g.edges[::2]) == len(g.ends[::2])
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert left < 64 * 1024
 
     @pytest.mark.parametrize("build", COLUMN_GRAPHS.values(), ids=COLUMN_GRAPHS.keys())
     def test_match_the_reference_routes(self, build):
