@@ -54,12 +54,10 @@ from .covering import (
     BadStartError,
     NotAnEigenpairError,
     CoveringReport,
-    FolnerReport,
     HulanickiRecord,
     InclusionReport,
     CoveringMap,
     fiber_count,
-    folner_balls,
     hulanicki_residual,
     lift_path,
     lift_weights,

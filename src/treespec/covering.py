@@ -1,4 +1,4 @@
-"""Graph coverings: verification, lifting, Folner data, and the residual
+"""Graph coverings: verification, lifting, fiber counts, and the residual
 harness that certifies spectral inclusion numerically.
 
 A covering is a pair of surjections (vertices, edges) restricting to a
@@ -275,41 +275,6 @@ def lift_path(
         x, y = sv if su == x else su, tv if tu == y else tu
         path.append(c.source.vertices[x])
     return path
-
-
-# ---------------------------------------------------------------------------
-# Folner data
-
-
-@dataclass(frozen=True)
-class FolnerReport:
-    sizes: tuple[int, ...]  # |B_k| for k = 0..k_max
-    boundary_ratios: tuple[float, ...]  # |B_1(F_k) \ F_k| / |F_k|
-    subexp_evidence: bool
-
-
-def folner_balls(c: CoveringMap, v, k_max: int) -> FolnerReport:
-    """Ball sizes and boundary ratios of F_k = B_k(v) in the source of c.
-
-    An infinite graph is read through a window, a covering with ``interior``
-    set; the outer boundary of F_{k_max} is exact only if B_{k_max + 1}(v) is,
-    and :class:`WindowTooSmallError` is raised otherwise.
-    """
-    _require_int_radii([k_max])
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    radius = _require_exact_ball(c, _bfs_distances(c.source, v), k_max + 1)
-    sizes = np.searchsorted(np.sort(radius), np.arange(k_max + 2), side="right").tolist()
-    ratios = tuple(
-        (sizes[k + 1] - sizes[k]) / sizes[k] for k in range(1, k_max + 1)
-    )
-    rates = tuple(sizes[k] ** (1.0 / k) for k in range(1, k_max + 1))
-    # evidence only: growth rate fitted over the top half of the range close
-    # to 1 and the per-k rates still falling
-    half = max(1, k_max // 2)
-    fitted = (sizes[k_max] / sizes[half]) ** (1.0 / (k_max - half)) if k_max > half else rates[-1]
-    evidence = fitted < 1.3 and rates[-1] <= rates[half - 1]
-    return FolnerReport(tuple(sizes[: k_max + 1]), ratios, evidence)
 
 
 # ---------------------------------------------------------------------------

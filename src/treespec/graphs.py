@@ -3,15 +3,13 @@
 Loops count once toward the degree throughout; the convention is recorded in
 :data:`treespec.serialize.CONVENTIONS` and embedded in serialized artifacts.
 
-A graph comes in one of two kinds.  A *row graph* is made by the
-``Multigraph`` or ``WeightedGraph`` constructor and keeps the caller's edges,
-whose ends may print unlike their vertex (``True`` at vertex ``1``).  A
-*column graph* is made by :func:`_from_ends`, from the columns its builder
-holds (the level and model graphs, Cayley balls, weighted copies and the
-parser's column route): each end is its own vertex, and the graph keeps no
-``Edge`` rows; its ``edges`` is an :class:`_EdgeView`, made fresh on each
-read, that makes a row only when the row is read.  :func:`_rows` tells the
-two apart.
+A graph is its columns.  The ``Multigraph`` and ``WeightedGraph``
+constructor resolves each edge's ends to vertex positions, so an end is its
+vertex (``True`` given at vertex ``1`` reads back as ``1``); builders that
+hold the positions hand them to :func:`_from_ends`.  A weights table is
+float64 unless some weight is complex.  No graph keeps ``Edge`` rows: its
+``edges`` is an :class:`_EdgeView`, made fresh on each read, that makes a
+row only when the row is read.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 from collections import abc, deque
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import repeat
+from itertools import count, repeat
 from operator import index, itemgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -39,9 +37,8 @@ class RadiusTooSmallError(ValueError):
 class Edge(NamedTuple):
     """Undirected edge; a loop has u == v and a single weight wu (= wv).
 
-    A named tuple: read-only and equal and hashed by value.  A row graph
-    keeps the caller's; a column graph makes one only when a caller reads
-    that row of its ``edges``.
+    A named tuple: read-only and equal and hashed by value.  A graph makes
+    one only when a caller reads that row of its ``edges``.
     """
 
     u: VertexId
@@ -56,14 +53,18 @@ class Edge(NamedTuple):
 
 
 # an Edge from an iterable of all five fields, with no Python frame per edge:
-# ``map(_new_edge, zip(us, vs, wus, wvs, labels))`` makes a column graph's rows
+# ``map(_new_edge, zip(us, vs, wus, wvs, labels))`` makes a graph's rows
 _new_edge = partial(tuple.__new__, Edge)
 
 
-def _as_edge(e: tuple) -> Edge:
-    """An edge from a tuple (u, v) or (u, v, label)."""
-    u, v, *rest = e
-    return Edge(u, v, label=rest[0] if rest else None)
+def _as_edge(i: int, e: tuple) -> Edge:
+    """Edge i of a constructor's input, an ``Edge`` or a plain tuple (u, v) or
+    (u, v, label); ValueError names any other, such as (u, v, wu, wv)."""
+    if isinstance(e, Edge):
+        return e
+    if len(e) not in (2, 3):
+        raise ValueError(f"edge {i}: {e!r} is neither (u, v) nor (u, v, label)")
+    return Edge(e[0], e[1], label=e[2] if len(e) == 3 else None)
 
 
 class _Slots(NamedTuple):
@@ -96,52 +97,47 @@ def _vertex_index(vertices: list) -> dict:
     return index
 
 
-def _end_table(index: dict, u: Iterable, v: Iterable, count: int) -> np.ndarray:
-    """The (E, 2) ``intp`` table of the positions of the ``count`` ends u[i]
+def _end_table(index: dict, u: Iterable, v: Iterable, size: int) -> np.ndarray:
+    """The (E, 2) ``intp`` table of the positions of the ``size`` ends u[i]
     and v[i], resolved column by column; KeyError on an end not in ``index``."""
-    ends = np.empty((count, 2), dtype=np.intp)
+    ends = np.empty((size, 2), dtype=np.intp)
     for k, column in enumerate((u, v)):
-        ends[:, k] = np.fromiter(map(index.__getitem__, column), np.intp, count)
+        ends[:, k] = np.fromiter(map(index.__getitem__, column), np.intp, size)
     return ends
+
+
+def _weight_table(wu: Sequence, wv: Sequence) -> np.ndarray:
+    """The (E, 2) table of the weights (wu[i], wv[i]): float64, unless some
+    weight is complex."""
+    w = np.column_stack((wu, wv))
+    return w.astype(complex if w.dtype.kind == "c" else float, copy=False)
 
 
 class Multigraph:
     """Unweighted multigraph with loops; edges may carry labels.  A graph is its
     columns: ``vertices``, ``labels`` and ``ends``, the read-only (E, 2) table of
-    endpoint positions, which all adjacency reads.  ``edges`` is the caller's
-    edges on a row graph, kept by this constructor, and on a column graph a
-    fresh :class:`_EdgeView` of its columns, which the graph does not keep."""
-
-    # the caller's edges of a row graph; a column graph has none
-    _edges: Optional[list[Edge]] = None
+    endpoint positions, which all adjacency reads.  ``edges`` is a fresh
+    :class:`_EdgeView` of the columns, which the graph does not keep."""
 
     def __init__(self, vertices: Sequence[VertexId], edges: Sequence[tuple]):
-        vertices = list(vertices)
-        index = _vertex_index(vertices)
-        edges = [e if isinstance(e, Edge) else _as_edge(e) for e in edges]
-        u, v = (map(itemgetter(k), edges) for k in (0, 1))
-        try:
-            ends = _end_table(index, u, v, len(edges))
-        except KeyError:  # the scan names the first bad edge
-            for i, e in enumerate(edges):
-                if e.u not in index or e.v not in index:
-                    raise ValueError(f"edge {i}: {e} references unknown vertex") from None
-            raise
-        ends.flags.writeable = False
-        self.vertices, self.ends, self._edges, self._index = vertices, ends, edges, index
+        """The graph of the edges, each an ``Edge`` or a tuple (u, v) or
+        (u, v, label); each end becomes its vertex, and the edges are not kept."""
+        edges = list(map(_as_edge, count(), edges))
+        u, v, wu, wv, labels = (list(map(itemgetter(k), edges)) for k in range(5))
+        # take the columns of the graph that the parser builds from the same ids
+        vars(self).update(vars(_from_ids(type(self), list(vertices), u, v, labels, wu, wv)))
 
     @property
     def edges(self) -> Sequence[Edge]:
-        """The caller's edges on a row graph, the same list on every read; on a
-        column graph a new view of its columns, which keeps no rows."""
-        return _EdgeView(self) if self._edges is None else self._edges
+        """A new view of the columns on each read, which keeps no rows."""
+        return _EdgeView(self)
 
     @property
     def labels(self) -> list:
-        """Each edge's label, None where it has none; a column graph's held list."""
-        return self._labels if self._edges is None else list(map(itemgetter(4), self._edges))
+        """Each edge's label, None where it has none; the graph's held list."""
+        return self._labels
 
-    # a graph built from positions builds its vertex index on the first lookup
+    # built on the first lookup: graphs that are only built and written never pay for it
     @cached_property
     def _index(self) -> dict:
         return {v: i for i, v in enumerate(self.vertices)}
@@ -210,7 +206,7 @@ def _column_rows(
 
 
 class _EdgeView(abc.Sequence):
-    """A column graph's edges as ``Edge`` rows, each made when it is read and
+    """A graph's edges as ``Edge`` rows, each made when it is read and
     kept by neither the view nor the graph.  It reads, compares and prints
     like the list of those rows; a slice is that list's slice."""
 
@@ -275,18 +271,25 @@ def _as_rows(x):
     return list(x) if isinstance(x, _EdgeView) else x
 
 
-def _from_ids(vertices: list, u: list, v: list, labels: list) -> Multigraph:
-    """The column graph on ``vertices`` whose edge i joins the ids u[i] and
-    v[i] and carries ``labels[i]``; ValueError on a repeated vertex id and
-    KeyError on an end that is none of them."""
-    ends = _end_table(_vertex_index(vertices), u, v, len(u))
-    return _from_ends(Multigraph, vertices, ends, labels)
-
-
-def _rows(g: Multigraph) -> Optional[list[Edge]]:
-    """The caller's edges of a row graph, or None for a column graph, whose
-    records readers take from its columns and not from its ``edges`` view."""
-    return g._edges
+def _from_ids(
+    cls: type, vertices: list, u: list, v: list, labels: list,
+    wu: Optional[list] = None, wv: Optional[list] = None,
+) -> Multigraph:
+    """The graph of ``cls`` on ``vertices`` whose edge i joins the ids u[i] and
+    v[i], carries ``labels[i]`` and the weights wu[i] and wv[i], which a
+    ``WeightedGraph`` needs and an unweighted document has not.  ValueError on
+    a repeated vertex id or naming the first edge with an unknown end;
+    TypeError on an unhashable id."""
+    index = _vertex_index(vertices)
+    try:
+        ends = _end_table(index, u, v, len(labels))
+    except KeyError:  # the scan names the first bad edge
+        i = next(i for i in count() if u[i] not in index or v[i] not in index)
+        w = () if wu is None else (wu[i], wv[i])
+        e = Edge(u[i], v[i], *w, label=labels[i])
+        raise ValueError(f"edge {i}: {e} references unknown vertex") from None
+    weights = _weight_table(wu, wv) if issubclass(cls, WeightedGraph) else None
+    return _from_ends(cls, vertices, ends, labels, weights)
 
 
 def _require_vertex(g: Multigraph, v: VertexId) -> None:
@@ -336,10 +339,9 @@ class WeightedGraph(Multigraph):
     """Multigraph carrying a weight per (vertex, incident edge) pair;
     ``weights`` is the read-only (E, 2) table of (wu, wv), edge by edge."""
 
-    def __init__(self, vertices: Sequence[VertexId], edges: Sequence[Edge]):
-        super().__init__(vertices, list(edges))
-        self.weights = np.array([(e.wu, e.wv) for e in self.edges], dtype=complex).reshape(-1, 2)
-        self.weights.flags.writeable = False
+    # Multigraph's constructor, which gives a WeightedGraph its weights table;
+    # named here too, as the tracer in bench/tracing.py wraps each class's own
+    __init__ = Multigraph.__init__
 
     @property
     def is_self_adjoint(self) -> bool:

@@ -3,27 +3,23 @@
 Weights travel as decimal strings produced by Python's shortest round-trip
 float repr, so parse(serialize(g)) reproduces every IEEE double bit-exactly.
 
-Documents and DOT text are written by column.  A column graph (see
-:mod:`treespec.graphs`) is written from its columns, each end taking its
-vertex's text, and gets no ``Edge`` rows; a row graph is written from the
-caller's rows, whose ends keep their own text.  An unweighted document whose
-ids all decode to ``str``, or all to ``int``, is read back as a column graph;
-any other document, and one that the column route cannot resolve, is read
-by rows, which name the first bad record.
+Documents and DOT text are written by column from a graph's columns, each
+edge end taking its vertex's text, with no ``Edge`` rows; a document is read
+back by column too, each end resolved to its vertex.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain, count, repeat
+from itertools import count, repeat
 from operator import eq, itemgetter
 from typing import Optional
 
 import numpy as np
 
 from .config import FormatError
-from .graphs import Multigraph, WeightedGraph, _from_ids, _new_edge, _rows
+from .graphs import Multigraph, WeightedGraph, _from_ids
 
 FORMAT_VERSION = 1
 
@@ -60,15 +56,10 @@ _ID_TEXT = {str: json.encoder.encode_basestring_ascii, int: int.__repr__}
 _LABEL_TYPES = {str, type(None)}
 
 
-def _one_id_kind(*columns: list) -> bool:
-    """Whether every id in the columns is of one type of ``_ID_TEXT``."""
-    kinds = set(map(type, chain(*columns)))
-    return len(kinds) == 1 and kinds <= _ID_TEXT.keys()
-
-
 def _texts(ids: list) -> list[str]:
     """Each id's JSON text; FormatError names the first id with no JSON form."""
-    text = _ID_TEXT[type(ids[0])] if _one_id_kind(ids) else _encode
+    kinds = set(map(type, ids))
+    text = _ID_TEXT.get(kinds.pop(), _encode) if len(kinds) == 1 else _encode
     try:
         return list(map(text, ids))
     except (TypeError, ValueError):  # json's bare error; name the first id it cannot write
@@ -84,20 +75,6 @@ def _gather(texts: list[str], g: Multigraph) -> list[list[str]]:
     """Each edge's u and v texts, those of its ends' vertices; an object array
     gathers them with no Python step per end."""
     return np.array(texts, dtype=object)[g.ends.T].tolist()
-
-
-def _id_texts(g: Multigraph, rows: Optional[list]) -> tuple[str, list, list]:
-    """The vertex array's text and each edge's u and v texts.  Each vertex is
-    encoded once, and an end takes its vertex's text, on a column graph and
-    when every id and end of the rows is of one type of ``_ID_TEXT``;
-    otherwise each end of the rows is encoded itself."""
-    texts = _texts(g.vertices)
-    vertices = "[" + ",".join(texts) + "]"
-    if rows is not None:
-        u, v = (list(map(itemgetter(k), rows)) for k in (0, 1))
-        if not _one_id_kind(g.vertices, u, v):
-            return vertices, _texts(u), _texts(v)
-    return vertices, *_gather(texts, g)
 
 
 def _heads(label: list) -> list[str]:
@@ -125,13 +102,10 @@ def _metadata_text(metadata: dict) -> str:
         raise FormatError(f"metadata has no JSON form: {exc}") from exc
 
 
-def _weight_columns(g: WeightedGraph, rows: Optional[list]) -> tuple[list, list, list]:
-    """Each edge's wu, wv and whether it is a loop: from the weights table and
-    ends of a column graph, the same values as its ``Edge`` view, or from the rows."""
-    if rows is None:
-        wu, wv = g.weights.T.tolist()
-        return wu, wv, (g.ends[:, 0] == g.ends[:, 1]).tolist()
-    return [e.wu for e in rows], [e.wv for e in rows], [e.is_loop for e in rows]
+def _weight_columns(g: WeightedGraph) -> tuple[list, list, list]:
+    """Each edge's wu, wv and whether it is a loop, from the weights table and ends."""
+    wu, wv = g.weights.T.tolist()
+    return wu, wv, (g.ends[:, 0] == g.ends[:, 1]).tolist()
 
 
 def _weight_tail(wu, wv, loop: bool) -> str:
@@ -147,20 +121,20 @@ def serialize_graph(g: Multigraph, metadata: Optional[dict] = None) -> bytes:
 
     The bytes are those of ``json.dumps(doc, sort_keys=True,
     separators=(",", ":"))`` on the document with one dict per edge, written
-    by column: record i is its label's header, the texts of u[i] and v[i]
-    and, on a weighted graph, a weight tail; the document is joined once.
-    A column graph's records come from its columns, with no ``Edge`` rows.
+    by column: record i is its label's header, the texts of the vertices of
+    its ends and, on a weighted graph, a weight tail; the document is joined
+    once.  The records come from the columns, with no ``Edge`` rows.
     """
     weighted = isinstance(g, WeightedGraph)
-    rows = _rows(g)
-    vertices, u_text, v_text = _id_texts(g, rows)
+    texts = _texts(g.vertices)
+    u_text, v_text = _gather(texts, g)
     # five pieces per record, the comma after it in its tail; a prefix and a suffix
     pieces = [',"v":'] * (5 * len(u_text) + 2)
     pieces[1:-1:5] = _heads(g.labels)
     pieces[2:-1:5] = u_text
     pieces[4:-1:5] = v_text
     if weighted:
-        pieces[5:-1:5] = list(map(_weight_tail, *_weight_columns(g, rows)))
+        pieces[5:-1:5] = list(map(_weight_tail, *_weight_columns(g)))
     else:
         pieces[5:-1:5] = ["},"] * len(u_text)
     if u_text:
@@ -168,7 +142,7 @@ def serialize_graph(g: Multigraph, metadata: Optional[dict] = None) -> bytes:
     pieces[0] = '{"conventions":' + _encode(CONVENTIONS) + ',"edges":['
     pieces[-1] = (
         f'],"format_version":{FORMAT_VERSION},"metadata":{_metadata_text(dict(metadata or {}))},'
-        f'"vertices":{vertices},"weighted":{_encode(weighted)}}}'
+        f'"vertices":[{",".join(texts)}],"weighted":{_encode(weighted)}}}'
     )
     # a str join: a bytes join holds a buffer descriptor per piece
     return "".join(pieces).encode()
@@ -188,7 +162,8 @@ def _ids(column: list) -> list:
 
 
 def _edge_columns(records: list, weighted: bool) -> tuple:
-    """The u, v, wu, wv and label columns of the edge records.
+    """The u, v, wu, wv and label columns of the edge records; wu and wv are
+    None on an unweighted document.
 
     Raises KeyError or TypeError on a missing or malformed field, and
     FormatError on a bad weight string or label; the caller names the record.
@@ -199,7 +174,7 @@ def _edge_columns(records: list, weighted: bool) -> tuple:
         bad = next(x for x in label if type(x) not in _LABEL_TYPES)
         raise FormatError(f"label {bad!r} is neither a string nor null")
     if not weighted:
-        return u, v, repeat(1.0), repeat(1.0), label
+        return u, v, None, None, label
     loop = list(map(eq, u, v))
     # a loop carries one weight "w"; any other edge "wu" and "wv"
     wu = [_weight_from_str(r["w"] if k else r["wu"]) for r, k in zip(records, loop)]
@@ -262,16 +237,9 @@ def parse_graph(data: bytes) -> Multigraph:
         raise FormatError(f"field 'weighted' must be true or false, not {weighted!r}")
     # popped, the records are freed once read into columns
     u, v, wu, wv, label = _columns(doc.pop("edges"), weighted)
-    vertices = _ids(doc["vertices"])
-    if not weighted and _one_id_kind(vertices, u, v):
-        try:
-            return _from_ids(vertices, u, v, label)
-        except (KeyError, ValueError):
-            pass  # the row route names the repeated id or the first unknown end
-    edges = list(map(_new_edge, zip(u, v, wu, wv, label)))
-    del u, v, wu, wv, label  # freed before the graph is built
+    cls = WeightedGraph if weighted else Multigraph
     try:
-        return (WeightedGraph if weighted else Multigraph)(vertices, edges)
+        return _from_ids(cls, _ids(doc["vertices"]), u, v, label, wu, wv)
     except (TypeError, ValueError) as exc:  # TypeError: an unhashable vertex id
         raise FormatError(str(exc)) from exc
 
@@ -296,17 +264,12 @@ def export_dot(g: Multigraph, name: str = "G") -> str:
     """DOT text; multi-edges and loops appear as separate edge statements.
 
     Written by column and joined once, like a document: each vertex is
-    quoted once, a column graph's ends take their vertex's text, and a row
-    graph's ends are quoted themselves."""
-    rows = _rows(g)
+    quoted once, and each edge end takes its vertex's text."""
     quoted = list(map(_dot_quoted, g.vertices))
-    if rows is None:
-        u, v = _gather(quoted, g)
-    else:
-        u, v = ([_dot_quoted(e[k]) for e in rows] for k in (0, 1))
+    u, v = _gather(quoted, g)
     labels = g.labels
     if isinstance(g, WeightedGraph):
-        tails = list(map(_dot_tail, labels, *_weight_columns(g, rows)))
+        tails = list(map(_dot_tail, labels, *_weight_columns(g)))
     elif set(map(type, labels)) <= _LABEL_TYPES:  # equal labels print alike: each is quoted once
         memo = {x: _dot_tail(x) for x in set(labels)}
         tails = list(map(memo.__getitem__, labels))

@@ -26,7 +26,6 @@ from treespec import (
     WindowTooSmallError,
     cayley_ball,
     fiber_count,
-    folner_balls,
     hulanicki_residual,
     laplace_type_operator,
     level_projection_covering,
@@ -530,67 +529,6 @@ def tree_window(depth, interior_depth):
     return identity_covering(g, {v for v in g.vertices if len(v) <= interior_depth})
 
 
-class TestFolner:
-    # the infinite graphs are read through windows of radius k_max + 1
-    def test_radius_not_an_int_named(self):
-        with pytest.raises(ValueError, match="radius 2.5 is not an int"):
-            folner_balls(ray_window(13), 0, 2.5)
-        assert folner_balls(ray_window(13), 0, np.int64(12)) == folner_balls(ray_window(13), 0, 12)
-
-    def test_ray_is_folner(self):
-        rep = folner_balls(ray_window(13), 0, 12)
-        assert rep.subexp_evidence
-        assert rep.boundary_ratios[-1] < 0.2
-
-    def test_binary_tree_is_not(self):
-        rep = folner_balls(tree_window(13, 12), "", 12)
-        assert not rep.subexp_evidence
-        assert min(rep.boundary_ratios) > 0.5
-
-    def test_unknown_base_vertex_raises(self):
-        with pytest.raises(ValueError, match="not in the graph"):
-            folner_balls(identity_covering(schreier_graph(W, 4)), "nope", 6)
-
-    def test_k_max_below_one_refused(self):
-        with pytest.raises(ValueError, match="k_max must be >= 1"):
-            folner_balls(ray_window(13), 0, 0)
-
-    def test_sizes_linear_on_ray(self):
-        rep = folner_balls(ray_window(9), 0, 8)
-        assert rep.sizes == tuple(k + 1 for k in range(9))
-
-    @pytest.mark.parametrize("interior_depth", range(6))
-    def test_window_too_small_raises(self, interior_depth):
-        # a depth-6 tree holds no ball of radius 7 or more: the sizes would
-        # stop at 127 and read as subexponential growth
-        with pytest.raises(WindowTooSmallError):
-            folner_balls(tree_window(6, interior_depth), "", 12)
-
-    def test_window_cut_short_near_the_base_raises(self):
-        # the branch under "1" stops at "1" while the branch under "0" is
-        # interior to depth 7; the sizes would read 1, 3, 5, 9, ...
-        keep = [v for v in binary_tree(8).vertices if v[:1] != "1" or v == "1"]
-        g = Multigraph(keep, [(v[:-1], v, "child") for v in keep if v])
-        window = identity_covering(g, {v for v in keep if len(v) < 8 and v != "1"})
-        with pytest.raises(WindowTooSmallError):
-            folner_balls(window, "", 7)
-
-    def test_window_too_small_names_the_nearest_rim_vertex(self):
-        # the depth-3 vertices are the nearest outside the interior; listed
-        # in reverse, '111' comes first among them, though a search from the
-        # root reaches '000' first
-        g = binary_tree(6)
-        g = Multigraph(g.vertices[::-1], g.edges)
-        window = identity_covering(g, {v for v in g.vertices if len(v) <= 2})
-        with pytest.raises(WindowTooSmallError, match="'111' at distance 3 "):
-            folner_balls(window, "", 5)
-
-    def test_window_of_radius_k_max_plus_one_suffices(self):
-        assert folner_balls(tree_window(6, 5), "", 5).sizes[-1] == 63
-        with pytest.raises(WindowTooSmallError):
-            folner_balls(tree_window(6, 5), "", 6)
-
-
 class TestFiberCount:
     def test_finite_cover_counts_whole_fiber(self):
         cov = level_projection_covering(W, 5, 2)
@@ -614,6 +552,41 @@ class TestFiberCount:
         counts = [fiber_count(ball.covering, 0, k) for k in range(7)]
         assert counts == sorted(counts)
         assert counts[0] == 1  # the base point itself
+
+    def test_unknown_base_vertex_raises(self):
+        with pytest.raises(ValueError, match="not in the graph"):
+            fiber_count(identity_covering(schreier_graph(W, 4)), "nope", 6)
+
+    @pytest.mark.parametrize("interior_depth", range(6))
+    def test_window_too_small_raises(self, interior_depth):
+        # a depth-6 tree holds no ball of radius 7 or more
+        with pytest.raises(WindowTooSmallError):
+            fiber_count(tree_window(6, interior_depth), "", 12)
+
+    def test_window_cut_short_near_the_base_raises(self):
+        # the branch under "1" stops at "1" while the branch under "0" is
+        # interior to depth 7
+        keep = [v for v in binary_tree(8).vertices if v[:1] != "1" or v == "1"]
+        g = Multigraph(keep, [(v[:-1], v, "child") for v in keep if v])
+        window = identity_covering(g, {v for v in keep if len(v) < 8 and v != "1"})
+        with pytest.raises(WindowTooSmallError, match="'1' at distance 1 "):
+            fiber_count(window, "", 7)
+
+    def test_window_too_small_names_the_nearest_rim_vertex(self):
+        # the depth-3 vertices are the nearest outside the interior; listed
+        # in reverse, '111' comes first among them, though a search from the
+        # root reaches '000' first
+        g = binary_tree(6)
+        g = Multigraph(g.vertices[::-1], g.edges)
+        window = identity_covering(g, {v for v in g.vertices if len(v) <= 2})
+        with pytest.raises(WindowTooSmallError, match="radius 5: '111' at distance 3 "):
+            fiber_count(window, "", 5)
+
+    def test_window_of_radius_k_suffices(self):
+        # every vertex closer than k interior: the ball of radius k is exact
+        assert fiber_count(tree_window(6, 5), "", 6) == 1
+        with pytest.raises(WindowTooSmallError):
+            fiber_count(tree_window(6, 5), "", 7)
 
 
 class TestResiduals:
@@ -756,8 +729,6 @@ class TestResiduals:
             hulanicki_residual(cov, 1.0, [1.0, 1.0], "subexp", 1)
         with pytest.raises(ValueError, match=named):
             window_pullback_residual(cov, 1.0, [1.0, 1.0])
-        # the Folner data never read the vertex map
-        assert folner_balls(cov, 0, 1).sizes == (1, 2)
 
     def test_support_out_of_reach_of_the_base_named(self):
         # two looped vertices: the base's image 0 never reaches vertex 1

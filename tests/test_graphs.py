@@ -1,4 +1,5 @@
 import math
+import re
 from collections import abc
 
 import numpy as np
@@ -28,7 +29,7 @@ from treespec import (
 )
 from treespec import graphs
 from treespec.config import FormatError
-from treespec.graphs import _bfs_distances, _from_ends, _neighbor_sum, _rows
+from treespec.graphs import _bfs_distances, _from_ends, _neighbor_sum
 
 from test_serialize import COLUMN_GRAPHS, documented_graphs
 
@@ -254,6 +255,13 @@ class TestEdge:
         assert g.edges == [Edge(0, 1), Edge(1, 1, label="b"), Edge(0, 0, label="c")]
         assert all(type(e) is Edge for e in g.edges)
 
+    @pytest.mark.parametrize("cls", [Multigraph, WeightedGraph])
+    @pytest.mark.parametrize("edge", [(0, 1, 0.5, 2.0), (0,), (0, 1, "a", 0.5, 2.0, None)])
+    def test_tuple_of_another_length_is_named(self, cls, edge):
+        # a 4-tuple was read as (u, v, label): weights 1.0 and label 0.5
+        with pytest.raises(ValueError, match=re.escape(f"edge 1: {edge!r} is neither")):
+            cls([0, 1], [(1, 1), edge])
+
     def test_first_unknown_endpoint_is_named(self):
         edges = [(0, 1), (1, 7, "a"), Edge(9, 0)]
         with pytest.raises(ValueError) as info:
@@ -433,7 +441,7 @@ class TestGraphsFromPositions:
         pairs = np.argwhere(np.triu((m != 0) | (m != 0).T)).tolist()
         reference = WeightedGraph(range(len(m)), [Edge(i, j, m[i, j], m[j, i]) for i, j in pairs])
         assert graph.edges == reference.edges and graph.weights.dtype == m.dtype
-        assert graph.weights.astype(complex).tobytes() == reference.weights.tobytes()
+        assert graph.weights.astype(complex).tobytes() == reference.weights.astype(complex).tobytes()
 
     def test_labels_held_once(self):
         # the graph keeps its label list when the view is built, for the writers to read
@@ -466,7 +474,7 @@ class TestEndsByColumn:
 
 
 def reference_rows(g):
-    """A column graph's rows, made one at a time from its columns."""
+    """A graph's rows, made one at a time from its columns."""
     weights = g.weights.tolist() if isinstance(g, WeightedGraph) else [[1.0, 1.0]] * len(g.ends)
     return [
         Edge(g.vertices[a], g.vertices[b], wu, wv, label)
@@ -475,7 +483,7 @@ def reference_rows(g):
 
 
 def column_copy(g, cls=None, order=None):
-    """A column graph of ``cls`` (g's type by default) with g's rows, its
+    """A graph of ``cls`` (g's type by default) with g's rows, its
     vertices listed in ``order``, positions in ``g.vertices``; a weighted copy
     of an unweighted graph has every weight 1.0."""
     cls = cls or type(g)
@@ -500,11 +508,12 @@ def round_trip(g):
     return parse_graph(serialize_graph(g))
 
 
-# every builder of column graphs, the parser's str- and int-id routes among them
+# every builder of graphs, the parser on str-id, int-id and weighted documents among them
 COLUMN_BUILDERS = {
     **COLUMN_GRAPHS,
     "parsed-str-ids": lambda: round_trip(schreier_graph(OmegaWord.parse(":01"), 3)),
     "parsed-int-ids": lambda: round_trip(upsilon_graph(UpsilonSpec("line", 3))),
+    "parsed-weighted": lambda: round_trip(markov_weights(schreier_graph(OmegaWord.parse(":01"), 3))),
 }
 SLICES = [slice(None), slice(1, -1), slice(None, None, -2), slice(-5, None, 3), slice(3, 1),
           slice(2, None), slice(None, 2**70), slice(-(2**70), 4, 2)]
@@ -512,12 +521,12 @@ SLICES = [slice(None), slice(1, -1), slice(None, None, -2), slice(-5, None, 3), 
 
 @pytest.mark.parametrize("build", COLUMN_BUILDERS.values(), ids=COLUMN_BUILDERS.keys())
 class TestEdgeView:
-    """A column graph's ``edges`` reads like the list of its rows."""
+    """A graph's ``edges`` reads like the list of its rows."""
 
     def test_length_rows_and_repr(self, build):
         g = build()
         rows, view = reference_rows(g), g.edges
-        assert _rows(g) is None and isinstance(view, abc.Sequence) and view is not g.edges
+        assert isinstance(view, abc.Sequence) and view is not g.edges
         assert len(view) == len(rows) > 0
         assert all(type(e) is Edge for e in view)
         assert repr(list(view)) == repr(rows) and repr(view) == repr(rows)
@@ -581,14 +590,6 @@ class TestEdgeView:
             assert bare.edges == weighted.edges and weighted.edges == g.edges
 
 
-class TestRowGraphEdges:
-    @pytest.mark.parametrize("cls", [Multigraph, WeightedGraph])
-    def test_the_same_list_on_every_read(self, cls):
-        g = cls([0, 1], [Edge(0, 1, 0.5, 2.0, "a"), Edge(1, 1)])
-        assert type(g.edges) is list and g.edges is g.edges and _rows(g) is g.edges
-        assert g.edges == [Edge(0, 1, 0.5, 2.0, "a"), Edge(1, 1)]
-
-
 @given(g=documented_graphs())
 @settings(max_examples=200, deadline=None)
 def test_views_of_round_tripped_documents_read_as_their_rows(g):
@@ -607,5 +608,4 @@ def test_views_of_round_tripped_documents_read_as_their_rows(g):
     agree_as_rows(view, g.edges)
     agree_as_rows(view, column_copy(g).edges)
     agree_as_rows(column_copy(h, Multigraph).edges, column_copy(g, WeightedGraph).edges)
-    if _rows(h) is None:  # the parser's column route
-        assert repr(h.edges) == repr(rows) and h.edges == view
+    assert repr(h.edges) == repr(rows) and h.edges == view

@@ -73,15 +73,12 @@ def test_detects_leaf_tuple_read():
 
 def edge_view_reads(source: str) -> list[int]:
     """Lines that read ``.edges``, a graph's edges as ``Edge`` tuples, which a
-    column graph makes row by row on each read; only ``graphs`` and
-    ``serialize`` read it."""
+    graph makes row by row on each read; only ``graphs`` reads it."""
     return attribute_reads(source, {"edges"})
 
 
 @pytest.mark.parametrize(
-    "path",
-    [p for p in sorted(SRC.glob("*.py")) if p.name not in ("graphs.py", "serialize.py")],
-    ids=lambda p: p.stem,
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "graphs.py"], ids=lambda p: p.stem
 )
 def test_no_edge_view_reads(path):
     assert edge_view_reads(path.read_text()) == []
@@ -100,8 +97,8 @@ def private_names(cls, *instances) -> set[str]:
 
 
 def multigraph_private_names() -> set[str]:
-    # a row graph holds ``_edges``, and graphs built from positions (a level
-    # graph, a Markov-weighted graph) hold ``_labels`` instead
+    # every graph, made by the constructor or built from positions (a level
+    # graph, a Markov-weighted graph), holds its columns and ``_labels``
     built = Multigraph([0, 1], [(0, 1)])
     return private_names(
         Multigraph, built, schreier_graph(OmegaWord.parse(":012"), 1), markov_weights(built)

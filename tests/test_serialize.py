@@ -197,6 +197,14 @@ class TestRoundTrip:
             assert weight_bits(f.wu) == weight_bits(e.wu)
             assert weight_bits(f.wv) == weight_bits(e.wv)
 
+    @pytest.mark.parametrize("wu, wv, dtype", [(0.5, 2, float), (0.5, 1j, complex)])
+    def test_weight_table_is_float_unless_a_weight_is_complex(self, wu, wv, dtype):
+        # the constructor and the parser keep one rule; both tables were complex
+        g = WeightedGraph([0, 1], [Edge(0, 1, wu, wv), Edge(1, 1, 0.25, 0.25)])
+        h = parse_graph(serialize_graph(g))
+        assert g.weights.dtype == h.weights.dtype == dtype
+        assert repr(h.edges) == repr(g.edges)
+
     def test_complex_weights(self):
         g = WeightedGraph([0, 1], [Edge(0, 1, 1 + 0.1j, 1 - 0.1j)])
         h = parse_graph(serialize_graph(g))
@@ -228,12 +236,14 @@ class TestRoundTrip:
         data = serialize_graph(g, metadata)
         assert data == reference_serialize(g, metadata)
         assert snapshot(parse_graph(data)) == snapshot(reference_parse(data))
+        assert serialize_graph(parse_graph(data), metadata) == data
 
-    def test_ends_that_print_unlike_their_vertex_keep_their_own_text(self):
+    def test_ends_that_print_unlike_their_vertex_take_its_text(self):
+        # an end is its vertex: True given at vertex 1 is written as 1
         g = Multigraph([1, (0, "x")], [(True, 1.0), (1, (False, "x")), ((0.0, "x"), 1, "a")])
         data = serialize_graph(g)
         assert data == reference_serialize(g)
-        assert b'{"u":true,"v":1.0}' in data and b'"u":[0.0,"x"]' in data
+        assert b'"edges":[{"u":1,"v":1},{"u":1,"v":[0,"x"]},{"label":"a","u":[0,"x"],"v":1}]' in data
 
     def test_list_vertex_ids_come_back_as_tuples(self):
         g = Multigraph([(0, 1), (1, "a"), 2], [((0, 1), (1, "a"), "x"), (2, (0, 1)), (2, 2)])
@@ -465,7 +475,8 @@ def lifted_graph():
     return lift_weights(c, markov_weights(c.target))
 
 
-# graphs built from columns by the package's builders, each end its own vertex
+# graphs built by the package's builders and by the constructor (mixed and
+# tuple ids given by ends that print unlike their vertex, real and complex weights)
 COLUMN_GRAPHS = {
     "schreier": lambda: schreier_graph(OmegaWord.parse(":012"), 4),
     "upsilon-finite": lambda: upsilon_graph(UpsilonSpec("finite", 4)),
@@ -475,12 +486,24 @@ COLUMN_GRAPHS = {
     "lift-weights": lifted_graph,
     "shift-square-real": lambda: shift_square_graph(0.25),
     "shift-square-complex": lambda: shift_square_graph(0.25 + 0.1j),
+    "constructed-mixed-ids": lambda: Multigraph(
+        [1, (0, "x"), "a", 2.5],
+        [(True, 1.0), (1, (False, "x"), "p"), ((0.0, "x"), "a", "q"), ("a", "a"), (2.5, 1)],
+    ),
+    "constructed-real": lambda: WeightedGraph(
+        [0, 1, 2], [Edge(0, 1, 0.5, 2.0, "a"), Edge(1, 1, 0.25, 0.25), Edge(2, True, 1, -0.0)]
+    ),
+    "constructed-complex": lambda: WeightedGraph(
+        ["u", ("v", 1)],
+        [Edge("u", ("v", True), 1 + 0.5j, 1 - 0.5j, "c"), Edge("u", "u", 0.5, 0.5),
+         Edge(("v", 1.0), "u", 2.0, 3j)],
+    ),
 }
 
 
 class TestColumnGraphs:
-    """The writers read a column graph's columns, and the reader builds one
-    from an unweighted document of str or int ids; neither makes Edge rows."""
+    """The writers read a graph's columns, and the reader builds a graph's
+    columns from its document; neither makes Edge rows."""
 
     @pytest.mark.parametrize("build", COLUMN_GRAPHS.values(), ids=COLUMN_GRAPHS.keys())
     def test_writers_build_no_rows(self, build):
@@ -532,10 +555,14 @@ class TestColumnGraphs:
         assert snapshot(h) == snapshot(reference_parse(data))
 
     def test_ends_that_print_unlike_their_vertex_round_trip(self):
-        data = reference_serialize(Multigraph([1, 2], [(True, 1), (2, 1.0, "a"), (2, 2)]))
-        assert b'{"u":true,"v":1}' in data
+        # the reader resolves each end to its vertex: "u":true at vertex 1 reads back as 1
+        data = (b'{"edges":[{"u":true,"v":1},{"label":"a","u":2,"v":1.0},{"u":2,"v":2}],'
+                b'"format_version":1,"vertices":[1,2]}')
         h = parse_graph(data)
-        assert serialize_graph(h) == data and export_dot(h) == reference_dot(h)
+        assert repr(h.edges) == repr([Edge(1, 1), Edge(2, 1, label="a"), Edge(2, 2)])
+        written = serialize_graph(h)
+        assert b'"edges":[{"u":1,"v":1},{"label":"a","u":2,"v":1},{"u":2,"v":2}]' in written
+        assert serialize_graph(parse_graph(written)) == written and export_dot(h) == reference_dot(h)
 
     @pytest.mark.parametrize(
         "doc, message",
