@@ -547,6 +547,11 @@ class TestFiberCount:
             fiber_count(ball.covering, 0, 2.5)
         assert fiber_count(ball.covering, 0, np.int64(2)) == fiber_count(ball.covering, 0, 2)
 
+    def test_radius_not_an_int_named_on_the_ray(self):
+        with pytest.raises(ValueError, match="radius 2.5 is not an int"):
+            fiber_count(ray_window(13), 0, 2.5)
+        assert fiber_count(ray_window(13), 0, np.int64(12)) == fiber_count(ray_window(13), 0, 12)
+
     def test_monotone_in_radius(self):
         ball = cayley_ball(W, 6, 2)
         counts = [fiber_count(ball.covering, 0, k) for k in range(7)]
