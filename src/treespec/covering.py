@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice, repeat
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -40,16 +40,21 @@ class NotAnEigenpairError(ValueError):
 class CoveringMap:
     """Vertex and edge surjections from source onto target.
 
-    ``interior`` is the set of source vertices whose full edge star is
-    present; None means the whole source is exact (finite covering).  Numeric
-    routines read tables by source position, each built once on first use.
+    ``interior`` holds the source vertices whose full edge star is present,
+    in any container with ``in`` and iteration (a set, or the ``range`` of a
+    Cayley window); None means the whole source is exact (finite covering).
+    Numeric routines read tables by source position.  Built through this
+    constructor, a covering derives each table from the maps once, on first
+    use; a builder that holds the tables hands them over instead
+    (:func:`_covering_from_tables`), and a Cayley window hands over its source
+    distances too, the census shell of each element.
     """
 
     source: Multigraph
     target: Multigraph
     vertex_map: dict
     edge_map: dict[int, int]
-    interior: Optional[set] = None
+    interior: Optional[Collection] = None
 
     def phi(self, v):
         return self.vertex_map[v]
@@ -110,11 +115,45 @@ class CoveringMap:
         return np.fromiter((inside is None or v in inside for v in src.vertices), bool, src.n)
 
     @cached_property
-    def _base(self) -> tuple[np.ndarray, np.ndarray]:
-        """Source distances from the base, the first source vertex, and target
-        distances from its image."""
-        s, t = self.source, self.target
-        return _bfs_distances(s, s.vertices[0]), _bfs_distances(t, t.vertices[self._image[0]])
+    def _base(self) -> np.ndarray:
+        """Source distances from the base, the first source vertex."""
+        return _bfs_distances(self.source, self.source.vertices[0])
+
+    @cached_property
+    def _target_base(self) -> np.ndarray:
+        """Target distances from the base's image."""
+        t = self.target
+        return _bfs_distances(t, t.vertices[self._image[0]])
+
+
+def _covering_from_tables(
+    source: Multigraph,
+    target: Multigraph,
+    image: np.ndarray,
+    edge_image: np.ndarray,
+    interior: Optional[Collection] = None,
+    inside: Optional[np.ndarray] = None,
+    distances: Optional[np.ndarray] = None,
+) -> CoveringMap:
+    """The covering whose builder holds its tables, which it takes as they are:
+    source vertex i lies over target position ``image[i]`` and source edge k
+    over target edge ``edge_image[k]`` (both ``intp``); ``inside`` is the mask
+    of ``interior`` by source position (None: every vertex), and ``distances``,
+    if given, the source distances from the base.  The public maps are built
+    from the tables.  Trusted: the tables describe a covering, as the dict
+    route would derive them."""
+    vertex_map = dict(zip(source.vertices, map(target.vertices.__getitem__, image.tolist())))
+    c = CoveringMap(source, target, vertex_map, dict(enumerate(edge_image.tolist())), interior)
+    tables = vars(c)  # where each cached table would be stored on first use
+    tables.update(
+        _image=image,
+        _edge_entries=(np.arange(len(edge_image)), edge_image, None),
+        _edge_image=edge_image,
+        _interior=np.ones(source.n, bool) if inside is None else inside,
+    )
+    if distances is not None:
+        tables["_base"] = distances
+    return c
 
 
 @dataclass(frozen=True)
@@ -246,8 +285,8 @@ def lift_path(
 
     BadStartError names a start that is not a source vertex in the fiber of
     ``origin``.  ValueError names a step whose target edge id is not an int in
-    range, or not incident to the walk, or does not lift to exactly one source
-    edge.
+    range (a bool is not), or not incident to the walk, or does not lift to
+    exactly one source edge.  The walk reads the tables one scalar at a time.
     """
     try:
         inside = start in c.source and c.phi(start) == origin
@@ -256,22 +295,22 @@ def lift_path(
     if not inside:
         raise BadStartError(f"{start!r} is not in the fiber of {origin!r}")
     table, stars, n_edges = c._edge_image, _stars(c.source), len(c.target.ends)
+    ptr, star, s_ends, t_ends = stars.ptr, stars.edge, c.source.ends, c.target.ends
     x = c.source.index(start)  # the walk by positions: x in the source, y in the target
-    y = int(c._image[x])
+    y = c._image.item(x)
     path = [start]
     for ti in edge_indices:
-        if not (isinstance(ti, _INT) and 0 <= ti < n_edges):
+        if isinstance(ti, bool) or not (isinstance(ti, _INT) and 0 <= ti < n_edges):
             raise ValueError(f"target edge {ti!r} is not an edge id in range({n_edges})")
-        tu, tv = c.target.ends[ti].tolist()
+        tu, tv = t_ends.item(ti, 0), t_ends.item(ti, 1)
         if y not in (tu, tv):
             raise ValueError(f"target edge {ti} not incident to {c.target.vertices[y]!r}")
-        star = stars.edge[stars.ptr[x]:stars.ptr[x + 1]]
-        lifted = star[table[star] == ti]
-        if lifted.size != 1:
+        lifted = [e for e in star[ptr.item(x) : ptr.item(x + 1)].tolist() if table.item(e) == ti]
+        if len(lifted) != 1:
             raise ValueError(
-                f"lift not unique at {c.source.vertices[x]!r}: {lifted.size} candidate edges"
+                f"lift not unique at {c.source.vertices[x]!r}: {len(lifted)} candidate edges"
             )
-        su, sv = c.source.ends[lifted[0]].tolist()
+        su, sv = s_ends.item(lifted[0], 0), s_ends.item(lifted[0], 1)
         x, y = sv if su == x else su, tv if tu == y else tu
         path.append(c.source.vertices[x])
     return path
@@ -355,12 +394,13 @@ def hulanicki_residual(
     if mode == "finite-target" and eps > EIGEN_TOL:
         raise NotAnEigenpairError(f"target residual {eps:.3e} > {EIGEN_TOL}")
 
-    (radius, tdist), image = c._base, c._image
+    radius, image = c._base, c._image
     support = np.flatnonzero(np.abs(f) > 0)
     if mode == "finite-target":
         n_ctrl = tgt.n
         trunc = k + n_ctrl + 1
     else:
+        tdist = c._target_base
         far = support[np.isinf(tdist[support])]
         if far.size:
             raise ValueError(
@@ -425,7 +465,7 @@ def spectral_inclusion_report(
 
     The target must be finite; its Markov operator is fully diagonalized and
     each eigenpair is pushed through :func:`hulanicki_residual`, all on the
-    covering's one pair of base searches.
+    covering's one set of base distances.
     """
     if len(k_schedule) == 0:
         raise ValueError("k_schedule must hold at least one radius")

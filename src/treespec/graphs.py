@@ -17,7 +17,8 @@ from __future__ import annotations
 from collections import abc, deque
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import count, repeat
+from itertools import chain, count, repeat
+from numbers import Number
 from operator import index, itemgetter
 from typing import Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -106,9 +107,19 @@ def _end_table(index: dict, u: Iterable, v: Iterable, size: int) -> np.ndarray:
     return ends
 
 
+# a weight: a ``numbers.Number``, or numpy's bool, which numpy leaves unregistered
+_NUMBER = (Number, np.bool_)
+
+
 def _weight_table(wu: Sequence, wv: Sequence) -> np.ndarray:
     """The (E, 2) table of the weights (wu[i], wv[i]): float64, unless some
-    weight is complex."""
+    weight is complex.  ValueError names the first edge with a weight that is
+    not a number, such as None or a string."""
+    if not all(map(isinstance, chain(wu, wv), repeat(_NUMBER))):
+        i, x = next(
+            (i, x) for i, pair in enumerate(zip(wu, wv)) for x in pair if not isinstance(x, _NUMBER)
+        )
+        raise ValueError(f"edge {i}: weight {x!r} is not a number")
     w = np.column_stack((wu, wv))
     return w.astype(complex if w.dtype.kind == "c" else float, copy=False)
 

@@ -10,14 +10,14 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional
 
 import numpy as np
 
 from .actions import GENERATORS, _generator_table
 from .config import DEFAULT_CONFIG, ResourceLimitError, RunConfig
 from .config import _require_int, _require_int_radii
-from .covering import CoveringMap
+from .covering import CoveringMap, _covering_from_tables
 from .graphs import Multigraph, _from_ends, _slot_index
 from .growth import BallEnumeration, _leaf_images, enumerate_ball
 from .omega import OmegaWord
@@ -329,17 +329,19 @@ def check_isomorphic(g: Multigraph, u: Multigraph) -> IsomorphismResult:
 
 def _onto_level(
     w: OmegaWord, level: int, source: Multigraph, u: np.ndarray, gen: np.ndarray,
-    image: np.ndarray, interior: Optional[set],
+    image: np.ndarray, interior: Optional[Collection] = None,
+    inside: Optional[np.ndarray] = None, distances: Optional[np.ndarray] = None,
 ) -> CoveringMap:
     """The covering of ``source`` onto the level graph, whose edge table it
     reads once: source vertex i lies over level vertex image[i], and source
-    edge k, the gen[k]-edge at u[k], over the gen[k]-edge at image[u[k]]."""
+    edge k, the gen[k]-edge at u[k], over the gen[k]-edge at image[u[k]].  It
+    hands these tables, the mask ``inside`` of ``interior`` and the source
+    ``distances`` from the base, if known, to the covering."""
     lu, lv, lgen, ids = _level_edges(w, level)
-    vertices = _level_vertices(level)
-    target = _labelled_graph(vertices, lu, lv, lgen)
-    vertex_map = dict(zip(source.vertices, map(vertices.__getitem__, image.tolist())))
-    edge_map = dict(enumerate(ids[gen, image[u]].tolist()))
-    return CoveringMap(source, target, vertex_map, edge_map, interior)
+    target = _labelled_graph(_level_vertices(level), lu, lv, lgen)
+    image = image.astype(np.intp, copy=False)
+    edge_image = ids[gen, image[u]].astype(np.intp, copy=False)
+    return _covering_from_tables(source, target, image, edge_image, interior, inside, distances)
 
 
 def level_projection_covering(
@@ -355,7 +357,7 @@ def level_projection_covering(
     u, v, gen, _ = _level_edges(w, m)
     source = _labelled_graph(_level_vertices(m), u, v, gen)
     # each vertex lies over its length-n prefix
-    return _onto_level(w, n, source, u, gen, np.arange(1 << m) >> (m - n), None)
+    return _onto_level(w, n, source, u, gen, np.arange(1 << m) >> (m - n))
 
 
 @dataclass
@@ -385,10 +387,14 @@ def cayley_ball(
     # refuse a level over the cap before the enumeration, which costs more
     _check_level(level, config)
     enum = enumerate_ball(w, radius)
+    ids, interior = np.arange(enum.sizes[-1]), range(enum.sizes[radius - 1])
     # element i maps to image[i], its image of the level vertex 1...1
     image = _leaf_images(enum, level, np.array([(1 << level) - 1]))[:, 0]
     # each g-edge at its smaller end (j == i: a loop; j == -1: outside the ball)
-    u, gen = np.nonzero(enum.neighbors >= np.arange(len(image))[:, None])
-    graph = _labelled_graph(list(range(len(image))), u, enum.neighbors[u, gen], gen)
-    covering = _onto_level(w, level, graph, u, gen, image, set(range(enum.sizes[radius - 1])))
+    u, gen = np.nonzero(enum.neighbors >= ids[:, None])
+    graph = _labelled_graph(list(range(len(ids))), u, enum.neighbors[u, gen], gen)
+    # ids are handed out shell by shell and every geodesic of the ball stays in
+    # it, so an element's distance from the identity is its census shell
+    distances = np.searchsorted(enum.sizes, ids, side="right").astype(float)
+    covering = _onto_level(w, level, graph, u, gen, image, interior, ids < len(interior), distances)
     return CayleyBall(graph, covering, enum, radius, level)

@@ -40,7 +40,10 @@ from treespec import (
     verify_covering,
     window_pullback_residual,
 )
+from treespec.actions import GENERATORS
 from treespec.graphs import _bfs_distances
+
+from test_growth import WREATH_OMEGAS
 
 W = OmegaWord.parse(":012")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -450,7 +453,7 @@ class TestLifting:
         for step in zip(*lifts):
             assert len(set(step)) == len(fiber)
 
-    @pytest.mark.parametrize("ti", [12, 17, -1, -12, 1.0, "0", None])
+    @pytest.mark.parametrize("ti", [12, 17, -1, -12, 1.0, "0", None, True])
     def test_bad_target_edge_id_named(self, ti):
         # the level-2 target has edges 0..11; a bad id is named, not read as
         # a list index or compared with the edge map
@@ -786,3 +789,88 @@ class TestResiduals:
         rep_big = spectral_inclusion_report(ball.covering, [3, 4, 5])
         for a, b in zip(rep_big.best_residuals, rep_small.best_residuals):
             assert a <= b + 1e-12
+
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_tables_match_dict_route(c, handed):
+    """The tables the builder handed to ``c``, named in ``handed``, are bit for
+    bit those the public constructor derives from c's maps and interior set:
+    the image and edge arrays, the interior mask, and the source distances by
+    a breadth-first search."""
+    interior = None if c.interior is None else set(c.interior)
+    rebuilt = CoveringMap(c.source, c.target, dict(c.vertex_map), dict(c.edge_map), interior)
+    assert set(handed) <= set(vars(c))
+    for name in handed:
+        got, want = vars(c)[name], getattr(rebuilt, name)
+        if name == "_edge_entries":
+            assert got[2] is want[2] is None
+            for a, b in zip(got[:2], want[:2]):
+                assert_same_array(a, b)
+        else:
+            assert_same_array(got, want)
+
+
+class TestHandedTables:
+    """Coverings built by ``level_projection_covering`` and ``cayley_ball``
+    take the tables their builder holds; the public constructor's dict route
+    and the breadth-first search are the second route to each."""
+
+    TABLES = ("_image", "_edge_entries", "_edge_image", "_interior")
+
+    @given(w=WREATH_OMEGAS, m=st.integers(2, 10), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_level_projection_tables(self, w, m, data):
+        n = data.draw(st.integers(1, m - 1))
+        c = level_projection_covering(w, m, n)
+        assert_tables_match_dict_route(c, self.TABLES)
+        assert "_base" not in vars(c)
+
+    @given(w=WREATH_OMEGAS, radius=st.integers(1, 18), level=st.integers(1, 3))
+    @example(w=OmegaWord.parse(":012"), radius=18, level=3)
+    @example(w=OmegaWord.parse(":0"), radius=18, level=1)
+    @settings(max_examples=30, deadline=None)
+    def test_cayley_ball_tables(self, w, radius, level):
+        ball = cayley_ball(w, radius, level)
+        c = ball.covering
+        assert_tables_match_dict_route(c, (*self.TABLES, "_base"))
+        assert_same_array(c._base, _bfs_distances(c.source, 0))
+        assert c.interior == range(ball.enumeration.sizes[radius - 1])
+
+    @given(w=WREATH_OMEGAS, radius=st.integers(1, 18), level=st.integers(1, 3), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_cayley_lifts_follow_the_neighbour_table(self, w, radius, level, data):
+        ball = cayley_ball(w, radius, level)
+        c, tgt = ball.covering, ball.covering.target
+        # a walk shorter than the radius stays where every star is complete
+        letters = data.draw(st.lists(st.integers(0, 3), max_size=radius - 1))
+        at = {}  # the target's g-edge at each vertex position
+        for ti, ((a, b), g) in enumerate(zip(tgt.ends.tolist(), tgt.labels)):
+            at[a, g] = at[b, g] = ti
+        y, walk = tgt.index(c.phi(0)), []
+        for j in letters:
+            walk.append(at[y, GENERATORS[j]])
+            a, b = tgt.ends[walk[-1]].tolist()
+            y = b if a == y else a
+        want = [0]
+        for j in letters:
+            want.append(int(ball.enumeration.neighbors[want[-1], j]))
+        assert lift_path(c, c.phi(0), walk, 0) == want
+
+    @pytest.mark.parametrize("mode, radii", [("subexp", [3, 4, 5]), ("finite-target", [2])])
+    def test_cayley_report_searches_the_target_only(self, monkeypatch, mode, radii):
+        # the window's distances are its census shells; only the level target is searched
+        searched = []
+
+        def bfs(g, v):
+            searched.append(g.n)
+            return _bfs_distances(g, v)
+
+        monkeypatch.setattr("treespec.covering._bfs_distances", bfs)
+        c = cayley_ball(W, 13, 2).covering
+        spectral_inclusion_report(c, radii, mode)
+        assert searched == ([c.target.n] if mode == "subexp" else [])

@@ -270,6 +270,31 @@ class TestEdge:
             "edge 1: Edge(u=1, v=7, wu=1.0, wv=1.0, label='a') references unknown vertex"
         )
 
+    @pytest.mark.parametrize("weight", [None, "1.5", "abc", b"2.0"])
+    @pytest.mark.parametrize("end", ["wu", "wv"])
+    def test_weight_that_is_not_a_number_is_named(self, weight, end):
+        # None was stored as nan, "1.5" as 1.5, and "abc" raised numpy's own message
+        bad = Edge(0, 1, **{"wu": 1.0, "wv": 2.0, end: weight})
+        named = re.escape(f"edge 1: weight {weight!r} is not a number")
+        with pytest.raises(ValueError, match=named):
+            WeightedGraph([0, 1], [Edge(0, 0, 0.5, 0.5), bad, Edge(1, 1, None, None)])
+
+    @pytest.mark.parametrize(
+        "wu, wv, table",
+        [
+            (3, 2.5, [[3.0, 2.5]]),
+            (True, False, [[1.0, 0.0]]),
+            (np.int64(4), np.float32(0.5), [[4.0, 0.5]]),
+            (np.bool_(True), np.uint8(7), [[1.0, 7.0]]),
+            (1 + 2j, 2, [[1 + 2j, 2 + 0j]]),
+            (np.complex128(-1j), np.float64(0.25), [[-1j, 0.25 + 0j]]),
+        ],
+    )
+    def test_number_weights_keep_their_tables(self, wu, wv, table):
+        weights = WeightedGraph([0, 1], [Edge(0, 1, wu, wv)]).weights
+        want = np.array(table)
+        assert weights.dtype == want.dtype and weights.tobytes() == want.tobytes()
+
 
 class TestMarkovWeights:
     def test_isolated_vertex(self):

@@ -142,7 +142,8 @@ def test_covering_private_names_found():
     "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "covering.py"], ids=lambda p: p.stem
 )
 def test_covering_tables_read_only_in_covering(path):
-    # a cached table is built from the maps once; elsewhere the maps are read
+    # a builder hands its tables over through ``covering._covering_from_tables``,
+    # or a cached table is built from the maps once; elsewhere the maps are read
     assert attribute_reads(path.read_text(), private_names(CoveringMap)) == []
 
 
